@@ -12,13 +12,6 @@ Usage::
     python examples/run_experiments.py all --parallel  # fan trials across all cores
     python examples/run_experiments.py scaling         # multi-hop ad hoc, 20-200 mobile hosts
 
-    # distributed: serve the sweeps to repro-trial-worker processes
-    python examples/run_experiments.py all --dispatch tcp://0.0.0.0:7209
-    # ...then on each worker machine (or extra terminal):
-    #     repro-trial-worker tcp://COORDINATOR_HOST:7209
-    # or let the driver spawn local workers itself:
-    python examples/run_experiments.py all --dispatch tcp://127.0.0.1:0 --serve-workers 2
-
 The paper averages 1000 runs per point; pass ``--runs 1000`` to match (it
 takes a while).  Each figure is printed as a table whose rows are path
 lengths and whose columns are the figure's series, i.e. the same structure
@@ -28,8 +21,6 @@ as the plots in the paper.
 from __future__ import annotations
 
 import argparse
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.analysis.reporting import FigureResult, comparison_table
@@ -139,22 +130,6 @@ def main() -> None:
         "--workers", type=int, default=None, help="process count for --parallel"
     )
     parser.add_argument(
-        "--dispatch",
-        default=None,
-        metavar="tcp://HOST:PORT",
-        help=(
-            "serve the sweeps to repro-trial-worker processes over TCP "
-            "instead of the local pool (port 0 picks a free port)"
-        ),
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --dispatch: also spawn N local worker processes",
-    )
-    parser.add_argument(
         "--no-batch-execution",
         action="store_true",
         help=(
@@ -164,43 +139,17 @@ def main() -> None:
     )
     args = parser.parse_args()
     batch_execution = not args.no_batch_execution
-    if args.dispatch is not None:
-        runner = TrialRunner(dispatch=args.dispatch)
-    elif args.parallel or args.workers is not None:
+    if args.parallel or args.workers is not None:
         runner = TrialRunner(max_workers=args.workers)
     else:
         runner = None
-
-    workers: list[subprocess.Popen] = []
-    if args.dispatch is not None:
-        address = runner.start_dispatch()
-        print(f"dispatch coordinator listening on {address}")
-        if args.serve_workers:
-            workers = [
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.experiments.worker",
-                        address,
-                        "--id",
-                        f"local-worker-{index}",
-                    ]
-                )
-                for index in range(args.serve_workers)
-            ]
-            print(f"spawned {len(workers)} local worker(s)")
-        else:
-            print(f"waiting for workers: repro-trial-worker {address}")
-    elif args.serve_workers:
-        parser.error("--serve-workers needs --dispatch")
 
     wanted = {name.lower() for name in (args.figures or ["all"])}
     run_everything = "all" in wanted or not wanted
 
     # One runner (and hence one process pool, forked lazily on the first
-    # parallel sweep, or one dispatch coordinator) serves every figure;
-    # the try/finally releases the workers when the last figure is done.
+    # parallel sweep) serves every figure; the try/finally releases the
+    # workers when the last figure is done.
     try:
         if run_everything or "fig4" in wanted:
             emit(
@@ -250,22 +199,7 @@ def main() -> None:
             run_ablation_reports()
     finally:
         if runner is not None:
-            runner.shutdown()  # dispatch mode: says Goodbye to every worker
-        for worker in workers:
-            try:
-                worker.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-        if args.dispatch is not None and runner is not None:
-            print(
-                f"dispatch: {runner.trials_run} trials, "
-                f"{runner.segments_dispatched} workload segment(s) shipped "
-                f"({runner.bytes_shared_wire} wire bytes for "
-                f"{runner.bytes_shared_raw} raw), "
-                f"{runner.bytes_wire_sent}B out / {runner.bytes_wire_received}B in, "
-                f"{runner.workers_lost} worker(s) lost, "
-                f"{runner.trials_reassigned} trial(s) reassigned"
-            )
+            runner.shutdown()
 
 
 if __name__ == "__main__":

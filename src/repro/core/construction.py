@@ -333,8 +333,9 @@ class WorkflowConstructor:
             # follows the interpreter's string hash seed.  The final
             # colouring is visit-order independent, but the effort counters
             # (a node coloured at a provisional distance and improved later
-            # counts twice) are not — and the distributed dispatch plane
-            # promises byte-identical results across interpreters.
+            # counts twice) are not — and trial results must be
+            # byte-identical across interpreters
+            # (tests/integration/test_hash_seed_determinism.py).
             seeds.extend(sorted(graph.children(node)))
         return seeds
 

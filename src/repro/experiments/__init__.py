@@ -35,8 +35,6 @@ The harness is built in three layers:
 
 """
 
-from .dispatch import DispatchCoordinator, DispatchError, parse_dispatch_address
-
 from .ablations import (
     BaselineComparisonPoint,
     DiscoveryAblationPoint,
@@ -76,25 +74,10 @@ from .trials import (
     simulated_network_factory,
 )
 
-def __getattr__(name: str):
-    # TrialWorker is exported lazily: importing repro.experiments must not
-    # pre-import the worker module, or `python -m repro.experiments.worker`
-    # (the CLI) would find it in sys.modules before runpy executes it.
-    if name == "TrialWorker":
-        from .worker import TrialWorker
-
-        return TrialWorker
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BaselineComparisonPoint",
     "DEFAULT_PATH_LENGTHS",
     "DiscoveryAblationPoint",
-    "DispatchCoordinator",
-    "DispatchError",
-    "TrialWorker",
-    "parse_dispatch_address",
     "FIGURE4_HOST_COUNTS",
     "FIGURE5_TASK_COUNTS",
     "FIGURE6_TASK_COUNTS",

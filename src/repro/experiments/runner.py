@@ -25,33 +25,19 @@ Determinism contract: everything in a ``TrialResult`` except the wall-clock
 components (``wall_seconds`` and its contribution to
 ``allocation_seconds``) is a pure function of the task.  ``timing="sim"``
 zeroes those components at the source, making the outcomes byte-identical
-across runs and schedulers — the equivalence tests run in that mode, and so
-can any experiment that only cares about simulated time.
+across runs, schedulers and interpreter hash seeds — the equivalence tests
+run in that mode, and so can any experiment that only cares about simulated
+time.
 
-Shared inputs: with ``shared_inputs=True`` (the default) a parallel run
-first publishes the sweep's distinct generated workloads — its only large,
-read-mostly input — into one :mod:`multiprocessing.shared_memory` segment
+Shared inputs: a parallel run first publishes the sweep's distinct
+generated workloads — its only large, read-mostly input — into one
+zlib-compressed :mod:`multiprocessing.shared_memory` segment
 (:mod:`repro.experiments.shared_inputs`); each worker attaches once and
 fills its per-process workload cache from the shared buffer instead of
 regenerating every workload from its seed.  Sharing is purely a cache
-warm-up, so outcomes are byte-identical with it on, off, or unavailable
-(the segment falls away silently on platforms without shared memory).
-``compress_shared=True`` (the default) zlib-compresses the segment payload
-at level 1; ``bytes_shared_raw`` / ``bytes_shared_wire`` expose the ratio.
-
-Distributed dispatch: ``TrialRunner(dispatch="tcp://host:port")`` is a
-third execution mode beside inline and the process pool.  The runner binds
-a :class:`~repro.experiments.dispatch.DispatchCoordinator` on that address
-and fans the sweep across every ``repro-trial-worker`` process that
-connects — each worker receives the sweep's deduplicated workload payload
-once, re-publishes it into its own local shared memory, and streams
-results back as trials finish.  Results aggregate in task order, so
-``timing="sim"`` outcomes are byte-identical to the local runner; a dead
-worker's in-flight trials are reassigned to the survivors
-(``workers_lost`` / ``trials_reassigned``), and when every worker dies the
-local pool finishes the remainder — or, with ``dispatch_fallback=False``,
-a clear :class:`~repro.experiments.dispatch.DispatchError` is raised
-instead of hanging.
+warm-up, so outcomes are byte-identical with it or without it: when
+publishing fails (no usable shared memory) the workers regenerate from
+seeds and the run goes on unshared.
 """
 
 from __future__ import annotations
@@ -78,13 +64,7 @@ from ..mobility.geometry import Point, square_site
 from ..mobility.models import MobilityModel, RandomWaypointMobility
 from ..sim.randomness import DEFAULT_SEED, derive_rng, derive_seed
 from ..workloads.supergraph_gen import GeneratedWorkload, RandomSupergraphWorkload
-from .shared_inputs import (
-    SharedWorkloadSegment,
-    attach_workloads,
-    encode_workloads,
-    framed_lengths,
-    publish_workloads,
-)
+from .shared_inputs import SharedWorkloadSegment, attach_workloads, publish_workloads
 from .trials import (
     TrialResult,
     adhoc_network_factory,
@@ -311,43 +291,22 @@ class TrialRunner:
         latency); ``"sim"`` zeroes the wall component so outcomes are
         byte-identical across runs.
     chunksize:
-        Tasks handed to a worker per dispatch; raise it for very large
-        sweeps of very short trials.
-    shared_inputs:
-        When true (the default), each parallel run publishes the sweep's
-        distinct generated workloads into one shared-memory segment that
-        workers attach instead of regenerating per process.  Purely a
-        cache warm-up — outcomes are byte-identical with the flag off or
-        on platforms without shared memory, where it degrades silently.
-    compress_shared:
-        zlib-compress (level 1) the shared workload payload — both the
-        local shared-memory segment and the dispatch plane's per-worker
-        ``WorkloadSegment`` transfer.  ``bytes_shared_raw`` vs
-        ``bytes_shared_wire`` expose the saving.
-    dispatch:
-        ``"tcp://host:port"`` switches :meth:`run` to the distributed
-        dispatch plane: the runner serves the sweep to every connected
-        ``repro-trial-worker`` instead of its own process pool (which
-        remains the fallback for trials no worker could finish).  Port 0
-        binds an ephemeral port; read :attr:`dispatch_address` (or call
-        :meth:`start_dispatch`) for the actual one.
-    dispatch_fallback:
-        When every dispatch worker has died, finish the remaining trials
-        on the local pool (the default) instead of raising
-        :class:`~repro.experiments.dispatch.DispatchError`.
-    dispatch_start_timeout / dispatch_heartbeat_timeout:
-        Seconds to wait for the first worker before failing a dispatched
-        sweep, and of heartbeat silence before a worker is declared dead.
+        Tasks handed to a worker per pool submission; raise it for very
+        large sweeps of very short trials.
+
+    Every parallel run publishes the sweep's distinct generated workloads
+    into one shared-memory segment that workers attach instead of
+    regenerating per process (``bytes_shared`` / ``workers_attached``
+    count it).  Purely a cache warm-up — outcomes are byte-identical on
+    platforms without shared memory, where it degrades silently.
 
     One runner owns (at most) **one** process pool, created lazily on the
     first parallel :meth:`run` and reused by every later call — running all
     figures through a single runner forks the workers once instead of once
     per figure, and the workers' per-process workload caches stay warm
-    across figures that share a workload.  A dispatched runner likewise
-    owns one coordinator, bound lazily and reused across sweeps (workers
-    stay connected between figures).  Call :meth:`shutdown` (or use the
-    runner as a context manager) to release the workers; a runner whose
-    pool broke discards it and falls back to sequential execution.
+    across figures that share a workload.  Call :meth:`shutdown` (or use
+    the runner as a context manager) to release the workers; a runner
+    whose pool broke discards it and falls back to sequential execution.
     """
 
     def __init__(
@@ -356,12 +315,6 @@ class TrialRunner:
         parallel: bool | None = None,
         timing: str = "wall",
         chunksize: int = 1,
-        shared_inputs: bool = True,
-        compress_shared: bool = True,
-        dispatch: str | None = None,
-        dispatch_fallback: bool = True,
-        dispatch_start_timeout: float = 30.0,
-        dispatch_heartbeat_timeout: float = 10.0,
     ) -> None:
         if timing not in ("wall", "sim"):
             raise ValueError("timing must be 'wall' or 'sim'")
@@ -373,34 +326,15 @@ class TrialRunner:
         self.parallel = self.max_workers > 1 if parallel is None else parallel
         self.timing = timing
         self.chunksize = chunksize
-        self.shared_inputs = shared_inputs
-        self.compress_shared = compress_shared
-        if dispatch is not None:
-            from .dispatch import parse_dispatch_address
-
-            parse_dispatch_address(dispatch)  # fail fast on a bad address
-        self.dispatch = dispatch
-        self.dispatch_fallback = dispatch_fallback
-        self.dispatch_start_timeout = dispatch_start_timeout
-        self.dispatch_heartbeat_timeout = dispatch_heartbeat_timeout
         self.trials_run = 0
         self.parallel_batches = 0
         self.sequential_fallbacks = 0
         self.pools_created = 0
         self.workers_attached = 0  # shared-segment attachments by workers
-        self.bytes_shared = 0  # wire bytes published into shared memory
-        self.bytes_shared_raw = 0  # pickled payload bytes before compression
-        self.bytes_shared_wire = 0  # framed bytes after compression
-        self.dispatch_batches = 0  # sweeps served over the socket plane
-        self.workers_lost = 0  # dispatch workers declared dead mid-sweep
-        self.trials_reassigned = 0  # in-flight trials rerun elsewhere
-        self.segments_dispatched = 0  # WorkloadSegment frames sent (1/worker/sweep)
-        self.bytes_wire_sent = 0  # dispatch bytes coordinator -> workers
-        self.bytes_wire_received = 0  # dispatch bytes workers -> coordinator
+        self.bytes_shared = 0  # compressed bytes published into shared memory
         self._closed = False
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
-        self._coordinator = None  # DispatchCoordinator, bound lazily
 
     # -- pool lifecycle -----------------------------------------------------
     def _shared_pool(self) -> ProcessPoolExecutor:
@@ -452,9 +386,6 @@ class TrialRunner:
         pool = self._detach_pool()
         if pool is not None:
             pool.shutdown()
-        coordinator, self._coordinator = self._coordinator, None
-        if coordinator is not None:
-            coordinator.close()
 
     def __enter__(self) -> "TrialRunner":
         return self
@@ -468,27 +399,10 @@ class TrialRunner:
     ) -> SharedWorkloadSegment | None:
         """Publish the sweep's distinct workloads into one shared segment.
 
-        ``None`` means no sharing this run — disabled, or the platform has
-        no usable shared memory — and workers regenerate from seeds (same
-        objects, same outcomes).
+        ``None`` means no sharing this run — the platform has no usable
+        shared memory — and workers regenerate from seeds (same objects,
+        same outcomes).
         """
-
-        if not self.shared_inputs:
-            return None
-        try:
-            segment = publish_workloads(
-                self._sweep_workloads(task_list), compress=self.compress_shared
-            )
-        except (OSError, ValueError, pickle.PicklingError):
-            return None
-        self.bytes_shared += segment.wire_bytes
-        self.bytes_shared_raw += segment.raw_bytes
-        self.bytes_shared_wire += segment.wire_bytes
-        return segment
-
-    @staticmethod
-    def _sweep_workloads(task_list: list[TrialTask]) -> dict:
-        """The sweep's distinct workloads, keyed by ``(seed, num_tasks)``."""
 
         keys = sorted(
             {
@@ -499,78 +413,13 @@ class TrialRunner:
                 for task in task_list
             }
         )
-        return {key: workload_for(*key) for key in keys}
-
-    # -- distributed dispatch ------------------------------------------------
-    def start_dispatch(self) -> str:
-        """Bind the dispatch coordinator now and return its address.
-
-        Normally the coordinator binds lazily on the first dispatched
-        :meth:`run`; demos that must know the (possibly ephemeral) port
-        before starting workers call this first.
-        """
-
-        if self.dispatch is None:
-            raise ValueError("this runner has no dispatch= address")
-        if self._coordinator is None:
-            from .dispatch import DispatchCoordinator, parse_dispatch_address
-
-            host, port = parse_dispatch_address(self.dispatch)
-            self._coordinator = DispatchCoordinator(
-                host,
-                port,
-                heartbeat_timeout=self.dispatch_heartbeat_timeout,
-                start_timeout=self.dispatch_start_timeout,
-            ).start()
-        return self._coordinator.address
-
-    @property
-    def dispatch_address(self) -> str | None:
-        """The coordinator's bound ``tcp://host:port`` (binding if needed)."""
-
-        return None if self.dispatch is None else self.start_dispatch()
-
-    def _run_dispatched(self, task_list: list[TrialTask]) -> list[TrialOutcome]:
-        """Serve the sweep over the socket plane (see the module docstring).
-
-        Any trial left unfinished — every worker died — is rerun on the
-        local path, so the returned list is always complete; with
-        ``dispatch_fallback=False`` that situation raises instead.
-        """
-
-        from .dispatch import DispatchError
-
-        self.start_dispatch()
-        assert self._coordinator is not None
-        payload = encode_workloads(
-            self._sweep_workloads(task_list), compress=self.compress_shared
-        )
-        wire_bytes, raw_bytes = framed_lengths(payload)
-        self.bytes_shared_raw += raw_bytes
-        self.bytes_shared_wire += wire_bytes
-        report = self._coordinator.run_sweep(
-            task_list, timing=self.timing, payload=payload, raw_bytes=raw_bytes
-        )
-        self.dispatch_batches += 1
-        self.workers_lost += report.workers_lost
-        self.trials_reassigned += report.trials_reassigned
-        self.segments_dispatched += report.segments_sent
-        self.bytes_wire_sent += report.bytes_sent
-        self.bytes_wire_received += report.bytes_received
-        missing = [
-            index for index, outcome in enumerate(report.outcomes) if outcome is None
-        ]
-        if missing:
-            if not self.dispatch_fallback:
-                raise DispatchError(
-                    f"{len(missing)} of {len(task_list)} trials unfinished: "
-                    "every dispatch worker died and dispatch_fallback is off"
-                )
-            self.trials_reassigned += len(missing)
-            rescued = self._run_local([task_list[index] for index in missing])
-            for index, outcome in zip(missing, rescued):
-                report.outcomes[index] = outcome
-        return report.outcomes
+        workloads = {key: workload_for(*key) for key in keys}
+        try:
+            segment = publish_workloads(workloads)
+        except (OSError, ValueError, pickle.PicklingError):
+            return None
+        self.bytes_shared += segment.wire_bytes
+        return segment
 
     # -- execution ----------------------------------------------------------
     def run(self, tasks: Iterable[TrialTask]) -> list[TrialOutcome]:
@@ -584,16 +433,6 @@ class TrialRunner:
         task_list = list(tasks)
         if not task_list:
             return []
-        if self.dispatch is not None:
-            outcomes = self._run_dispatched(task_list)
-        else:
-            outcomes = self._run_local(task_list)
-        self.trials_run += len(outcomes)
-        return outcomes
-
-    def _run_local(self, task_list: list[TrialTask]) -> list[TrialOutcome]:
-        """The inline / process-pool execution path (and dispatch fallback)."""
-
         worker = partial(execute_trial, timing=self.timing)
         outcomes: list[TrialOutcome] | None = None
         if self.parallel and self.max_workers > 1 and len(task_list) > 1:
@@ -630,6 +469,7 @@ class TrialRunner:
                     segment.unlink()
         if outcomes is None:
             outcomes = [worker(task) for task in task_list]
+        self.trials_run += len(outcomes)
         return outcomes
 
     def run_figure(

@@ -1,4 +1,4 @@
-"""Shared publication of read-mostly trial inputs (memory segment or wire).
+"""Shared-memory publication of a sweep's read-mostly trial inputs.
 
 A sweep's tasks are tiny declarative records, but the workload behind them
 — the generated supergraph with its fragment partitioning inputs — is the
@@ -11,19 +11,15 @@ generation cost is paid once per worker per workload, and it grows with
 the workload size.
 
 This module frames the pickled workloads of a sweep into **one**
-self-describing segment payload (:func:`encode_workloads`: magic, version,
-flags, explicit lengths, CRC — zlib level 1 inside with ``compress=True``,
-the default) and publishes it either into a
-:mod:`multiprocessing.shared_memory` segment before a local fan-out or —
-via the dispatch plane's ``WorkloadSegment`` frame — across a TCP socket
-to remote workers, which re-publish it into *their* local shared memory.
+self-describing, zlib-compressed segment payload (:func:`encode_workloads`:
+magic, version, explicit lengths, CRC) and publishes it into a
+:mod:`multiprocessing.shared_memory` segment before a local fan-out.
 Workers attach, deserialize straight out of the shared buffer into their
 per-process cache, and detach — one generation in the parent instead of
-one per worker, and the bytes cross each transport exactly once per
-consumer.  Attachment is a pure cache warm-up: a worker that misses the
-segment (or a run with ``shared_inputs=False``) regenerates from seeds and
+one per worker.  Attachment is a pure cache warm-up: a worker that misses
+the segment (or a run whose publishing failed) regenerates from seeds and
 produces *the same workload objects*, so trial outcomes are byte-identical
-either way under ``timing="sim"`` — the shared/pickled equivalence test
+either way under ``timing="sim"`` — the shared/sequential equivalence test
 pins exactly that.
 
 The explicit payload length in the frame matters for shared memory:
@@ -52,48 +48,25 @@ from ..workloads.supergraph_gen import GeneratedWorkload
 WorkloadKey = tuple[int, int]  # (workload_seed, num_tasks)
 
 SEGMENT_MAGIC = b"RWKS"
-SEGMENT_VERSION = 1
-_FLAG_ZLIB = 0x01
-# magic, version, flags, wire length, raw (pickled) length, payload crc32
-_SEGMENT_HEADER = struct.Struct(">4sBBIII")
+SEGMENT_VERSION = 2
+# magic, version, compressed length, raw (pickled) length, payload crc32
+_SEGMENT_HEADER = struct.Struct(">4sBIII")
 
 
-def encode_workloads(
-    workloads: Mapping[WorkloadKey, GeneratedWorkload], compress: bool = True
-) -> bytes:
+def encode_workloads(workloads: Mapping[WorkloadKey, GeneratedWorkload]) -> bytes:
     """Frame the keyed workloads as one self-describing segment payload.
 
-    ``compress=True`` (the default) runs the pickle through zlib level 1 —
-    fast enough to be free next to workload generation, and the framed
-    bytes are what crosses shared memory *and* the dispatch socket, so the
-    saving lands on both transports.  Raises whatever pickling raises;
-    callers fall back to per-worker regeneration.
+    The pickle runs through zlib level 1 — fast enough to be free next to
+    workload generation, and ~4–5× smaller in shared memory.  Raises
+    whatever pickling raises; callers fall back to per-worker regeneration.
     """
 
     raw = pickle.dumps(dict(workloads), protocol=pickle.HIGHEST_PROTOCOL)
-    flags = 0
-    payload = raw
-    if compress:
-        payload = zlib.compress(raw, level=1)
-        flags |= _FLAG_ZLIB
+    payload = zlib.compress(raw, level=1)
     header = _SEGMENT_HEADER.pack(
-        SEGMENT_MAGIC,
-        SEGMENT_VERSION,
-        flags,
-        len(payload),
-        len(raw),
-        zlib.crc32(payload),
+        SEGMENT_MAGIC, SEGMENT_VERSION, len(payload), len(raw), zlib.crc32(payload)
     )
     return header + payload
-
-
-def framed_lengths(payload: bytes) -> tuple[int, int]:
-    """``(wire_bytes, raw_bytes)`` of a framed segment payload (header only)."""
-
-    if len(payload) < _SEGMENT_HEADER.size:
-        raise ValueError("workload segment shorter than its header")
-    _, _, _, wire_len, raw_len, _ = _SEGMENT_HEADER.unpack_from(payload)
-    return wire_len, raw_len
 
 
 def decode_workloads(data: bytes | memoryview) -> dict[WorkloadKey, GeneratedWorkload]:
@@ -107,7 +80,7 @@ def decode_workloads(data: bytes | memoryview) -> dict[WorkloadKey, GeneratedWor
     view = memoryview(data)
     if len(view) < _SEGMENT_HEADER.size:
         raise ValueError("workload segment shorter than its header")
-    magic, version, flags, wire_len, raw_len, crc = _SEGMENT_HEADER.unpack_from(view)
+    magic, version, wire_len, raw_len, crc = _SEGMENT_HEADER.unpack_from(view)
     if magic != SEGMENT_MAGIC:
         raise ValueError(f"bad workload segment magic {bytes(magic)!r}")
     if version != SEGMENT_VERSION:
@@ -118,8 +91,7 @@ def decode_workloads(data: bytes | memoryview) -> dict[WorkloadKey, GeneratedWor
     payload = bytes(view[_SEGMENT_HEADER.size : end])
     if zlib.crc32(payload) != crc:
         raise ValueError("workload segment CRC mismatch")
-    if flags & _FLAG_ZLIB:
-        payload = zlib.decompress(payload)
+    payload = zlib.decompress(payload)
     if len(payload) != raw_len:
         raise ValueError("workload segment raw length mismatch")
     workloads = pickle.loads(payload)
@@ -131,24 +103,18 @@ def decode_workloads(data: bytes | memoryview) -> dict[WorkloadKey, GeneratedWor
 class SharedWorkloadSegment:
     """One published shared-memory segment holding a sweep's workloads.
 
-    Create with :func:`publish_workloads` (or hand it an already-framed
-    payload, as the dispatch worker does with the bytes it received over
-    the socket); pass :attr:`name` to the workers; call :meth:`unlink`
-    (idempotent) once the fan-out is done.  ``wire_bytes`` is the framed
-    (possibly compressed) size actually occupying the segment,
-    ``raw_bytes`` the pickled size it stands for; ``payload_bytes`` keeps
-    the historical name for the wire size.
+    Create with :func:`publish_workloads`; pass :attr:`name` to the
+    workers; call :meth:`unlink` (idempotent) once the fan-out is done.
+    ``wire_bytes`` is the framed, compressed size occupying the segment.
     """
 
-    def __init__(self, payload: bytes, raw_bytes: int | None = None) -> None:
+    def __init__(self, payload: bytes) -> None:
         self._segment = shared_memory.SharedMemory(
             create=True, size=max(len(payload), 1)
         )
         self._segment.buf[: len(payload)] = payload
         self.name = self._segment.name
         self.wire_bytes = len(payload)
-        self.raw_bytes = len(payload) if raw_bytes is None else raw_bytes
-        self.payload_bytes = self.wire_bytes
 
     def unlink(self) -> None:
         """Release and destroy the segment (idempotent, best-effort)."""
@@ -165,7 +131,7 @@ class SharedWorkloadSegment:
 
 
 def publish_workloads(
-    workloads: Mapping[WorkloadKey, GeneratedWorkload], compress: bool = True
+    workloads: Mapping[WorkloadKey, GeneratedWorkload],
 ) -> SharedWorkloadSegment:
     """Frame the keyed workloads into a fresh shared-memory segment.
 
@@ -174,9 +140,7 @@ def publish_workloads(
     per-worker regeneration.
     """
 
-    payload = encode_workloads(workloads, compress=compress)
-    raw_len = _SEGMENT_HEADER.unpack_from(payload)[4]
-    return SharedWorkloadSegment(payload, raw_bytes=raw_len)
+    return SharedWorkloadSegment(encode_workloads(workloads))
 
 
 def attach_workloads(

@@ -1,5 +1,7 @@
 """Unit tests for the parallel experiment engine (`repro.experiments.runner`)."""
 
+import pickle
+
 import pytest
 
 from repro.analysis.reporting import FigureResult
@@ -194,30 +196,27 @@ class TestShutdownLifecycle:
 class TestSharedInputs:
     def test_shared_matches_unshared_and_sequential_byte_for_byte(self):
         tasks = make_tasks(runs=2)
-        sequential = TrialRunner(parallel=False, timing="sim").run(tasks)
+        sequential_runner = TrialRunner(parallel=False, timing="sim")
+        sequential = sequential_runner.run(tasks)
         shared_runner = TrialRunner(max_workers=2, parallel=True, timing="sim")
-        unshared_runner = TrialRunner(
-            max_workers=2, parallel=True, timing="sim", shared_inputs=False
-        )
         try:
             shared = shared_runner.run(tasks)
-            unshared = unshared_runner.run(tasks)
         finally:
             shared_runner.shutdown()
-            unshared_runner.shutdown()
-        if shared_runner.sequential_fallbacks or unshared_runner.sequential_fallbacks:
+        if shared_runner.sequential_fallbacks:
             pytest.skip("no usable process pool in this environment")
-        assert shared == unshared == sequential
-        # The sweep's workloads went over shared memory, not down the pipe.
+        assert shared == sequential
+        # The sweep's workloads went over shared memory, not down the pipe;
+        # the sequential reference generated its own and shared nothing.
         assert shared_runner.bytes_shared > 0
         assert shared_runner.workers_attached >= 1
-        assert unshared_runner.bytes_shared == 0
-        assert unshared_runner.workers_attached == 0
+        assert sequential_runner.bytes_shared == 0
+        assert sequential_runner.workers_attached == 0
 
     def test_publish_failure_degrades_to_unshared_run(self, monkeypatch):
         from repro.experiments import runner as runner_module
 
-        def broken_publish(workloads, compress=True):
+        def broken_publish(workloads):
             raise OSError("no shared memory on this platform")
 
         monkeypatch.setattr(runner_module, "publish_workloads", broken_publish)
@@ -253,7 +252,7 @@ class TestSharedInputs:
             cache = {}
             assert attach_workloads(segment.name, cache)
             assert cache[key] == workload_for(*key)
-            assert segment.payload_bytes > 0
+            assert segment.wire_bytes > 0
         finally:
             segment.unlink()
             segment.unlink()  # idempotent
@@ -267,27 +266,15 @@ class TestSharedInputCompression:
         key = (11, 25)
         return {key: workload_for(*key)}
 
-    def test_encode_decode_round_trip_both_ways(self):
+    def test_compression_shrinks_the_wire_payload(self):
         from repro.experiments.shared_inputs import decode_workloads, encode_workloads
 
         workloads = self._workloads()
-        for compress in (True, False):
-            assert decode_workloads(encode_workloads(workloads, compress=compress)) == (
-                workloads
-            )
-
-    def test_compression_shrinks_the_wire_payload(self):
-        from repro.experiments.shared_inputs import encode_workloads, framed_lengths
-
-        workloads = self._workloads()
-        packed = encode_workloads(workloads, compress=True)
-        plain = encode_workloads(workloads, compress=False)
-        wire_packed, raw_packed = framed_lengths(packed)
-        wire_plain, raw_plain = framed_lengths(plain)
-        assert raw_packed == raw_plain  # same pickle underneath
-        assert wire_plain == raw_plain  # uncompressed: framed size is raw size
-        assert wire_packed < raw_packed  # the zlib pass actually paid off
-        assert len(packed) < len(plain)
+        packed = encode_workloads(workloads)
+        assert decode_workloads(packed) == workloads
+        # Header included, the framed segment is smaller than the bare
+        # pickle: the zlib pass actually paid off.
+        assert len(packed) < len(pickle.dumps(workloads, pickle.HIGHEST_PROTOCOL))
 
     @pytest.mark.parametrize("mutation", ["magic", "version", "truncate", "crc"])
     def test_corrupt_segment_rejected(self, mutation):
@@ -304,23 +291,3 @@ class TestSharedInputCompression:
             encoded[-1] ^= 0xFF
         with pytest.raises(ValueError):
             decode_workloads(bytes(encoded))
-
-    def test_compressed_and_uncompressed_runs_agree_and_count_bytes(self):
-        tasks = make_tasks(runs=1)
-        packed_runner = TrialRunner(max_workers=2, parallel=True, timing="sim")
-        plain_runner = TrialRunner(
-            max_workers=2, parallel=True, timing="sim", compress_shared=False
-        )
-        try:
-            packed = packed_runner.run(tasks)
-            plain = plain_runner.run(tasks)
-        finally:
-            packed_runner.shutdown()
-            plain_runner.shutdown()
-        if packed_runner.sequential_fallbacks or plain_runner.sequential_fallbacks:
-            pytest.skip("no usable process pool in this environment")
-        assert packed == plain
-        assert 0 < packed_runner.bytes_shared_wire < packed_runner.bytes_shared_raw
-        # Uncompressed, the framed wire size is the pickle plus the fixed
-        # segment header — never smaller than raw.
-        assert plain_runner.bytes_shared_wire >= plain_runner.bytes_shared_raw > 0
