@@ -49,6 +49,42 @@ did change, only the hosts touching a changed link have their memos
 dropped (their epochs then bump lazily on the next query, exactly as on
 the rebuild path).
 
+Stability horizons make most tick boundaries free.  Under mobility where
+most hosts move every tick, the advance above drops every memo (comparing
+discs would cost more), so the next reachability query re-runs a
+whole-fleet sweep even when no link changed.  The sweep therefore also
+returns a *certificate*: from each host's speed on its current trajectory
+leg (``motion_at``), no pair's distance can change faster than the sum of
+their speeds, so no link can appear or disappear before the horizon of
+:mod:`repro.net.spatial` — the minimum over the sweep's cell-block pairs
+of ``(|d_ij - R| - margin) / (s_i + s_j)``, a cell-edge bound for every
+pair outside a block, and the earliest leg or pause end (a new leg may be
+faster).  Every instant before ``anchor + horizon`` is answered from the
+kept neighbour, epoch and component memos without advancing at all: the
+grid keeps its anchor coordinates, while ``position_of`` and
+``positions()`` still evaluate the models at the current instant, so
+positions stay exact.  A host outside the grid (placed but unregistered,
+e.g. a crashed relay on a cached route) is not covered by the
+certificate; it is answered from current coordinates and never memoized.
+A population with a model lacking ``motion_at`` gets no horizon.
+
+The margin absorbs the float error between the sweep's distances and the
+membership test at later instants.  A replayed position is a few
+roundings away from the exact point of its leg line: the elapsed time and
+the leg fraction are rounded relative to themselves and a leg spans at
+most ``2L`` per axis, so the error is a few ulps of ``L``, the largest
+leg-endpoint coordinate.  Each computed distance (the sweep's
+``sqrt(dx*dx + dy*dy)``, the membership ``hypot``) adds a few ulps of
+``L`` and ``R``, and rounding ``anchor + horizon`` can stretch the
+horizon by an ulp of the clock ``t``, worth ``s_max * ulp(t)`` metres.
+All of it stays within a few dozen ulps of ``R + L + s_max * t``; the
+margin is ``2**-32`` times that scale, thousands of times more, so a pair
+further than the margin from the range boundary cannot be misjudged at
+any instant of the horizon.  The horizon is computed only where the sweep
+already runs, so traffic that only advances (a fleet ticking without
+reachability queries) never pays for it; the rebuild path
+(``incremental_grid=False``) computes none.
+
 Predictive link-break scheduling (the default, ``predictive_links=True``)
 goes one step further for the links that carry traffic: whenever a message
 uses a link (directly or on a cached AODV route), the network derives — in
@@ -115,6 +151,10 @@ DEFAULT_PER_HOP_OVERHEAD = 0.0015  # seconds: MAC contention + protocol stack
 DEFAULT_RADIO_RANGE = 100.0  # metres, typical outdoor 802.11g
 DEFAULT_ROUTE_DISCOVERY_COST = 0.004  # seconds per hop of RREQ/RREP exchange
 
+#: The stability horizon's margin, relative to the scale of the positions,
+#: distances and times it guards (see "Stability horizons" above).
+_HORIZON_SLACK = 2.0**-32
+
 
 class _Snapshot:
     """Everything the network knows about one simulated instant."""
@@ -125,6 +165,8 @@ class _Snapshot:
         "radius",
         "positions",
         "grid",
+        "grid_time",
+        "stable_until",
         "neighbours",
         "epochs",
         "components",
@@ -143,6 +185,11 @@ class _Snapshot:
         self.radius = radius
         self.positions = positions
         self.grid = grid
+        # The instant the grid's coordinates describe: behind ``time`` while
+        # a stability horizon answers for the instants in between.
+        self.grid_time = time
+        # No radio link can appear or disappear before this instant.
+        self.stable_until = -math.inf
         self.neighbours: dict[str, frozenset[str]] = {}
         self.epochs: dict[str, int] = {}
         self.components: dict[str, int] | None = None
@@ -181,9 +228,12 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         index), the snapshot is *advanced* across tick boundaries: only
         hosts whose mobility model reports possible movement are
         re-evaluated and re-indexed, and geometry memos survive wherever
-        no link changed.  ``False`` restores the PR-2 full rebuild per
-        tick (the reference path for the incremental/rebuild equivalence
-        property suite and the maintenance benchmark baseline).
+        no link changed.  Each whole-fleet sweep also certifies a
+        stability horizon (see the module docstring) before which no link
+        can change, and instants inside it skip the advance entirely.
+        ``False`` restores the full rebuild per tick (the reference path
+        for the incremental/rebuild equivalence property suite and the
+        maintenance benchmark baseline).
     predictive_links:
         When true (the default), the instant each *used* link (one a
         message just crossed, directly or on a cached route) will break is
@@ -278,6 +328,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.grid_rebuilds = 0  # full O(n) rebuilds among them
         self.hosts_reevaluated = 0  # mobility evaluations during advances
         self.hosts_moved = 0  # position changes applied incrementally
+        self.advances_skipped = 0  # instants answered inside a stability horizon
         self.link_breaks_predicted = 0  # epoch-bump events armed
         self.link_break_events = 0  # epoch-bump events fired
         self.predicted_epoch_bumps = 0  # fired events that advanced an epoch
@@ -336,7 +387,13 @@ class AdHocWirelessNetwork(CommunicationsLayer):
                 # range they were computed for still holds.
                 and snapshot.radius == self.radio_range
             ):
-                self._advance_snapshot(snapshot, now)
+                if now < snapshot.stable_until:
+                    # Certified: no link changes before stable_until, so the
+                    # memos answer for `now` and the grid may lag behind.
+                    snapshot.time = now
+                    self.advances_skipped += 1
+                else:
+                    self._advance_snapshot(snapshot, now)
                 self.snapshots_built += 1
                 return snapshot
         if self.vectorized:
@@ -433,13 +490,15 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         ones that actually moved are relocated in the grid and their radio
         discs compared before/after.  Memos are dropped only for hosts
         incident to a link that appeared or disappeared, and the component
-        labelling only when at least one such link exists.
+        labelling only when at least one such link exists.  Before the
+        snapshot's ``stable_until`` no link can have changed, so the moves
+        are applied without any comparison and every memo survives.
         """
 
         if self.vectorized:
             self._advance_snapshot_vectorized(snapshot, now)
             return
-        snapshot.time = now
+        snapshot.time = snapshot.grid_time = now
         heap = self._move_heap
         if not heap or heap[0][0] >= now:
             return
@@ -460,8 +519,10 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             return
         self.hosts_moved += len(moved)
         grid = snapshot.grid
-        if len(moved) * 4 >= len(snapshot.positions):
-            # Most of the population moved: comparing every mover's radio
+        certified = now < snapshot.stable_until
+        if certified or len(moved) * 4 >= len(snapshot.positions):
+            # Certified: no link changed, every memo survives.  Otherwise
+            # most of the population moved: comparing every mover's radio
             # disc would cost more than the lazy recomputation it tries to
             # save.  Apply the moves (still O(moved) grid work, no O(n)
             # rebuild) and drop the geometry memos wholesale — queries then
@@ -469,9 +530,10 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             for host, new in moved:
                 snapshot.positions[host] = new
                 grid.move(host, new)
-            snapshot.neighbours.clear()
-            snapshot.epochs.clear()
-            snapshot.components = None
+            if not certified:
+                snapshot.neighbours.clear()
+                snapshot.epochs.clear()
+                snapshot.components = None
             return
         radius = self.radio_range
         # Radio discs on the *old* positions (of every host) first, then
@@ -501,7 +563,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         pairs — exactly the scalar path's before/after-disc comparison.
         """
 
-        snapshot.time = now
+        snapshot.time = snapshot.grid_time = now
         heap = self._move_heap
         if not heap or heap[0][0] >= now:
             return
@@ -565,14 +627,17 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.hosts_moved += len(moved_indices)
         ids = grid.ids
         radius = self.radio_range
-        if len(moved_indices) * 4 >= len(snapshot.positions):
-            # Same threshold as the scalar path: most of the population
-            # moved, so drop the memos wholesale instead of diffing discs.
-            # The lazy position view tracks the grid arrays by itself.
+        certified = now < snapshot.stable_until
+        if certified or len(moved_indices) * 4 >= len(snapshot.positions):
+            # Same branches as the scalar path: certified moves keep every
+            # memo; otherwise most of the population moved, so drop the
+            # memos wholesale instead of diffing discs.  The lazy position
+            # view tracks the grid arrays by itself.
             grid.move_many(moved_indices, moved_xs, moved_ys)
-            snapshot.neighbours.clear()
-            snapshot.epochs.clear()
-            snapshot.components = None
+            if not certified:
+                snapshot.neighbours.clear()
+                snapshot.epochs.clear()
+                snapshot.components = None
             return
         # Discs around the movers' old positions, then the new ones; encode
         # each (mover, member) pair as one integer so the links that changed
@@ -600,18 +665,28 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         """Current position of ``host_id`` (origin when never placed)."""
 
         snapshot = self._current_snapshot()
-        position = snapshot.positions.get(host_id)
-        if position is None:
-            # Placed but not (or no longer) registered: fall back to the
-            # mobility model directly.
-            return self._position_at(host_id, snapshot.time)
-        return position
+        if snapshot.grid_time == snapshot.time:
+            position = snapshot.positions.get(host_id)
+            if position is not None:
+                return position
+        # Placed but not (or no longer) registered, or a grid lagging inside
+        # a stability horizon: ask the mobility model directly.
+        return self._position_at(host_id, snapshot.time)
 
     def positions(self) -> Mapping[str, Point]:
         """Snapshot of every attached host's current position (one evaluation
         of each mobility model per simulated instant, shared by all queries)."""
 
-        return dict(self._current_snapshot().positions)
+        snapshot = self._current_snapshot()
+        self._settle(snapshot)
+        return dict(snapshot.positions)
+
+    def _settle(self, snapshot: _Snapshot) -> None:
+        """Bring a grid lagging inside a stability horizon up to the
+        snapshot's instant (the advance keeps every memo there)."""
+
+        if snapshot.grid_time != snapshot.time:
+            self._advance_snapshot(snapshot, snapshot.time)
 
     # -- connectivity -------------------------------------------------------------
     def in_radio_range(self, host_a: str, host_b: str) -> bool:
@@ -634,11 +709,17 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if cached is not None:
             return cached
         if self.use_spatial_index:
-            if host_id in snapshot.grid:
-                neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
-            else:
+            if host_id not in snapshot.grid:
+                # Placed but not registered (e.g. a crashed relay on a cached
+                # route): neither the advance's link diff nor a stability
+                # horizon covers it, so answer from current coordinates and
+                # keep no memo.
+                self._settle(snapshot)
                 position = self._position_at(host_id, snapshot.time)
-                neighbours = snapshot.grid.near(position, self.radio_range) - {host_id}
+                return snapshot.grid.near(position, self.radio_range) - {host_id}
+            # A grid lagging inside a stability horizon still gives the
+            # right answer: no registered host's link set has changed.
+            neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
         else:
             neighbours = frozenset(
                 other
@@ -843,28 +924,63 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             self._link_epochs[host_id] = self._link_epochs.get(host_id, 0) + 1
             self._epoch_links[host_id] = current_links
         epoch = self._link_epochs.get(host_id, 0)
-        snapshot.epochs[host_id] = epoch
+        if host_id in snapshot.grid:  # unregistered hosts keep no memo
+            snapshot.epochs[host_id] = epoch
         return epoch
 
     def _component_labels(self) -> dict[str, int]:
         snapshot = self._current_snapshot()
         if snapshot.components is None:
-            if self.vectorized:
-                # One whole-population disc sweep yields every neighbour
-                # set *and* the component partition: warm the per-host
-                # memos as a side effect (the sets are exactly what the
-                # per-host queries would compute).
-                neighbour_sets, labels = snapshot.grid.neighbour_sets_and_labels(
-                    self.radio_range
-                )
-                for host, neighbours in neighbour_sets.items():
-                    snapshot.neighbours.setdefault(host, neighbours)
-                snapshot.components = labels
-            else:
-                snapshot.components = snapshot.grid.component_labels(
-                    self.radio_range
-                )
+            # Components are only dropped by a rebuild or an uncertified
+            # advance, and both leave the grid at the snapshot's instant.
+            now = snapshot.time
+            # Only event-driven maintenance can use a horizon; the rebuild
+            # path re-sweeps every tick anyway.
+            motion = self._motion_bounds(now) if self.incremental_grid else None
+            speeds, margin = None, 0.0
+            if motion is not None:
+                speeds, fastest, leg_end, extent = motion
+                margin = _HORIZON_SLACK * (self.radio_range + extent + fastest * now)
+            # One whole-population disc sweep yields every neighbour set,
+            # the component partition and the stability horizon: warm the
+            # per-host memos as a side effect (the sets are exactly what the
+            # per-host queries would compute).
+            neighbour_sets, labels, horizon = snapshot.grid.neighbour_sets_and_labels(
+                self.radio_range, speeds, margin
+            )
+            for host, neighbours in neighbour_sets.items():
+                snapshot.neighbours.setdefault(host, neighbours)
+            snapshot.components = labels
+            if motion is not None:
+                snapshot.stable_until = min(now + horizon, leg_end)
         return snapshot.components
+
+    def _motion_bounds(self, now: float) -> tuple | None:
+        """``(speeds, fastest, leg_end, extent)`` of the registered hosts'
+        current legs, as :meth:`repro.net.kernels.LegTable.motion_bounds`
+        reports them; ``None`` when a model without ``motion_at`` makes the
+        motion unknowable (such a population never gets a horizon)."""
+
+        if self.vectorized:
+            return self._current_leg_table()[1].motion_bounds(now)
+        speeds: dict[str, float] = {}
+        leg_end = math.inf
+        extent = 0.0
+        for host in self.host_ids:
+            mobility = self._mobility.get(host)
+            if mobility is None:
+                speeds[host] = 0.0  # never placed: pinned at the origin
+                continue
+            fetch = getattr(mobility, "motion_at", None)
+            if fetch is None:
+                return None
+            valid_until, _, origin, destination, speed = fetch(now)
+            speeds[host] = speed
+            leg_end = min(leg_end, valid_until)
+            extent = max(
+                extent, abs(origin.x), abs(origin.y), abs(destination.x), abs(destination.y)
+            )
+        return speeds, max(speeds.values(), default=0.0), leg_end, extent
 
     def is_reachable(self, sender: str, recipient: str) -> bool:
         if sender == recipient:

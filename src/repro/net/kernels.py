@@ -21,7 +21,11 @@ call*:
   :class:`~repro.net.spatial.SpatialGridIndex`: hosts bucketed by the same
   floor-quantised cells (candidate pairs still come from the 3×3 cell
   blocks), with whole-population disc sweeps built by vectorized
-  gather/expand instead of per-host scans.
+  gather/expand instead of per-host scans.  The sweep also returns the
+  stability horizon of :mod:`repro.net.spatial` from the same block pairs,
+  with the scalar sweep's float operations (``sqrt(dx*dx + dy*dy)``, not
+  ``hypot``, whose NumPy and ``math`` versions may round differently), so
+  both paths certify the same horizon to the bit.
 * :func:`crossing_times` — the closed-form boundary crossing of
   :func:`~repro.net.spatial.link_crossing_time` over arrays of links, with
   the identical operation sequence (NumPy float64 arithmetic is IEEE-754
@@ -90,10 +94,12 @@ _CODE_BASE = 2**32
 _CELL_LIMIT = 2**31 - 2
 
 
-def _within_radius(dx, dy, radius: float):
-    """Element-wise exact ``math.hypot(dx, dy) <= radius`` over arrays."""
+def _within_radius(dx, dy, radius: float, d2=None):
+    """Element-wise exact ``math.hypot(dx, dy) <= radius`` over arrays
+    (``d2``: ``dx * dx + dy * dy`` when the caller already has it)."""
 
-    d2 = dx * dx + dy * dy
+    if d2 is None:
+        d2 = dx * dx + dy * dy
     r2 = radius * radius
     lo = r2 * (1.0 - _BOUNDARY_BAND)
     hi = r2 * (1.0 + _BOUNDARY_BAND)
@@ -238,6 +244,28 @@ class LegTable:
         if self.opaque.any():
             times = np.where(self.opaque[indices], math.nan, times)
         return times
+
+    def motion_bounds(self, time: float):
+        """``(speeds, fastest, leg_end, extent)`` over every row's leg at
+        ``time``: the per-row speeds and their maximum, the earliest leg
+        end, and the largest absolute leg-endpoint coordinate — or ``None``
+        when an opaque row makes the population's motion unknowable."""
+
+        if self.opaque.any():
+            return None
+        if not len(self._models):
+            return self.speed, 0.0, math.inf, 0.0
+        self._refresh_stale(time, np.arange(len(self._models)))
+        extent = max(
+            float(np.abs(column).max())
+            for column in (self.origin_x, self.origin_y, self.dest_x, self.dest_y)
+        )
+        return (
+            self.speed,
+            float(self.speed.max()),
+            float(self.valid_until.min()),
+            extent,
+        )
 
 
 class VectorGridIndex:
@@ -414,34 +442,90 @@ class VectorGridIndex:
         )
         return queries[inside], candidates[inside]
 
+    def _block_pairs(self, radius: float):
+        """Every ``(host, other)`` index pair sharing a cell block over the
+        whole population, self-pairs removed, with the pairs' coordinate
+        deltas ``(dx, dy)`` (host minus other)."""
+
+        queries, candidates = self._candidate_pairs(self._cell_x, self._cell_y, radius)
+        others = queries != candidates
+        queries, candidates = queries[others], candidates[others]
+        dx = self.xs[queries] - self.xs[candidates]
+        dy = self.ys[queries] - self.ys[candidates]
+        return queries, candidates, dx, dy
+
     def all_neighbour_pairs(self, radius: float):
         """``(host, neighbour)`` index pairs over the whole population
         (self-pairs removed) — one batched sweep for every disc at once."""
 
-        all_indices = np.arange(len(self.ids), dtype=np.intp)
-        queries, members = self.disc_pairs(all_indices, radius)
-        keep = queries != members
-        return queries[keep], members[keep]
+        queries, candidates, dx, dy = self._block_pairs(radius)
+        inside = _within_radius(dx, dy, radius)
+        return queries[inside], candidates[inside]
+
+    def _stability_horizon(self, queries, candidates, d2, radius, speeds, margin):
+        """The sweep's stability horizon: the scalar
+        :meth:`SpatialGridIndex.neighbour_sets_and_labels` bounds over the
+        same block pairs (``d2`` their squared distances) and cells, in the
+        same float operations."""
+
+        horizon = math.inf
+        closing = speeds[queries] + speeds[candidates]
+        moving = closing > 0.0
+        if not moving.all():
+            d2, closing = d2[moving], closing[moving]
+        if closing.size:
+            # In place on the fresh sqrt array: sqrt(d2) - R, abs, - margin,
+            # / closing — the scalar sweep's operations in its order.
+            gaps = np.sqrt(d2)
+            gaps -= radius
+            np.abs(gaps, out=gaps)
+            gaps -= margin
+            gaps /= closing
+            horizon = float(gaps.min())
+        fastest = float(speeds.max())
+        if fastest > 0.0:
+            size = self.cell_size
+            cell_x = np.floor_divide(self.xs, size)
+            cell_y = np.floor_divide(self.ys, size)
+            edges = np.minimum(
+                np.minimum(self.xs - cell_x * size, (cell_x + 1) * size - self.xs),
+                np.minimum(self.ys - cell_y * size, (cell_y + 1) * size - self.ys),
+            )
+            horizon = min(horizon, float(((edges - margin) / (speeds + fastest)).min()))
+        return horizon
 
     def neighbour_sets_and_labels(
-        self, radius: float
-    ) -> tuple[dict[str, frozenset[str]], dict[str, int]]:
-        """Every host's neighbour set and connectivity-component label from
-        one whole-population sweep.
+        self, radius: float, speeds=None, margin: float = 0.0
+    ) -> tuple[dict[str, frozenset[str]], dict[str, int], float]:
+        """Every host's neighbour set, connectivity-component label and
+        stability horizon from one whole-population sweep.
 
         The sets equal per-host ``neighbours_of`` answers exactly; the
         labels partition hosts identically to the scalar BFS (label values
         are arbitrary on both paths — only the partition is meaningful).
+        With ``speeds`` (an array aligned with ``ids``: metres per second on
+        each host's current leg) the sweep's block pairs also yield the
+        stability horizon, bit-identical to the scalar
+        :meth:`~repro.net.spatial.SpatialGridIndex.neighbour_sets_and_labels`;
+        without them the horizon is ``0.0``.
         """
 
         size = len(self.ids)
         neighbour_sets: dict[str, frozenset[str]] = {}
         labels: dict[str, int] = {}
         if not size:
-            return neighbour_sets, labels
-        # all_neighbour_pairs preserves _candidate_pairs' grouped-by-query
-        # order, so the per-host rows are already contiguous runs.
-        queries, members = self.all_neighbour_pairs(radius)
+            return neighbour_sets, labels, 0.0 if speeds is None else math.inf
+        # _candidate_pairs' grouped-by-query order survives the filters, so
+        # the per-host rows are already contiguous runs.
+        queries, candidates, dx, dy = self._block_pairs(radius)
+        d2 = dx * dx + dy * dy
+        horizon = (
+            0.0
+            if speeds is None
+            else self._stability_horizon(queries, candidates, d2, radius, speeds, margin)
+        )
+        inside = _within_radius(dx, dy, radius, d2)
+        queries, members = queries[inside], candidates[inside]
         counts = np.bincount(queries, minlength=size)
         boundaries = np.cumsum(counts)
         member_list = members.tolist()
@@ -472,7 +556,7 @@ class VectorGridIndex:
                         labels[ids[member]] = next_label
                         frontier.append(member)
             next_label += 1
-        return neighbour_sets, labels
+        return neighbour_sets, labels, horizon
 
     def component_labels(self, radius: float) -> dict[str, int]:
         """Map every host to a connectivity-component label (cf.

@@ -29,12 +29,32 @@ hosts are spread over an area much larger than one radio footprint; larger
 cells degrade towards the brute-force scan (everyone lands in one cell),
 much smaller cells waste time visiting empty cells.  The default is
 therefore the query radius itself.
+
+Stability horizon.  The whole-fleet sweep
+(:meth:`SpatialGridIndex.neighbour_sets_and_labels`, mirrored by
+:meth:`~repro.net.kernels.VectorGridIndex.neighbour_sets_and_labels`) can
+also certify how long its answer stays true.  Given each host's speed ``s``
+on its current trajectory leg and a float-error ``margin``, a pair's
+distance changes by at most ``(s_i + s_j)`` metres per second, so neither a
+link nor a non-link can flip before the *horizon*, the minimum of
+
+* ``(|d_ij − R| − margin) / (s_i + s_j)`` over every pair sharing a cell
+  block, with ``d_ij = sqrt(dx*dx + dy*dy)``;
+* ``(e_i − margin) / (s_i + s_max)`` per host, where ``e_i`` is its
+  distance to its own cell's edges: a host outside ``i``'s block is at
+  least ``reach * cell_size + e_i >= R + e_i`` away, so the gap to close is
+  ``e_i`` at a closing speed of at most ``s_i + s_max``.
+
+Pairs with zero closing speed never flip (both positions are constant) and
+contribute nothing.  The bound holds only while every host stays on the
+leg its speed came from; capping it at the earliest leg end is the
+caller's job.  Both index types evaluate the same float operations in the
+same order, so they return the identical horizon.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Mapping
 
 from ..mobility.geometry import Point
@@ -158,39 +178,110 @@ class SpatialGridIndex:
         return self.near(self._positions[host_id], radius) - {host_id}
 
     # -- connectivity -------------------------------------------------------
+    def neighbour_sets_and_labels(
+        self,
+        radius: float,
+        speeds: Mapping[str, float] | None = None,
+        margin: float = 0.0,
+    ) -> tuple[dict[str, frozenset[str]], dict[str, int], float]:
+        """Every host's neighbour set, component label and stability horizon
+        from one sweep over the grid.
+
+        Each host's cell block is scanned once: the members within
+        ``radius`` form its neighbour set (exactly :meth:`neighbours_of`),
+        and one BFS over those sets labels the components (label values
+        are arbitrary; only the partition is meaningful).  With ``speeds``
+        (metres per second on each host's current leg) the same scan
+        yields the stability horizon in seconds (see the module
+        docstring); without them the horizon is ``0.0``: nothing is
+        certified.
+        """
+
+        positions = self._positions
+        cells = self._cells
+        size = self.cell_size
+        reach = math.ceil(radius * _RADIUS_SLOP / size)
+        offsets = [
+            (dx, dy)
+            for dx in range(-reach, reach + 1)
+            for dy in range(-reach, reach + 1)
+        ]
+        certify = speeds is not None
+        fastest = max(speeds.values(), default=0.0) if certify else 0.0
+        horizon = math.inf
+        sqrt = math.sqrt
+        neighbour_sets: dict[str, frozenset[str]] = {}
+        for host, point in positions.items():
+            x, y = point.x, point.y
+            cx, cy = self._cell_of(point)
+            speed = speeds[host] if certify else 0.0
+            found: list[str] = []
+            for dx, dy in offsets:
+                bucket = cells.get((cx + dx, cy + dy))
+                if not bucket:
+                    continue
+                for other in bucket:
+                    if other == host:
+                        continue
+                    other_point = positions[other]
+                    if other_point.distance_to(point) <= radius:
+                        found.append(other)
+                    if certify:
+                        closing = speed + speeds[other]
+                        if closing > 0.0:
+                            gx = x - other_point.x
+                            gy = y - other_point.y
+                            bound = (
+                                abs(sqrt(gx * gx + gy * gy) - radius) - margin
+                            ) / closing
+                            if bound < horizon:
+                                horizon = bound
+            neighbour_sets[host] = frozenset(found)
+            if certify:
+                closing = speed + fastest
+                if closing > 0.0:
+                    edge = min(
+                        x - cx * size,
+                        (cx + 1) * size - x,
+                        y - cy * size,
+                        (cy + 1) * size - y,
+                    )
+                    bound = (edge - margin) / closing
+                    if bound < horizon:
+                        horizon = bound
+        labels: dict[str, int] = {}
+        next_label = 0
+        for seed in positions:
+            if seed in labels:
+                continue
+            labels[seed] = next_label
+            frontier = [seed]
+            while frontier:
+                for neighbour in neighbour_sets[frontier.pop()]:
+                    if neighbour not in labels:
+                        labels[neighbour] = next_label
+                        frontier.append(neighbour)
+            next_label += 1
+        return neighbour_sets, labels, horizon if certify else 0.0
+
     def connected_components(self, radius: float) -> list[frozenset[str]]:
         """Partition the hosts into radio-connectivity components.
 
         Two hosts are connected when a chain of hops, each at most
-        ``radius`` metres, links them.  One BFS sweep over the grid: every
-        host is dequeued once and every radio link examined a constant
-        number of times.
+        ``radius`` metres, links them.  One sweep over the grid: every
+        host's cell block is scanned once and every radio link examined a
+        constant number of times.
         """
 
-        components: list[frozenset[str]] = []
-        unvisited = set(self._positions)
-        while unvisited:
-            seed = unvisited.pop()
-            component = {seed}
-            frontier: deque[str] = deque([seed])
-            while frontier:
-                current = frontier.popleft()
-                for neighbour in self.neighbours_of(current, radius):
-                    if neighbour in unvisited:
-                        unvisited.discard(neighbour)
-                        component.add(neighbour)
-                        frontier.append(neighbour)
-            components.append(frozenset(component))
-        return components
+        members: dict[int, list[str]] = {}
+        for host, label in self.component_labels(radius).items():
+            members.setdefault(label, []).append(host)
+        return [frozenset(component) for component in members.values()]
 
     def component_labels(self, radius: float) -> dict[str, int]:
         """Map every host to the index of its connectivity component."""
 
-        labels: dict[str, int] = {}
-        for index, component in enumerate(self.connected_components(radius)):
-            for host in component:
-                labels[host] = index
-        return labels
+        return self.neighbour_sets_and_labels(radius)[1]
 
     def is_single_component(self, radius: float) -> bool:
         """True when every indexed host can reach every other via multi-hop."""

@@ -8,9 +8,10 @@ agree on every position, neighbour set, link epoch, reachability answer,
 and connectivity verdict at every sampled instant of an increasing time
 schedule.  Mixed populations (static hosts, scripted waypoint walkers,
 random-waypoint wanderers) exercise both the skip path (hosts provably at
-rest) and the move path (re-evaluation, grid relocation, memo
-invalidation).  Mobility models memoize internally, so each network gets
-its own instances built from the same declarative spec.
+rest, and instants inside a sweep's stability horizon) and the move path
+(re-evaluation, grid relocation, memo invalidation).  Mobility models
+memoize internally, so each network gets its own instances built from the
+same declarative spec.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -48,8 +49,15 @@ random_specs = st.tuples(
 mobility_specs = st.one_of(static_specs, waypoint_specs, random_specs)
 
 populations = st.lists(mobility_specs, min_size=0, max_size=10)
+# Steps down to 1e-4 s land many instants inside one stability horizon,
+# so the skip path and the lagging grid get exercised, not just advances.
 schedules = st.lists(
-    st.floats(min_value=0.01, max_value=60.0, allow_nan=False), min_size=1, max_size=8
+    st.one_of(
+        st.floats(min_value=1e-4, max_value=0.01, allow_nan=False),
+        st.floats(min_value=0.01, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
@@ -89,6 +97,11 @@ def test_incremental_maintenance_equivalent_to_rebuild(specs, deltas):
     for delta in deltas:
         inc_scheduler.clock.advance(delta)
         reb_scheduler.clock.advance(delta)
+        # A sweep first, so later instants can fall inside its horizon and
+        # every query below runs against a lagging grid.
+        assert incremental.is_connected() == rebuilt.is_connected()
+        for host in hosts:
+            assert incremental.position_of(host) == rebuilt.position_of(host), host
         assert dict(incremental.positions()) == dict(rebuilt.positions())
         for host in hosts:
             assert incremental.neighbours_of(host) == rebuilt.neighbours_of(host), host
@@ -114,6 +127,7 @@ def test_incremental_maintenance_matches_brute_force(specs, deltas):
     for delta in deltas:
         inc_scheduler.clock.advance(delta)
         brute_scheduler.clock.advance(delta)
+        assert incremental.is_connected() == brute.is_connected()
         for host in hosts:
             assert incremental.neighbours_of(host) == brute.neighbours_of(host), host
         assert incremental.is_connected() == brute.is_connected()

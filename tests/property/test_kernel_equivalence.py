@@ -63,8 +63,15 @@ random_specs = st.tuples(
 mobility_specs = st.one_of(static_specs, waypoint_specs, random_specs)
 
 populations = st.lists(mobility_specs, min_size=0, max_size=10)
+# Steps down to 1e-4 s land many instants inside one stability horizon,
+# so the skip path and the lagging grid get exercised, not just advances.
 schedules = st.lists(
-    st.floats(min_value=0.01, max_value=60.0, allow_nan=False), min_size=1, max_size=8
+    st.one_of(
+        st.floats(min_value=1e-4, max_value=0.01, allow_nan=False),
+        st.floats(min_value=0.01, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
@@ -101,6 +108,11 @@ def test_vectorized_network_equivalent_to_scalar(specs, deltas):
     for delta in deltas:
         batched_scheduler.clock.advance(delta)
         scalar_scheduler.clock.advance(delta)
+        # A sweep first: both paths must certify the same horizon, so they
+        # skip the same instants and answer them from a lagging grid.
+        assert batched.is_connected() == scalar.is_connected()
+        for host in hosts:
+            assert batched.position_of(host) == scalar.position_of(host), host
         assert dict(batched.positions()) == dict(scalar.positions())
         for host in hosts:
             assert batched.neighbours_of(host) == scalar.neighbours_of(host), host
@@ -110,12 +122,13 @@ def test_vectorized_network_equivalent_to_scalar(specs, deltas):
                 assert batched.is_reachable(a, b) == scalar.is_reachable(a, b)
         assert batched.is_connected() == scalar.is_connected()
     # The batched maintenance must do exactly the scalar path's work: same
-    # snapshots, same heap pops, same applied moves.
+    # snapshots, same heap pops, same applied moves, same skipped advances.
     for counter in (
         "snapshots_built",
         "grid_rebuilds",
         "hosts_reevaluated",
         "hosts_moved",
+        "advances_skipped",
     ):
         assert getattr(batched, counter) == getattr(scalar, counter), counter
 

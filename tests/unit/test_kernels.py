@@ -173,11 +173,35 @@ class TestVectorGridIndex:
     def test_neighbour_sets_and_labels_agree_with_queries(self):
         positions = {"a": Point(0, 0), "b": Point(30, 0), "c": Point(200, 0)}
         vector = self.from_positions(positions, 60.0)
-        sets, labels = vector.neighbour_sets_and_labels(60.0)
+        sets, labels, horizon = vector.neighbour_sets_and_labels(60.0)
         assert sets == {
             host: vector.neighbours_of(host, 60.0) for host in positions
         }
         assert labels["a"] == labels["b"] != labels["c"]
+        assert horizon == 0.0  # no speeds: nothing certified
+
+    def test_stability_horizon_matches_scalar_grid(self):
+        import random
+
+        rng = random.Random(11)
+        positions = {
+            f"h{i}": Point(rng.uniform(0, 300), rng.uniform(0, 300)) for i in range(40)
+        }
+        speeds = {
+            host: rng.choice((0.0, rng.uniform(0.5, 10.0))) for host in positions
+        }
+        cell_size = padded_cell_size(60.0)
+        scalar = SpatialGridIndex(positions, cell_size=cell_size)
+        vector = self.from_positions(positions, cell_size)
+        speed_array = kernels.np.array([speeds[host] for host in vector.ids])
+        for margin in (0.0, 1e-7):
+            _, _, expected = scalar.neighbour_sets_and_labels(60.0, speeds, margin)
+            _, _, horizon = vector.neighbour_sets_and_labels(60.0, speed_array, margin)
+            assert horizon == expected  # bit for bit
+            assert 0.0 < horizon < math.inf
+        # A fleet at rest can never change.
+        at_rest = {host: 0.0 for host in positions}
+        assert scalar.neighbour_sets_and_labels(60.0, at_rest)[2] == math.inf
 
     def test_ulp_boundary_pair_is_found(self):
         # The PR-3 regression: the exact separation exceeds the radius but

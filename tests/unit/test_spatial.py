@@ -2,13 +2,15 @@
 
 Covers the per-tick snapshot (positions evaluated once per instant), the
 grid-backed neighbour/connectivity queries, link-epoch route revalidation,
-and the loopback-jitter fix.
+the loopback-jitter fix, and the stability horizon that lets instants skip
+the snapshot advance.
 """
 
 import pytest
 
 from repro.mobility.geometry import Point
-from repro.mobility.models import WaypointMobility
+from repro.mobility.models import StaticMobility, WaypointMobility
+from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.messages import Message
 from repro.net.spatial import SpatialGridIndex
@@ -430,3 +432,144 @@ class TestPredictiveLinkBreaks:
         network.latency_for(Message(sender="a", recipient="b"))
         assert network.link_breaks_predicted == 0
         assert scheduler.peek_time() is None
+
+
+class _OpaqueDrift:
+    """Reports positions only (no legs, no move times): 5 m/s along x."""
+
+    def position_at(self, time):
+        return Point(50.0 + 5.0 * time, 0.0)
+
+
+VECTORIZED = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(
+            not kernels.numpy_available(), reason="NumPy is not installed"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+class TestStabilityHorizon:
+    """Instants inside a sweep's certified horizon skip the snapshot advance
+    and must answer exactly as the per-tick rebuild does."""
+
+    @staticmethod
+    def build(placements, ghosts=(), **kwargs):
+        scheduler = EventScheduler()
+        network = AdHocWirelessNetwork(scheduler, radio_range=100.0, **kwargs)
+        for host, make in placements.items():
+            if host not in ghosts:
+                network.register(host, lambda m: None)
+            network.place_host(host, make())
+        return network, scheduler
+
+    def walk(self, placements, vectorized, until, step, ghosts=()):
+        """Sample the network and a rebuild-every-tick reference at every
+        ``step`` up to ``until``, comparing connectivity first (the sweep
+        that certifies a horizon), then every host's links."""
+
+        network, clock = self.build(placements, ghosts, vectorized=vectorized)
+        reference, reference_clock = self.build(
+            placements, ghosts, incremental_grid=False, vectorized=False
+        )
+        for tick in range(int(until / step) + 1):
+            if tick:
+                clock.clock.advance(step)
+                reference_clock.clock.advance(step)
+            now = clock.clock.now()
+            assert network.is_connected() == reference.is_connected(), now
+            for host in sorted(placements):
+                assert network.neighbours_of(host) == reference.neighbours_of(
+                    host
+                ), (host, now)
+                assert network.link_epoch(host) == reference.link_epoch(host), (
+                    host,
+                    now,
+                )
+        return network
+
+    def test_pair_in_non_adjacent_cells_closing_in(self, vectorized):
+        # Three cells apart, closing at 20 m/s: no block pair bounds the
+        # horizon, only the cell-edge bound does.  In range from t=10.
+        placements = {
+            "a": lambda: WaypointMobility([Point(50, 50), Point(1050, 50)], speed=10.0),
+            "b": lambda: WaypointMobility([Point(350, 50), Point(-650, 50)], speed=10.0),
+        }
+        network = self.walk(placements, vectorized, until=25.0, step=0.25)
+        assert network.advances_skipped > 0
+
+    def test_waypoint_walker_turning_inside_the_horizon(self, vectorized):
+        # Paused at (90, 0) until t=44, then walks out of the base's range
+        # at t=45: at rest the speeds give an infinite horizon, so only the
+        # pause end bounds it.
+        placements = {
+            "base": lambda: StaticMobility(Point(0, 0)),
+            "walker": lambda: WaypointMobility(
+                [Point(50, 0), Point(90, 0), Point(400, 0)], speed=10.0, pause=20.0
+            ),
+        }
+        network = self.walk(placements, vectorized, until=60.0, step=0.5)
+        assert network.advances_skipped > 0
+
+    def test_opaque_model_never_skips(self, vectorized):
+        placements = {
+            "base": lambda: StaticMobility(Point(0, 0)),
+            "drift": _OpaqueDrift,
+        }
+        network = self.walk(placements, vectorized, until=15.0, step=0.25)
+        assert network.advances_skipped == 0
+
+    def test_static_fleet_skips_without_reevaluating(self, vectorized):
+        network, scheduler = make_network(vectorized=vectorized)
+        assert network.is_connected()
+        for _ in range(5):
+            scheduler.clock.advance(1.0)
+            assert network.neighbours_of("b") == {"a", "c"}
+            assert network.is_connected()
+        assert network.advances_skipped == 5
+        assert network.hosts_reevaluated == 0
+        assert network.grid_rebuilds == 1
+
+    def test_unregistered_host_answers_from_current_positions(self, vectorized):
+        # Ghosts are placed but never registered: outside the grid, so the
+        # certificate does not cover them.  "ghost" walks past the static
+        # "a" and later the walker "b"; "b" reaches the static "post" at
+        # t=50, while the grid may still hold its coordinates from seconds
+        # earlier.
+        placements = {
+            "a": lambda: StaticMobility(Point(50, 50)),
+            "b": lambda: WaypointMobility([Point(650, 50), Point(1050, 50)], speed=2.0),
+            "ghost": lambda: WaypointMobility(
+                [Point(-500, 50), Point(1500, 50)], speed=20.0
+            ),
+            "post": lambda: StaticMobility(Point(850, 50)),
+        }
+        network = self.walk(
+            placements, vectorized, until=70.0, step=0.25, ghosts=("ghost", "post")
+        )
+        assert network.advances_skipped > 0
+
+    def test_positions_are_exact_inside_a_horizon(self, vectorized):
+        def walker():
+            return WaypointMobility([Point(50, 50), Point(90, 50)], speed=1.0)
+
+        placements = {"a": walker, "b": lambda: StaticMobility(Point(250, 250))}
+        network, scheduler = self.build(placements, vectorized=vectorized)
+        model = walker()
+        scheduler.clock.advance(0.5)  # at t=0 the walker reports a 0-s rest
+        network.is_connected()  # sweep: certified well beyond t=20
+        for step in (1.0, 0.5, 2.5, 7.0, 9.0):
+            scheduler.clock.advance(step)
+            now = scheduler.clock.now()
+            skipped = network.advances_skipped
+            assert network.position_of("a") == model.position_at(now)
+            assert network.advances_skipped == skipped + 1  # inside the horizon
+            assert network.positions() == {
+                "a": model.position_at(now),
+                "b": Point(250, 250),
+            }
+            assert network.position_of("a") == model.position_at(now)
