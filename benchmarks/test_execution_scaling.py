@@ -18,12 +18,11 @@ Three workloads, mirroring the PR's levers:
 * **fig6_execution** — the fan-out workflow deployed on a fig6-style
   multi-hop mobile community (802.11g model, mixed mostly-at-rest /
   random-waypoint population, specialists relaying over AODV routes),
-  submitted repeatedly and run to *completion* with the full PR-5 stack
-  (batched execution + predictive link scheduling) vs. the legacy stack
-  (per-label + lazy epochs), reporting end-to-end wall-clock and the
-  predictive-scheduler counters.  Tasks here take real simulated time, so
-  links churn *during* execution and the predictive scheduler actually
-  has crossings to arm.
+  submitted repeatedly and run to *completion* with batched execution vs.
+  per-label execution, reporting end-to-end wall-clock, route discoveries
+  and execution traffic.  Tasks here take real simulated time, so links
+  churn *during* execution and the label/report traffic rides routes that
+  break and are rediscovered.
 
 Everything here is ``slow``-marked; run with::
 
@@ -307,18 +306,15 @@ def mixed_mobility(index: int):
 def run_fig6_trial(modern: bool) -> dict:
     """Repeat fan-out submissions on the mobile multi-hop community, timed.
 
-    ``modern=True`` is the PR-5 stack (batched execution + predictive link
-    scheduling); ``False`` the legacy stack (per-label execution + lazy
-    epochs).  The community, trajectories, and specification are identical;
-    only the execution protocol and epoch maintenance differ.  Tasks take
-    60 simulated seconds each, so every workflow executes across minutes of
+    ``modern=True`` is batched execution; ``False`` the legacy per-label
+    execution.  The community, trajectories, and specification are
+    identical; only the execution protocol differs.  Tasks take 60
+    simulated seconds each, so every workflow executes across minutes of
     mobility and the label/report traffic rides churning AODV routes.
     """
 
     community = Community(
-        network_factory=adhoc_network_factory(
-            BENCH_SEED, multi_hop=True, predictive_links=modern
-        )
+        network_factory=adhoc_network_factory(BENCH_SEED, multi_hop=True)
     )
     tasks, specification = fanout_workflow()
     fragments = [WorkflowFragment([task]) for task in tasks]
@@ -353,8 +349,6 @@ def run_fig6_trial(modern: bool) -> dict:
         "phases": phases,
         "completed_tasks": completed_tasks,
         "sim_seconds": community.clock.now(),
-        "link_breaks_predicted": network.link_breaks_predicted,
-        "predicted_epoch_bumps": network.predicted_epoch_bumps,
         "route_discoveries": network.router.discoveries,
     }
     result.update(execution_traffic(network.statistics))
@@ -386,13 +380,10 @@ def test_fig6_execution_stack_end_to_end():
         }
     }
     # Both stacks complete the same workflows; the modern stack uses
-    # strictly fewer execution messages, and its predictive scheduler
-    # actually armed link-break events on this mobile community.
+    # strictly fewer execution messages.
     assert modern["phases"] == legacy["phases"]
     assert modern["completed_tasks"] == legacy["completed_tasks"]
     assert modern["execution_messages"] < legacy["execution_messages"]
-    assert modern["link_breaks_predicted"] > 0
-    assert legacy["link_breaks_predicted"] == 0
     if not FAST:
         # Measurable end-to-end improvement (wall-clock is noisy on a busy
         # 1-core container, so the bound is deliberately conservative).

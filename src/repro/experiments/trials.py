@@ -127,7 +127,6 @@ def adhoc_network_factory(
     jitter: float = 0.0005,
     multi_hop: bool = False,
     incremental_grid: bool = True,
-    predictive_links: bool = True,
     vectorized: bool | None = None,
 ) -> Callable[[EventScheduler], CommunicationsLayer]:
     """An 802.11g-like ad hoc wireless network.
@@ -137,11 +136,9 @@ def adhoc_network_factory(
     scaled scenarios where hundreds of hosts relay for each other over
     AODV-style routes.  ``incremental_grid=False`` restores the per-tick
     snapshot rebuild (the event-driven-maintenance benchmark baseline),
-    ``predictive_links=False`` the purely lazy link-epoch maintenance (the
-    predictive-scheduling equivalence baseline), and ``vectorized``
-    selects the batched NumPy geometry kernels (``None``: automatic when
-    NumPy is available; ``False``: the scalar per-host loops, the
-    kernel-equivalence baseline).
+    and ``vectorized`` selects the batched NumPy geometry kernels
+    (``None``: automatic when NumPy is available; ``False``: the scalar
+    per-host loops, the kernel-equivalence baseline).
     """
 
     def factory(scheduler: EventScheduler) -> CommunicationsLayer:
@@ -152,7 +149,6 @@ def adhoc_network_factory(
             multi_hop=multi_hop,
             seed=seed,
             incremental_grid=incremental_grid,
-            predictive_links=predictive_links,
             vectorized=vectorized,
         )
 

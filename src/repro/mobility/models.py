@@ -18,7 +18,8 @@ substrate:
 
 All models answer the single question ``position_at(time)`` so they can be
 evaluated lazily by the network and scheduling layers without a background
-ticker.
+ticker, and report their current trajectory leg through ``motion_at`` (see
+:class:`MobilityModel`).
 """
 
 from __future__ import annotations
@@ -35,53 +36,30 @@ from .geometry import Point, Rectangle
 class MobilityModel(Protocol):
     """Anything that can report a host's position at a simulated time.
 
-    Models may additionally implement ``next_move_time(time) -> float``:
-    the earliest simulated instant at or after ``time`` from which the
-    position starts changing again — ``time`` itself while mid-leg (the
-    host is moving continuously), the start of the next leg while pausing
-    at a waypoint, and ``inf`` once the host has come to rest for good.
-    The event-driven network substrate uses it to skip re-evaluating (and
-    re-indexing) hosts that provably have not moved since the last tick; a
-    model without the method is conservatively re-evaluated every tick.
+    ``position_at(time)`` is the whole required contract.  A model built
+    from piecewise-linear trajectories may also implement
+    ``motion_at(time) -> (valid_until, start, origin, destination,
+    speed)``: the raw parameters of the current trajectory leg, chosen so
+    that for every ``t`` in ``[time, valid_until)`` the scalar
+    ``position_at(t)`` is *bit-identical* to replaying
+    ``origin.moved_towards(destination, (t - start) * speed)`` (rest
+    segments are encoded as ``origin == destination`` with zero speed).
 
-    Models built from piecewise-linear trajectories may also implement
-    ``leg_at(time) -> (valid_until, position, velocity)``: the current
-    motion segment as an exact linear function of time — the position at
-    ``time``, the velocity vector (metres/second; ``(0, 0)`` while paused
-    or at rest), and the simulated instant up to which that line holds
-    (the end of the current leg or pause; ``inf`` once at rest for good).
-    The predictive link-break scheduler uses it to compute, in closed
-    form, the instant a live radio link will cross the range boundary; a
-    model without the method simply gets no predictions (the lazy epoch
-    path still catches every change at the next query).
-
-    Finally, models may implement ``motion_at(time) -> (valid_until,
-    start, origin, destination, speed)``: the raw parameters of the
-    current trajectory leg, chosen so that for every ``t`` in ``[time,
-    valid_until)`` the scalar ``position_at(t)`` is *bit-identical* to
-    replaying ``origin.moved_towards(destination, (t - start) * speed)``
-    (rest segments are encoded as ``origin == destination`` with zero
-    speed).  The vectorized geometry kernels
-    (:mod:`repro.net.kernels`) load these rows into contiguous arrays
-    and evaluate whole populations in one NumPy call; a model without
-    the method is simply evaluated host-by-host on the scalar path.
+    Everything else the network substrate needs is derived from that one
+    report.  The vectorized geometry kernels (:mod:`repro.net.kernels`)
+    load the rows into contiguous arrays and evaluate whole populations in
+    one NumPy call.  Event-driven link maintenance skips re-evaluating a
+    host until it may move again: ``time`` itself while it moves (non-zero
+    speed before ``valid_until``), ``valid_until`` otherwise (``inf`` once
+    at rest for good).  Stability horizons bound how fast links can change
+    from the legs' speeds.  A model without ``motion_at`` is evaluated host
+    by host through ``position_at``, re-evaluated every tick, and never
+    gets a stability horizon.
     """
 
     def position_at(self, time: float) -> Point:
         """The host's position at simulated time ``time`` (seconds)."""
         ...
-
-
-def _leg_velocity(origin: Point, destination: Point, speed: float) -> tuple[float, float]:
-    """Velocity vector of a constant-speed leg from ``origin`` to ``destination``."""
-
-    distance = origin.distance_to(destination)
-    if distance == 0.0:
-        return (0.0, 0.0)
-    return (
-        (destination.x - origin.x) / distance * speed,
-        (destination.y - origin.y) / distance * speed,
-    )
 
 
 @dataclass(frozen=True)
@@ -92,12 +70,6 @@ class StaticMobility:
 
     def position_at(self, time: float) -> Point:
         return self.position
-
-    def next_move_time(self, time: float) -> float:
-        return math.inf
-
-    def leg_at(self, time: float) -> tuple[float, Point, tuple[float, float]]:
-        return math.inf, self.position, (0.0, 0.0)
 
     def motion_at(self, time: float) -> tuple[float, float, Point, Point, float]:
         return math.inf, 0.0, self.position, self.position, 0.0
@@ -162,41 +134,6 @@ class WaypointMobility:
         # Past the leg's end: pausing at (or done at) its destination, which
         # is also the origin of the next leg.
         return destination
-
-    def next_move_time(self, time: float) -> float:
-        """When movement (re)starts: ``time`` mid-leg, the next leg's start
-        while pausing, ``inf`` once the final waypoint is reached."""
-
-        if not self._legs:
-            return math.inf
-        if time < self._legs[0][0]:
-            return self._legs[0][0]
-        index = bisect_right(self._leg_starts, time) - 1
-        start, end, _, _ = self._legs[index]
-        if time < end:
-            return time
-        if index + 1 < len(self._legs):
-            return self._legs[index + 1][0]
-        return math.inf
-
-    def leg_at(self, time: float) -> tuple[float, Point, tuple[float, float]]:
-        """The current motion segment: mid-leg it is the leg's line (valid
-        until the leg ends); pausing or done it is a rest at the waypoint
-        (valid until the next leg starts, ``inf`` after the last one)."""
-
-        if not self._legs:
-            return math.inf, self._waypoints[0], (0.0, 0.0)
-        if time < self._legs[0][0]:
-            return self._legs[0][0], self._waypoints[0], (0.0, 0.0)
-        index = bisect_right(self._leg_starts, time) - 1
-        start, end, origin, destination = self._legs[index]
-        if time < end:
-            return end, self.position_at(time), _leg_velocity(
-                origin, destination, self._speed
-            )
-        if index + 1 < len(self._legs):
-            return self._legs[index + 1][0], destination, (0.0, 0.0)
-        return math.inf, destination, (0.0, 0.0)
 
     def motion_at(self, time: float) -> tuple[float, float, Point, Point, float]:
         """The raw current leg, exactly replayable via ``moved_towards``
@@ -293,38 +230,6 @@ class RandomWaypointMobility:
             return origin.moved_towards(destination, (time - start) * speed)
         # Pausing at the destination until the next leg starts.
         return destination
-
-    def next_move_time(self, time: float) -> float:
-        """When movement (re)starts: ``time`` mid-leg, else the end of the
-        current pause.  Random waypoints wander forever, so never ``inf``;
-        the trajectory is extended (deterministically) as far as needed."""
-
-        time = max(time, 0.0)
-        self._extend_to(time)
-        index = max(bisect_right(self._leg_starts, time) - 1, 0)
-        _, end, _, _, _ = self._legs[index]
-        if time < end:
-            return time
-        # Pausing at the leg's destination; the next leg starts pause later.
-        return end + self._pause
-
-    def leg_at(self, time: float) -> tuple[float, Point, tuple[float, float]]:
-        """The current motion segment (the trajectory is extended —
-        deterministically — as far as needed): mid-leg the leg's line,
-        otherwise a rest at the destination until the pause ends."""
-
-        time = max(time, 0.0)
-        self._extend_to(time)
-        index = max(bisect_right(self._leg_starts, time) - 1, 0)
-        start, end, origin, destination, speed = self._legs[index]
-        if start <= time < end:
-            return end, self.position_at(time), _leg_velocity(
-                origin, destination, speed
-            )
-        if time < start:
-            return start, origin, (0.0, 0.0)
-        # Pausing at the destination; the next leg starts pause later.
-        return end + self._pause, destination, (0.0, 0.0)
 
     def motion_at(self, time: float) -> tuple[float, float, Point, Point, float]:
         """The raw current leg (extending the trajectory as needed), exactly

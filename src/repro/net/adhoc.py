@@ -36,18 +36,18 @@ by comparing link epochs instead of walking links.
 Event-driven link maintenance (the default, ``incremental_grid=True``)
 makes the *tick boundary* cheap as well.  Instead of discarding the whole
 snapshot when the clock moves, the network keeps a heap of
-``(next-possible-move time, host)`` entries fed by the mobility models'
-``next_move_time`` (leg and pause boundaries straight from the trajectory
-geometry).  Advancing to a new instant pops only the hosts that may have
-moved, re-evaluates just those, relocates them in the grid
-(:meth:`~repro.net.spatial.SpatialGridIndex.move` rehashes only on a cell
-change), and compares each mover's radio disc before and after: when no
-link changed — the overwhelmingly common tick under smooth mobility —
-every memoized neighbour set, component label, and link epoch survives,
-so the tick costs O(moved hosts) instead of an O(n) rebuild.  When links
-did change, only the hosts touching a changed link have their memos
-dropped (their epochs then bump lazily on the next query, exactly as on
-the rebuild path).
+``(next-possible-move time, host)`` entries derived from the mobility
+models' current legs (``motion_at``: the instant itself while moving, the
+end of the current rest otherwise).  Advancing to a new instant pops only
+the hosts that may have moved, re-evaluates just those, relocates them in
+the grid (:meth:`~repro.net.spatial.SpatialGridIndex.move` rehashes only
+on a cell change), and compares each mover's radio disc before and after:
+when no link changed — the overwhelmingly common tick under smooth
+mobility — every memoized neighbour set, component label, and link epoch
+survives, so the tick costs O(moved hosts) instead of an O(n) rebuild.
+When links did change, only the hosts touching a changed link have their
+memos dropped (their epochs then bump lazily on the next query, exactly
+as on the rebuild path).
 
 Stability horizons make most tick boundaries free.  Under mobility where
 most hosts move every tick, the advance above drops every memo (comparing
@@ -85,46 +85,33 @@ already runs, so traffic that only advances (a fleet ticking without
 reachability queries) never pays for it; the rebuild path
 (``incremental_grid=False``) computes none.
 
-Predictive link-break scheduling (the default, ``predictive_links=True``)
-goes one step further for the links that carry traffic: whenever a message
-uses a link (directly or on a cached AODV route), the network derives — in
-closed form, from the two endpoints' current trajectory legs
-(:func:`~repro.net.spatial.link_crossing_time`) — the exact instant that
-link will cross the range boundary, and schedules an epoch-bump event at
-that instant on the shared event scheduler.  When the event fires the
-endpoints' link epochs are re-established *at the crossing time* (the same
-lazy comparison a query would run), so cached routes through the broken
-link start revalidating from the moment the link actually breaks instead
-of whenever the next query happens to land.  Arming is deliberately scoped
-to links on used routes — watching every link of the radio graph would
-cost an event per break across the whole site, almost all of them for
-links no cached state depends on.  Predictions are advisory and bump-only:
-a prediction invalidated by a leg change simply fires without effect (or
-is never armed, when the crossing falls beyond the legs' validity), and
-the lazy comparison at the next query remains the backstop that catches
-every change — so observable geometry is identical with the flag off.
+Link epochs are maintained lazily, and that is all a route cache needs:
+a cached route is judged only in :meth:`AodvRouter._entry_valid
+<repro.net.routing.AodvRouter._entry_valid>`, which re-walks the route's
+links whenever any hop's epoch differs, and the first epoch query at an
+instant already bumps on every observed neighbour-set change — so bumping
+an epoch earlier could only turn an epoch hit into a link walk that
+reaches the same verdict.
 
 Vectorized geometry kernels (``vectorized=True``, automatic whenever
 NumPy is importable and the spatial index is on) move the remaining
 per-host Python loops into array code: the whole population's trajectory
 legs live in a contiguous :class:`~repro.net.kernels.LegTable`, snapshot
 builds and advances evaluate every requested position in one batched
-replay, the grid is a :class:`~repro.net.kernels.VectorGridIndex` whose
-whole-population disc sweeps come from one vectorized gather, and the
-predictive scheduler solves all of a route's boundary-crossing quadratics
-in a single :func:`~repro.net.kernels.crossing_times` call.  The kernels
-run the exact float operation sequences of the scalar paths (boundary
-pairs re-checked with scalar ``math.hypot``), so every neighbour set,
-epoch, component verdict, and armed crossing instant is identical
-bit-for-bit — pinned by the kernel equivalence property suite.  NumPy is
-optional: without it the flag auto-resolves to ``False`` and the scalar
-paths below run untouched.
+replay, and the grid is a :class:`~repro.net.kernels.VectorGridIndex`
+whose whole-population disc sweeps come from one vectorized gather.  The
+kernels run the exact float operation sequences of the scalar paths
+(boundary pairs re-checked with scalar ``math.hypot``), so every
+neighbour set, epoch, component verdict, and stability horizon is
+identical bit-for-bit — pinned by the kernel equivalence property suite.
+NumPy is optional: without it the flag auto-resolves to ``False`` and the
+scalar paths below run untouched.
 
 Pass ``use_spatial_index=False`` to fall back to the original brute-force
 scans, ``incremental_grid=False`` to keep the grid but rebuild it every
-tick (the PR-2 behaviour), ``predictive_links=False`` for purely lazy
-epochs, or ``vectorized=False`` for the scalar loops; all reference paths
-are kept for the equivalence property suites and benchmark baselines.
+tick (the PR-2 behaviour), or ``vectorized=False`` for the scalar loops;
+all reference paths are kept for the equivalence property suites and
+benchmark baselines.
 """
 
 from __future__ import annotations
@@ -141,7 +128,7 @@ from ..sim.randomness import rng_from_seed
 from . import kernels
 from .messages import Message
 from .routing import AodvRouter, RouteNotFound
-from .spatial import SpatialGridIndex, link_crossing_time, padded_cell_size
+from .spatial import SpatialGridIndex, padded_cell_size
 from .transport import CommunicationsLayer
 
 # 802.11g nominal characteristics.
@@ -234,26 +221,16 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         ``False`` restores the full rebuild per tick (the reference path
         for the incremental/rebuild equivalence property suite and the
         maintenance benchmark baseline).
-    predictive_links:
-        When true (the default), the instant each *used* link (one a
-        message just crossed, directly or on a cached route) will break is
-        computed in closed form from the endpoints' trajectory legs and an
-        epoch-bump event is scheduled at exactly that instant, so route
-        caches start invalidating when their links break instead of lazily
-        at the next query.  ``False`` keeps the purely lazy epoch
-        maintenance (the reference path for the predictive/lazy
-        equivalence suite).
     vectorized:
         When true, geometry flows through the batched NumPy kernels
         (:mod:`repro.net.kernels`): snapshot builds/advances, disc
-        comparisons, component sweeps, and crossing-time quadratics are
-        evaluated over the whole population per call, with bit-identical
-        results to the scalar loops.  ``None`` (the default) resolves to
-        ``True`` exactly when NumPy is importable and the spatial index is
-        on; ``True`` without NumPy (or without the spatial index) raises.
-        ``False`` keeps the scalar per-host paths (the reference for the
-        kernel equivalence suite, and the only paths exercised when NumPy
-        is absent).
+        comparisons, and component sweeps are evaluated over the whole
+        population per call, with bit-identical results to the scalar
+        loops.  ``None`` (the default) resolves to ``True`` exactly when
+        NumPy is importable and the spatial index is on; ``True`` without
+        NumPy (or without the spatial index) raises.  ``False`` keeps the
+        scalar per-host paths (the reference for the kernel equivalence
+        suite, and the only paths exercised when NumPy is absent).
     """
 
     def __init__(
@@ -268,7 +245,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         seed: int = 0,
         use_spatial_index: bool = True,
         incremental_grid: bool = True,
-        predictive_links: bool = True,
         vectorized: bool | None = None,
     ) -> None:
         super().__init__(scheduler)
@@ -284,7 +260,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.multi_hop = multi_hop
         self.use_spatial_index = use_spatial_index
         self.incremental_grid = incremental_grid
-        self.predictive_links = predictive_links
         if vectorized is None:
             vectorized = use_spatial_index and kernels.numpy_available()
         elif vectorized:
@@ -313,25 +288,11 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         # A host paused until T (or static: never in the heap at all) is not
         # touched by any snapshot advance before T.
         self._move_heap: list[tuple[float, str]] = []
-        # Predictive link-break scheduling: one armed epoch-bump event per
-        # used link at a time, keyed by the sorted host pair.  The bump
-        # handler never arms new predictions, so the event population is
-        # bounded by the links message traffic actually crossed and the
-        # scheduler always drains once the middleware goes quiet.
-        # ``_no_break_until`` negative-caches the "cannot break on the
-        # current legs" verdict per pair until the legs' validity horizon,
-        # so repeat messages over a static or co-moving link (the common
-        # case) skip the leg lookups and the quadratic entirely.
-        self._armed_links: dict[tuple[str, str], float] = {}
-        self._no_break_until: dict[tuple[str, str], float] = {}
         self.snapshots_built = 0  # snapshots established (rebuilt or advanced)
         self.grid_rebuilds = 0  # full O(n) rebuilds among them
         self.hosts_reevaluated = 0  # mobility evaluations during advances
         self.hosts_moved = 0  # position changes applied incrementally
         self.advances_skipped = 0  # instants answered inside a stability horizon
-        self.link_breaks_predicted = 0  # epoch-bump events armed
-        self.link_break_events = 0  # epoch-bump events fired
-        self.predicted_epoch_bumps = 0  # fired events that advanced an epoch
         self._router = AodvRouter(self.neighbours_of, epoch_of=self.link_epoch)
 
     # -- membership with positions -------------------------------------------
@@ -342,7 +303,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def unregister(self, host_id: str) -> None:
         super().unregister(host_id)
         self._version += 1
-        self._forget_link_verdicts(host_id)
 
     def place_host(self, host_id: str, mobility: MobilityModel | Point) -> None:
         """Attach a mobility model (or a fixed position) to a registered host."""
@@ -351,21 +311,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             mobility = StaticMobility(mobility)
         self._mobility[host_id] = mobility
         self._version += 1
-        self._forget_link_verdicts(host_id)
-
-    def _forget_link_verdicts(self, host_id: str) -> None:
-        """Drop cached no-break verdicts involving ``host_id``.
-
-        A re-placed (or departed) host's trajectory no longer backs them;
-        armed events need no cleanup — they fire harmlessly.
-        """
-
-        if self._no_break_until:
-            self._no_break_until = {
-                pair: horizon
-                for pair, horizon in self._no_break_until.items()
-                if host_id not in pair
-            }
 
     def _position_at(self, host_id: str, time: float) -> Point:
         mobility = self._mobility.get(host_id)
@@ -448,18 +393,21 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def _next_move_time(self, host_id: str, time: float) -> float:
         """When ``host_id`` may next change position (``inf`` = never).
 
-        Comes straight from the mobility model's trajectory geometry
-        (current leg / pause boundaries).  A model without
-        ``next_move_time`` is conservatively treated as always moving.
+        Derived from the mobility model's current leg, by the rule
+        :meth:`repro.net.kernels.LegTable.next_move_times` applies to whole
+        populations: ``time`` itself while moving, the end of the current
+        rest otherwise.  A model without ``motion_at`` is conservatively
+        treated as always moving.
         """
 
         mobility = self._mobility.get(host_id)
         if mobility is None:
             return math.inf  # never placed: pinned at the origin
-        reporter = getattr(mobility, "next_move_time", None)
-        if reporter is None:
+        fetch = getattr(mobility, "motion_at", None)
+        if fetch is None:
             return time
-        return reporter(time)
+        valid_until, _, _, _, speed = fetch(time)
+        return time if speed != 0.0 and time < valid_until else valid_until
 
     def _rebuild_move_heap(self, now: float) -> None:
         if self.vectorized:
@@ -729,182 +677,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         snapshot.neighbours[host_id] = neighbours
         return neighbours
 
-    # -- predictive link-break scheduling -----------------------------------
-    def _current_leg(
-        self, host_id: str
-    ) -> tuple[float, Point, tuple[float, float]] | None:
-        """The host's current trajectory leg, or ``None`` when unpredictable."""
-
-        mobility = self._mobility.get(host_id)
-        if mobility is None:
-            # Never placed: pinned at the origin forever.
-            return math.inf, Point(0.0, 0.0), (0.0, 0.0)
-        reporter = getattr(mobility, "leg_at", None)
-        if reporter is None:
-            return None
-        return reporter(self.scheduler.clock.now())
-
-    def _predict_link_break(
-        self, host_a: str, host_b: str, now: float
-    ) -> tuple[float | None, float]:
-        """``(exact break instant or None, no-break horizon)`` for link a-b.
-
-        The instant is exact only while both endpoints stay on their
-        current legs: a crossing that falls beyond either leg's validity is
-        not armed (the lazy epoch comparison catches it at the next query
-        instead), so every armed instant is a true boundary crossing under
-        the geometry known at arming time.  When no crossing can be
-        certified, the horizon is how long that verdict provably holds —
-        the earlier leg boundary, or forever for models that report no
-        legs at all.
-        """
-
-        leg_a = self._current_leg(host_a)
-        leg_b = self._current_leg(host_b)
-        if leg_a is None or leg_b is None:
-            # Unpredictable mobility model: never a certified crossing
-            # (the cache is reset if the host is re-placed).
-            return None, math.inf
-        end_a, position_a, velocity_a = leg_a
-        end_b, position_b, velocity_b = leg_b
-        valid_until = min(end_a, end_b)
-        crossing = link_crossing_time(
-            position_a, velocity_a, position_b, velocity_b, self.radio_range
-        )
-        if not math.isfinite(crossing) or now + crossing > valid_until:
-            return None, valid_until
-        # Nudge past the boundary so the endpoints are strictly out of range
-        # when the event evaluates them (at the root itself the distance is
-        # exactly the radius, which still counts as in range).
-        instant = now + crossing
-        return instant + max(1e-9, instant * 1e-12), valid_until
-
-    def _arm_route_predictions(self, hops: tuple[str, ...]) -> None:
-        """Schedule an epoch-bump at each used link's crossing instant.
-
-        Called for the hop sequence a message just crossed; each link is
-        watched by at most one in-flight event (re-armed on its next use
-        after firing).
-        """
-
-        now = self.scheduler.clock.now()
-        pending: list[tuple[str, str]] = []
-        for first, second in zip(hops, hops[1:]):
-            pair = (first, second) if first < second else (second, first)
-            armed = self._armed_links.get(pair)
-            if armed is not None and armed > now:
-                continue  # an event for this link is already in flight
-            horizon = self._no_break_until.get(pair)
-            if horizon is not None and now < horizon:
-                continue  # provably cannot break before `horizon`
-            pending.append(pair)
-        if not pending:
-            return
-        if self.vectorized and len(pending) > 1:
-            predictions = self._predict_link_breaks_batched(pending, now)
-        else:
-            predictions = [
-                self._predict_link_break(pair[0], pair[1], now)
-                for pair in pending
-            ]
-        for pair, (instant, no_break_until) in zip(pending, predictions):
-            if instant is None:
-                if no_break_until > now:
-                    self._no_break_until[pair] = no_break_until
-                continue
-            self._no_break_until.pop(pair, None)
-            self._armed_links[pair] = instant
-            self.link_breaks_predicted += 1
-            self.scheduler.schedule_at(
-                max(instant, now),
-                lambda p=pair: self._on_predicted_break(p),
-                description=f"link-break {pair[0]}~{pair[1]}",
-            )
-
-    def _predict_link_breaks_batched(
-        self, pairs: list[tuple[str, str]], now: float
-    ) -> list[tuple[float | None, float]]:
-        """:meth:`_predict_link_break` over a route's links in one call.
-
-        Legs are fetched once per distinct endpoint; all boundary-crossing
-        quadratics are then solved in a single
-        :func:`~repro.net.kernels.crossing_times` evaluation, whose roots
-        are bit-identical to the scalar closed form.
-        """
-
-        legs: dict[str, tuple[float, Point, tuple[float, float]] | None] = {}
-        for pair in pairs:
-            for host in pair:
-                if host not in legs:
-                    legs[host] = self._current_leg(host)
-        predictions: list[tuple[float | None, float] | None] = []
-        solvable: list[int] = []
-        columns: list[tuple[float, ...]] = []
-        horizons: list[float] = []
-        for index, pair in enumerate(pairs):
-            leg_a, leg_b = legs[pair[0]], legs[pair[1]]
-            if leg_a is None or leg_b is None:
-                # Unpredictable mobility model: never a certified crossing.
-                predictions.append((None, math.inf))
-                continue
-            end_a, position_a, velocity_a = leg_a
-            end_b, position_b, velocity_b = leg_b
-            predictions.append(None)  # placeholder: filled from the batch
-            solvable.append(index)
-            horizons.append(min(end_a, end_b))
-            columns.append(
-                (
-                    position_a.x, position_a.y, velocity_a[0], velocity_a[1],
-                    position_b.x, position_b.y, velocity_b[0], velocity_b[1],
-                )
-            )
-        if solvable:
-            crossings = kernels.crossing_times(
-                *zip(*columns), self.radio_range
-            )
-            for index, valid_until, crossing in zip(
-                solvable, horizons, crossings.tolist()
-            ):
-                if not math.isfinite(crossing) or now + crossing > valid_until:
-                    predictions[index] = (None, valid_until)
-                    continue
-                # Same boundary nudge as the scalar path.
-                instant = now + crossing
-                predictions[index] = (
-                    instant + max(1e-9, instant * 1e-12), valid_until
-                )
-        return predictions
-
-    def _on_predicted_break(self, pair: tuple[str, str]) -> None:
-        """Bump both endpoints' epochs at the predicted crossing instant.
-
-        The bump is O(1) and *advisory*: the counters advance and the
-        endpoints' established link sets are forgotten, so the next route
-        validation through either host sees a changed epoch and re-checks
-        its links — from exactly the instant the link broke, not from the
-        next time a query happened to land.  A misprediction (a leg changed
-        after arming) merely causes one spurious re-check; bumps are never
-        destructive, and the handler arms no new predictions, so events
-        cannot chain and cost nothing beyond the dictionary updates.
-        """
-
-        self._armed_links.pop(pair, None)
-        self.link_break_events += 1
-        if not self.predictive_links:
-            return
-        hosts = self.host_ids
-        for host in pair:
-            if host not in hosts:
-                continue
-            self._link_epochs[host] = self._link_epochs.get(host, 0) + 1
-            # Forget the set the epoch was established against: the next
-            # query re-establishes it (and may bump again — harmless).
-            self._epoch_links.pop(host, None)
-            self.predicted_epoch_bumps += 1
-            snapshot = self._snapshot
-            if snapshot is not None:
-                snapshot.epochs.pop(host, None)
-
     def link_epoch(self, host_id: str) -> int:
         """The host's link epoch: advances whenever its neighbour set changes.
 
@@ -1050,8 +822,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if sender == recipient:
             return 0, False
         if self.in_radio_range(sender, recipient):
-            if self.predictive_links:
-                self._arm_route_predictions((sender, recipient))
             return 1, False
         if not self.multi_hop:
             raise HostUnreachableError(
@@ -1061,8 +831,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             route, cached = self._router.lookup(sender, recipient)
         except RouteNotFound as exc:
             raise HostUnreachableError(str(exc)) from exc
-        if self.predictive_links:
-            self._arm_route_predictions(route.hops)
         return route.hop_count, not cached
 
     # -- maintenance ------------------------------------------------------------------

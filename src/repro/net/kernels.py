@@ -1,15 +1,14 @@
 """Array-oriented geometry kernels for the wireless substrate (NumPy).
 
 The scalar geometry plane answers every question host-by-host: the snapshot
-advance evaluates one mobility model at a time, a neighbour sweep runs one
-``near`` query per host, and the predictive scheduler solves one quadratic
-per link.  Each answer is cheap, but at fleet scale (1000+ movers) the
-interpreter overhead of the per-host loop dominates the arithmetic.
+advance evaluates one mobility model at a time and a neighbour sweep runs
+one ``near`` query per host.  Each answer is cheap, but at fleet scale
+(1000+ movers) the interpreter overhead of the per-host loop dominates the
+arithmetic.
 
 This module holds the whole mover set's leg parameters in contiguous NumPy
-arrays and evaluates positions, pairwise radio-disc membership, and link
-boundary crossings as *batched kernels over the entire population in one
-call*:
+arrays and evaluates positions and pairwise radio-disc membership as
+*batched kernels over the entire population in one call*:
 
 * :class:`LegTable` — per-host ``(start, origin, destination, speed,
   valid_until)`` rows fetched from the mobility models'
@@ -26,12 +25,6 @@ call*:
   with the scalar sweep's float operations (``sqrt(dx*dx + dy*dy)``, not
   ``hypot``, whose NumPy and ``math`` versions may round differently), so
   both paths certify the same horizon to the bit.
-* :func:`crossing_times` — the closed-form boundary crossing of
-  :func:`~repro.net.spatial.link_crossing_time` over arrays of links, with
-  the identical operation sequence (NumPy float64 arithmetic is IEEE-754
-  double arithmetic, and ``np.sqrt`` is correctly rounded like
-  ``math.sqrt``), so each batched root equals its scalar counterpart
-  bit-for-bit.
 
 Exact boundary semantics.  The scalar membership test is
 ``math.hypot(dx, dy) <= radius`` with a correctly-rounded hypot; a naive
@@ -231,10 +224,10 @@ class LegTable:
         return xs, ys
 
     def next_move_times(self, time: float, indices):
-        """When each host may next change position (see the mobility models'
-        ``next_move_time``): ``time`` itself mid-leg, the current rest
-        segment's end otherwise.  Opaque rows report ``nan`` and must be
-        resolved through the model by the caller.
+        """When each host may next change position: ``time`` itself mid-leg,
+        the current rest segment's end otherwise (the scalar network derives
+        the same value from one ``motion_at`` call).  Opaque rows report
+        ``nan`` and must be resolved through the model by the caller.
         """
 
         indices = np.asarray(indices, dtype=np.intp)
@@ -604,29 +597,3 @@ class LazyPositions(Mapping):
     def __repr__(self) -> str:
         return f"LazyPositions({len(self._grid)} hosts)"
 
-
-def crossing_times(
-    position_x_a, position_y_a, velocity_x_a, velocity_y_a,
-    position_x_b, position_y_b, velocity_x_b, velocity_y_b,
-    radius: float,
-):
-    """Batched :func:`~repro.net.spatial.link_crossing_time` over link arrays.
-
-    Identical operation sequence, therefore bit-identical roots: seconds
-    until each linearly-moving pair exceeds ``radius`` apart, ``inf`` where
-    the separation never changes or the pair is outside and receding.
-    """
-
-    require_numpy()
-    dx = np.asarray(position_x_a, dtype=float) - position_x_b
-    dy = np.asarray(position_y_a, dtype=float) - position_y_b
-    dvx = np.asarray(velocity_x_a, dtype=float) - velocity_x_b
-    dvy = np.asarray(velocity_y_a, dtype=float) - velocity_y_b
-    a = dvx * dvx + dvy * dvy
-    b = 2.0 * (dx * dvx + dy * dvy)
-    c = dx * dx + dy * dy - radius * radius
-    discriminant = b * b - 4.0 * a * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = (-b + np.sqrt(discriminant)) / (2.0 * a)
-        unusable = (a == 0.0) | (discriminant < 0.0) | ~(crossing > 0.0)
-    return np.where(unusable, math.inf, crossing)

@@ -305,39 +305,3 @@ def grid_from_items(
 
     return SpatialGridIndex(dict(items), cell_size)
 
-
-def link_crossing_time(
-    position_a: Point,
-    velocity_a: tuple[float, float],
-    position_b: Point,
-    velocity_b: tuple[float, float],
-    radius: float,
-) -> float:
-    """Seconds until two linearly-moving points exceed ``radius`` apart.
-
-    Both points move with constant velocity (metres/second), so the squared
-    separation is a quadratic in time and the range boundary is crossed at
-    its larger root — the closed form the predictive link-break scheduler
-    uses to bump link epochs at the *exact* instant a live link breaks.
-    Returns ``inf`` when the relative velocity is zero (the separation
-    never changes on these legs) or when the points are already outside
-    ``radius`` and receding.  The caller is responsible for only trusting
-    the answer while both legs remain valid.
-    """
-
-    dx = position_a.x - position_b.x
-    dy = position_a.y - position_b.y
-    dvx = velocity_a[0] - velocity_b[0]
-    dvy = velocity_a[1] - velocity_b[1]
-    a = dvx * dvx + dvy * dvy
-    if a == 0.0:
-        return math.inf
-    b = 2.0 * (dx * dvx + dy * dvy)
-    c = dx * dx + dy * dy - radius * radius
-    discriminant = b * b - 4.0 * a * c
-    if discriminant < 0.0:
-        # Never at exactly `radius`: starting inside this is impossible (the
-        # parabola opens upward), so the pair is outside and stays outside.
-        return math.inf
-    crossing = (-b + math.sqrt(discriminant)) / (2.0 * a)
-    return crossing if crossing > 0.0 else math.inf

@@ -1,4 +1,4 @@
-"""Golden values for multi-hop 802.11g trials over random-waypoint hosts.
+"""Golden values for multi-hop 802.11g trials over mobile hosts.
 
 Three seeded 100-host trials at the ``mobile`` point of the repository's
 benchmark (a 50-task supergraph, path-4 specifications, a site whose side
@@ -6,9 +6,21 @@ grows with the square root of the population) run through
 :func:`run_allocation_trial`.  Their message and byte counts, simulated
 allocation time and allocation must equal values recorded before the
 network layer learned to skip snapshot advances inside a stability
-horizon.  Any change that moves a route, a latency or a reachability
-verdict moves at least one of them.  The hash-seed and determinism suites
-only compare the code with itself; these values fix what it computes.
+horizon.
+
+Allocation ends before links change much, so one more scenario runs
+workflows to completion while hosts move: the 8-task fan-out workflow of
+``benchmarks/test_execution_scaling.py`` (rebuilt here, so an edit to the
+benchmark cannot change what the values pin), submitted 40 times on a
+20-host community where every fifth host (and both specialists) wanders
+as a random waypoint.  Its phases, completed tasks, final simulated clock,
+route discoveries and execution traffic must equal values recorded while
+link epochs were still bumped ahead of time at predicted link breaks, on
+both ``vectorized`` paths.
+
+Any change that moves a route, a latency or a reachability verdict moves
+at least one of these values.  The hash-seed and determinism suites only
+compare the code with itself; these values fix what it computes.
 """
 
 from __future__ import annotations
@@ -18,10 +30,17 @@ import random
 
 import pytest
 
+from repro.core.fragments import WorkflowFragment
+from repro.core.specification import Specification
+from repro.core.tasks import Task
+from repro.execution.services import ServiceDescription
 from repro.experiments import adhoc_network_factory, build_trial_community
 from repro.experiments.trials import run_allocation_trial, trial_result_from_workspace
+from repro.host.community import Community
 from repro.mobility.geometry import square_site
 from repro.mobility.models import RandomWaypointMobility
+from repro.net import kernels
+from repro.sim.randomness import derive_rng, derive_seed
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 
 NUM_HOSTS = 100
@@ -114,3 +133,111 @@ def observed(seed: int):
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_mobile_trial_matches_recorded_values(seed):
     assert observed(seed) == GOLDEN[seed]
+
+
+# -- workflows executing while hosts move ------------------------------------
+
+FANOUT_SEED = 20090514
+FANOUT_HOSTS = 20
+FANOUT_REPEATS = 40
+FAN_OUT = 6  # parallel stage tasks between the hub and the join
+EXECUTION_KINDS = (
+    "LabelDataMessage",
+    "TaskCompleted",
+    "TaskFailed",
+    "LabelBatch",
+    "WorkflowProgressReport",
+)
+
+#: (completed tasks, final simulated clock, route discoveries, execution
+#: messages, execution bytes) after FANOUT_REPEATS completed workflows.
+FANOUT_GOLDEN = (320, 19200.127033484998, 75, 120, 46400)
+
+
+def fanout_tasks() -> list[Task]:
+    """One hub task feeding six parallel stages, joined by a final task."""
+
+    hub = Task(
+        "prepare",
+        inputs=["go"],
+        outputs=[f"part-{i}" for i in range(FAN_OUT)],
+        duration=60.0,
+    )
+    stages = [
+        Task(f"stage-{i}", inputs=[f"part-{i}"], outputs=[f"ready-{i}"], duration=60.0)
+        for i in range(FAN_OUT)
+    ]
+    join = Task(
+        "assemble",
+        inputs=[f"ready-{i}" for i in range(FAN_OUT)],
+        outputs=["done"],
+        duration=60.0,
+    )
+    return [hub, *stages, join]
+
+
+def mixed_mobility(index: int):
+    """Every fifth host and both specialists wander; the rest sit still."""
+
+    site = square_site(60.0 * math.sqrt(FANOUT_HOSTS))
+    if index % 5 == 0 or index in (1, 2):
+        return RandomWaypointMobility(
+            site, seed=derive_seed(FANOUT_SEED, "bench-exec-mobility", index)
+        )
+    return site.random_point(derive_rng(FANOUT_SEED, "bench-exec-scatter", index))
+
+
+def services_of(index: int) -> list[ServiceDescription]:
+    """``host-1`` alone runs the hub, ``host-2`` alone the stages and join."""
+
+    if index == 1:
+        return [ServiceDescription("prepare", duration=60.0)]
+    if index == 2:
+        names = [f"stage-{i}" for i in range(FAN_OUT)] + ["assemble"]
+        return [ServiceDescription(name, duration=60.0) for name in names]
+    return []
+
+
+VECTORIZED = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(
+            not kernels.numpy_available(), reason="NumPy is not installed"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+def test_mobile_fanout_execution_matches_recorded_values(vectorized):
+    community = Community(
+        network_factory=adhoc_network_factory(
+            FANOUT_SEED, multi_hop=True, vectorized=vectorized
+        )
+    )
+    fragments = [WorkflowFragment([task]) for task in fanout_tasks()]
+    for index in range(FANOUT_HOSTS):
+        community.add_host(
+            f"host-{index}",
+            fragments=fragments if index == 0 else (),
+            services=services_of(index),
+            mobility=mixed_mobility(index),
+        )
+    specification = Specification(triggers=["go"], goals=["done"])
+    phases = []
+    completed_tasks = 0
+    for _ in range(FANOUT_REPEATS):
+        workspace = community.submit_specification("host-0", specification)
+        community.run_until_completed(workspace, max_sim_seconds=86_400.0)
+        phases.append(workspace.phase.value)
+        completed_tasks += len(workspace.completed_tasks)
+    network = community.network
+    assert phases == ["completed"] * FANOUT_REPEATS
+    assert (
+        completed_tasks,
+        community.clock.now(),
+        network.router.discoveries,
+        network.statistics.kind_count(*EXECUTION_KINDS),
+        network.statistics.kind_bytes(*EXECUTION_KINDS),
+    ) == FANOUT_GOLDEN

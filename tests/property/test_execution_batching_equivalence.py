@@ -1,6 +1,6 @@
 """Property: the batched execution plane ≡ the per-label/per-task plane.
 
-Two independent equivalences, mirroring the PR's two switches:
+Two independent properties of the execution-phase substrate:
 
 * **Protocol equivalence** (``batch_execution``): the batched execution
   protocol (one :class:`~repro.net.messages.LabelBatch` per firing and
@@ -16,16 +16,15 @@ Two independent equivalences, mirroring the PR's two switches:
   (``messages_sent`` / ``bytes_sent``), which are exactly what batching
   improves.
 
-* **Epoch equivalence** (``predictive_links``): predictive link-break
-  scheduling bumps link epochs at the exact crossing instants computed from
-  trajectory geometry instead of lazily at the next query.  On mobile
-  communities driven through the same probe schedule, the two modes must
-  agree on every neighbour set, and each mode must uphold the route-cache
-  soundness invariant: a host whose epoch did not change between probes has
-  an unchanged neighbour set, and a changed neighbour set always comes with
-  a changed epoch.  A full mobile multi-hop trial must produce a
-  byte-identical deterministic trial result whichever mode maintains the
-  epochs.
+* **Epoch soundness**: link epochs are maintained lazily — the first
+  query at an instant compares a host's neighbour set with the set its
+  epoch was established against and bumps the epoch on a difference.  On
+  mobile communities driven through a probe schedule, with message
+  traffic between probes, every host must uphold the route-cache
+  soundness invariant: a host whose epoch did not change between probes
+  has an unchanged neighbour set, and a changed neighbour set always comes
+  with a changed epoch.  Every multi-hop route the cache serves must have
+  all of its links in range.
 """
 
 from dataclasses import replace
@@ -33,11 +32,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import TrialTask, execute_trial
-from repro.experiments.trials import (
-    adhoc_network_factory,
-    build_trial_community,
-    trial_result_from_workspace,
-)
+from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
 from repro.mobility.geometry import Point, Rectangle
 from repro.core.errors import HostUnreachableError
@@ -49,7 +44,7 @@ from repro.mobility.models import (
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.messages import Message
 from repro.sim.events import EventScheduler
-from repro.sim.randomness import derive_rng, derive_seed
+from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 
 SEED = 20090514
@@ -191,7 +186,7 @@ def test_sim_timing_trial_results_byte_identical_across_flag():
 
 
 # ---------------------------------------------------------------------------
-# Predictive vs lazy link epochs
+# Lazy link epochs under message traffic
 # ---------------------------------------------------------------------------
 
 SITE = Rectangle(0.0, 0.0, 300.0, 300.0)
@@ -230,11 +225,9 @@ def make_model(spec):
     return RandomWaypointMobility(SITE, seed=seed, pause=pause)
 
 
-def build_mobile_network(specs, predictive):
+def build_mobile_network(specs):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler, radio_range=100.0, predictive_links=predictive
-    )
+    network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
     for index, spec in enumerate(specs):
         host = f"h{index}"
         network.register(host, lambda m: None)
@@ -242,101 +235,41 @@ def build_mobile_network(specs, predictive):
     return network, scheduler
 
 
-def advance_to(scheduler, instant):
-    """Run every scheduled event up to ``instant`` and land the clock there
-    (``EventScheduler.run`` alone leaves the clock at the last event when
-    the queue drains early)."""
-
-    scheduler.run(until=instant)
-    if scheduler.clock.now() < instant:
-        scheduler.clock.advance_to(instant)
-
-
 @given(populations, schedules)
 @SETTINGS
-def test_predictive_and_lazy_epochs_agree(specs, deltas):
-    predictive, predictive_scheduler = build_mobile_network(specs, predictive=True)
-    lazy, lazy_scheduler = build_mobile_network(specs, predictive=False)
+def test_lazy_link_epochs_keep_route_cache_sound(specs, deltas):
+    network, scheduler = build_mobile_network(specs)
 
-    hosts = sorted(predictive.host_ids)
-    seen = {mode: {} for mode in ("predictive", "lazy")}
-    instant = 0.0
+    hosts = sorted(network.host_ids)
+    seen = {}
     for delta in deltas:
-        instant += delta
-        advance_to(predictive_scheduler, instant)
-        advance_to(lazy_scheduler, instant)
+        scheduler.clock.advance(delta)
         for index, sender in enumerate(hosts):
-            # Message-shaped traffic: arms the predictive network's link
-            # watches (latencies must agree — same hops, same route cache
-            # verdicts — whichever mode maintains the epochs).
+            # Message-shaped traffic: route lookups validate cached routes
+            # against the epochs and refresh them, as a running middleware
+            # does between probes.
             recipient = hosts[(index + 1) % len(hosts)]
-            latencies = []
-            for network in (predictive, lazy):
-                try:
-                    latencies.append(
-                        network.latency_for(Message(sender=sender, recipient=recipient))
-                    )
-                except HostUnreachableError:
-                    latencies.append(None)
-            assert latencies[0] == latencies[1], (sender, recipient)
+            try:
+                network.latency_for(Message(sender=sender, recipient=recipient))
+            except HostUnreachableError:
+                continue
+            if not network.in_radio_range(sender, recipient):
+                # The multi-hop route the cache just served is intact.
+                route, cached = network.router.lookup(sender, recipient)
+                assert cached, (sender, recipient)
+                for first, second in zip(route.hops, route.hops[1:]):
+                    assert network.in_radio_range(first, second), route
         for host in hosts:
-            assert predictive.neighbours_of(host) == lazy.neighbours_of(host), host
-            for mode, network in (("predictive", predictive), ("lazy", lazy)):
-                epoch = network.link_epoch(host)
-                neighbours = network.neighbours_of(host)
-                previous = seen[mode].get(host)
-                if previous is not None:
-                    last_epoch, last_neighbours = previous
-                    # Route-cache soundness: an unchanged epoch proves an
-                    # unchanged link set, and a changed link set always
-                    # advances the epoch.
-                    if epoch == last_epoch:
-                        assert neighbours == last_neighbours, (mode, host)
-                    if neighbours != last_neighbours:
-                        assert epoch != last_epoch, (mode, host)
-                seen[mode][host] = (epoch, neighbours)
-    # Every armed prediction fires at most once, bumping both endpoints.
-    assert predictive.link_break_events <= predictive.link_breaks_predicted
-    assert predictive.predicted_epoch_bumps <= 2 * predictive.link_break_events
-    assert lazy.link_breaks_predicted == 0
-
-
-def mobile_waypoint_factory(trial_seed):
-    site = Rectangle(0.0, 0.0, 240.0, 240.0)
-
-    def factory(index):
-        if index % 3 == 0:
-            return RandomWaypointMobility(
-                site, seed=derive_seed(trial_seed, "predictive-equiv", index)
-            )
-        rng = derive_rng(trial_seed, "predictive-equiv-static", index)
-        return site.random_point(rng)
-
-    return factory
-
-
-def test_predictive_links_leave_mobile_trial_results_byte_identical():
-    """A full mobile multi-hop trial agrees exactly across epoch modes."""
-
-    workload = RandomSupergraphWorkload(seed=SEED).generate(30)
-    rng = derive_rng(SEED, "predictive-trial-spec")
-    specification = workload.path_specification(4, rng)
-    assert specification is not None
-    results = {}
-    for predictive in (True, False):
-        community = build_trial_community(
-            workload,
-            num_hosts=12,
-            seed=SEED,
-            network_factory=adhoc_network_factory(
-                SEED, multi_hop=True, predictive_links=predictive
-            ),
-            mobility_factory=mobile_waypoint_factory(SEED),
-        )
-        workspace = community.submit_specification("host-0", specification)
-        community.run_until_allocated(workspace)
-        results[predictive] = trial_result_from_workspace(
-            community, workspace
-        ).deterministic_copy()
-    assert results[True] == results[False]
-    assert results[True].succeeded
+            epoch = network.link_epoch(host)
+            neighbours = network.neighbours_of(host)
+            previous = seen.get(host)
+            if previous is not None:
+                last_epoch, last_neighbours = previous
+                # Route-cache soundness: an unchanged epoch proves an
+                # unchanged link set, and a changed link set always
+                # advances the epoch.
+                if epoch == last_epoch:
+                    assert neighbours == last_neighbours, host
+                if neighbours != last_neighbours:
+                    assert epoch != last_epoch, host
+            seen[host] = (epoch, neighbours)

@@ -1,6 +1,6 @@
 """Property: vectorized geometry kernels ≡ scalar reference paths.
 
-Three layers of the same contract, in the repo's flag+equivalence idiom:
+Two layers of the same contract, in the repo's flag+equivalence idiom:
 
 * two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the
   same placements — one on the batched NumPy kernels
@@ -12,18 +12,15 @@ Three layers of the same contract, in the repo's flag+equivalence idiom:
   one does);
 * :class:`~repro.net.kernels.LegTable` replay must be *bit-identical* to
   the mobility models' scalar ``position_at``, including degenerate legs
-  (zero velocity, single-waypoint rests, ``inf`` validity horizons);
-* :func:`~repro.net.kernels.crossing_times` must reproduce
-  :func:`~repro.net.spatial.link_crossing_time` root-for-root, bit-exact,
-  across zero relative velocity, tangent, and receding geometries.
+  (zero velocity, single-waypoint rests, ``inf`` validity horizons), and
+  its next-move times must equal the scalar network's derivation from
+  ``motion_at``.
 
 The near-radius ulp regression (exact separation beyond the radius,
 rounded distance on it) is pinned in ``tests/unit/test_kernels.py``; the
 coordinate strategies here include the sub-metre cluster scale where
 boundary ties actually occur.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +35,6 @@ from repro.mobility.models import (
 )
 from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
-from repro.net.spatial import link_crossing_time
 from repro.sim.events import EventScheduler
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -139,6 +135,7 @@ def test_leg_table_replay_is_bit_identical(specs, deltas):
     table_models = [make_model(spec) for spec in specs]
     reference_models = [make_model(spec) for spec in specs]
     table = kernels.LegTable(table_models)
+    scalar, _ = build_network(specs, vectorized=False)
 
     time = 0.0
     for delta in deltas:
@@ -148,30 +145,7 @@ def test_leg_table_replay_is_bit_identical(specs, deltas):
             expected = model.position_at(time)
             assert Point(xs[index], ys[index]) == expected, (index, time)
         move_times = table.next_move_times(time, range(len(specs)))
-        for index, model in enumerate(reference_models):
-            assert move_times[index] == model.next_move_time(time), (index, time)
+        for index in range(len(specs)):
+            expected = scalar._next_move_time(f"h{index}", time)
+            assert move_times[index] == expected, (index, time)
 
-
-leg_coordinates = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
-velocities = st.one_of(
-    st.just(0.0), st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
-)
-links = st.tuples(
-    leg_coordinates, leg_coordinates, velocities, velocities,
-    leg_coordinates, leg_coordinates, velocities, velocities,
-)
-
-
-@given(
-    st.lists(links, min_size=1, max_size=40),
-    st.floats(min_value=1.0, max_value=300.0, allow_nan=False),
-)
-@SETTINGS
-def test_crossing_times_bit_identical_to_scalar(batch, radius):
-    columns = list(zip(*batch))
-    batched = kernels.crossing_times(*columns, radius)
-    for row, (ax, ay, avx, avy, bx, by, bvx, bvy) in zip(batched.tolist(), batch):
-        expected = link_crossing_time(
-            Point(ax, ay), (avx, avy), Point(bx, by), (bvx, bvy), radius
-        )
-        assert row == expected or (math.isinf(row) and math.isinf(expected))

@@ -3,8 +3,7 @@
 The property suite (`tests/property/test_kernel_equivalence.py`) pins the
 batched↔scalar equivalence statistically; these tests pin the edges by
 hand — flag resolution with and without NumPy, opaque mobility models,
-degenerate legs, the near-radius ulp regression, and the exact scalar
-crossing-time cases batched.
+degenerate legs, and the near-radius ulp regression.
 """
 
 import math
@@ -15,11 +14,7 @@ from repro.mobility.geometry import Point
 from repro.mobility.models import StaticMobility, WaypointMobility
 from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
-from repro.net.spatial import (
-    SpatialGridIndex,
-    link_crossing_time,
-    padded_cell_size,
-)
+from repro.net.spatial import SpatialGridIndex, padded_cell_size
 from repro.sim.events import EventScheduler
 
 needs_numpy = pytest.mark.skipif(
@@ -102,13 +97,16 @@ class TestLegTable:
         assert times[1] == math.inf
 
     def test_next_move_times_match_model_reports(self):
-        walker = WaypointMobility(
-            [Point(0, 0), Point(10, 0)], speed=2.0, pause=5.0
-        )
+        walker = WaypointMobility([Point(0, 0), Point(10, 0)], speed=2.0, pause=5.0)
         table = kernels.LegTable([walker, StaticMobility(Point(0, 0)), None])
-        for time in (0.0, 2.0, 6.0, 30.0):
+        # The scalar network derives the same value from one motion_at call.
+        scalar = AdHocWirelessNetwork(EventScheduler(), vectorized=False)
+        scalar.register("walker", lambda m: None)
+        scalar.place_host("walker", walker)
+        # Pausing until 5, moving until 10, then at rest for good.
+        for time, expected in ((0.0, 5.0), (2.0, 5.0), (6.0, 6.0), (30.0, math.inf)):
             times = table.next_move_times(time, [0, 1, 2])
-            assert times[0] == walker.next_move_time(time)
+            assert times[0] == scalar._next_move_time("walker", time) == expected
             assert times[1] == math.inf
             assert times[2] == math.inf
 
@@ -249,29 +247,3 @@ class TestVectorGridIndex:
         vector = self.from_positions({"a": Point(0, 0)}, 10.0)
         with pytest.raises(ValueError):
             vector.near(Point(0, 0), -1.0)
-
-
-@needs_numpy
-class TestCrossingTimes:
-    def test_batched_roots_equal_scalar_cases(self):
-        # The four scalar unit cases (test_spatial.TestLinkCrossingTime),
-        # solved in one batched call.
-        legs = [
-            (Point(0, 0), (0.0, 0.0), Point(90, 0), (2.0, 0.0)),  # recede
-            (Point(0, 0), (1.0, 1.0), Point(50, 0), (1.0, 1.0)),  # co-move
-            (Point(0, 0), (0.0, 0.0), Point(50, 0), (-1.0, 0.0)),  # pass by
-            (Point(0, 0), (0.0, 0.0), Point(150, 0), (1.0, 0.0)),  # gone
-        ]
-        batched = kernels.crossing_times(
-            [a.x for a, _, _, _ in legs],
-            [a.y for a, _, _, _ in legs],
-            [va[0] for _, va, _, _ in legs],
-            [va[1] for _, va, _, _ in legs],
-            [b.x for _, _, b, _ in legs],
-            [b.y for _, _, b, _ in legs],
-            [vb[0] for _, _, _, vb in legs],
-            [vb[1] for _, _, _, vb in legs],
-            100.0,
-        )
-        for row, (a, va, b, vb) in zip(batched.tolist(), legs):
-            assert row == link_crossing_time(a, va, b, vb, 100.0)

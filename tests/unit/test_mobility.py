@@ -141,56 +141,6 @@ class TestMobilityModels:
             RandomWaypointMobility(square_site(10), seed=1, pause=-1)
 
 
-class TestLegReporting:
-    """``leg_at``: the current motion segment as an exact linear function."""
-
-    def test_static_leg_is_forever(self):
-        import math
-
-        model = StaticMobility(Point(3, 4))
-        assert model.leg_at(0.0) == (math.inf, Point(3, 4), (0.0, 0.0))
-        assert model.leg_at(1e9) == (math.inf, Point(3, 4), (0.0, 0.0))
-
-    def test_waypoint_leg_matches_trajectory(self):
-        model = WaypointMobility([Point(0, 0), Point(10, 0)], speed=2.0, pause=5.0)
-        # Pausing at the first waypoint until t=5.
-        until, position, velocity = model.leg_at(2.0)
-        assert (until, position, velocity) == (5.0, Point(0, 0), (0.0, 0.0))
-        # Mid-leg: velocity is the unit direction times the speed, and the
-        # linear extrapolation reproduces position_at exactly.
-        until, position, velocity = model.leg_at(6.0)
-        assert until == 10.0  # the 10 m leg at 2 m/s runs t=5..10
-        assert velocity == (2.0, 0.0)
-        extrapolated = Point(position.x + 2.0 * velocity[0], position.y)
-        assert model.position_at(8.0) == extrapolated
-
-    def test_waypoint_leg_after_final_waypoint(self):
-        import math
-
-        model = WaypointMobility([Point(0, 0), Point(4, 0)], speed=1.0)
-        until, position, velocity = model.leg_at(100.0)
-        assert until == math.inf
-        assert position == Point(4, 0)
-        assert velocity == (0.0, 0.0)
-
-    def test_random_waypoint_leg_consistent_with_positions(self):
-        model = RandomWaypointMobility(square_site(80), seed=11, pause=3.0)
-        for t in (0.0, 7.5, 42.0, 130.0):
-            until, position, velocity = model.leg_at(t)
-            assert position == model.position_at(t)
-            assert until > t or until == t  # never a segment ending in the past
-            # Within the segment the motion really is linear.
-            probe = min(until, t + 0.5)
-            if probe > t:
-                expected = Point(
-                    position.x + (probe - t) * velocity[0],
-                    position.y + (probe - t) * velocity[1],
-                )
-                actual = model.position_at(probe)
-                assert abs(actual.x - expected.x) < 1e-6
-                assert abs(actual.y - expected.y) < 1e-6
-
-
 class TestMotionReporting:
     """``motion_at``: raw leg rows, bit-exactly replayable via moved_towards."""
 

@@ -339,103 +339,8 @@ class TestIncrementalMaintenance:
         assert grid.near(Point(255, 255), 20.0) == {"a", "b"}
 
 
-class TestLinkCrossingTime:
-    """Closed-form boundary-crossing instants for linearly moving points."""
-
-    def test_receding_pair_crosses_at_exact_instant(self):
-        from repro.net.spatial import link_crossing_time
-
-        # b moves away from a at 2 m/s starting 90 m apart: crosses 100 m
-        # after exactly 5 seconds.
-        crossing = link_crossing_time(
-            Point(0, 0), (0.0, 0.0), Point(90, 0), (2.0, 0.0), 100.0
-        )
-        assert crossing == pytest.approx(5.0)
-
-    def test_relative_rest_never_crosses(self):
-        import math
-
-        from repro.net.spatial import link_crossing_time
-
-        crossing = link_crossing_time(
-            Point(0, 0), (1.0, 1.0), Point(50, 0), (1.0, 1.0), 100.0
-        )
-        assert crossing == math.inf
-
-    def test_approaching_pair_crosses_on_the_far_side(self):
-        from repro.net.spatial import link_crossing_time
-
-        # b approaches a, passes it, and leaves range on the far side: the
-        # crossing is the *larger* root.
-        crossing = link_crossing_time(
-            Point(0, 0), (0.0, 0.0), Point(50, 0), (-1.0, 0.0), 100.0
-        )
-        assert crossing == pytest.approx(150.0)
-
-    def test_outside_and_receding_is_never(self):
-        import math
-
-        from repro.net.spatial import link_crossing_time
-
-        crossing = link_crossing_time(
-            Point(0, 0), (0.0, 0.0), Point(150, 0), (1.0, 0.0), 100.0
-        )
-        assert crossing == math.inf
-
-
-class TestPredictiveLinkBreaks:
-    """Route use arms epoch-bump events at exact link-crossing instants."""
-
-    def walker_network(self, predictive=True):
-        scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler, radio_range=100.0, predictive_links=predictive
-        )
-        network.register("a", lambda m: None)
-        network.place_host("a", Point(0, 0))
-        network.register("b", lambda m: None)
-        # b walks away from a at 2 m/s from 90 m: the a-b link breaks at t=5.
-        network.place_host(
-            "b", WaypointMobility([Point(90, 0), Point(1090, 0)], speed=2.0)
-        )
-        return network, scheduler
-
-    def test_message_over_link_arms_break_event(self):
-        network, scheduler = self.walker_network()
-        network.latency_for(Message(sender="a", recipient="b"))
-        assert network.link_breaks_predicted == 1
-        [event_time] = [e for e in (scheduler.peek_time(),) if e is not None]
-        assert event_time == pytest.approx(5.0, abs=1e-6)
-
-    def test_break_event_bumps_epochs_at_crossing_instant(self):
-        network, scheduler = self.walker_network()
-        epoch_a = network.link_epoch("a")
-        network.latency_for(Message(sender="a", recipient="b"))
-        scheduler.run(until=10.0)
-        assert scheduler.clock.now() == pytest.approx(5.0, abs=1e-6)
-        assert network.predicted_epoch_bumps == 2
-        assert network.link_epoch("a") > epoch_a
-        assert "b" not in network.neighbours_of("a")
-
-    def test_lazy_mode_never_schedules_events(self):
-        network, scheduler = self.walker_network(predictive=False)
-        network.latency_for(Message(sender="a", recipient="b"))
-        assert network.link_breaks_predicted == 0
-        assert scheduler.peek_time() is None
-
-    def test_static_pair_arms_nothing(self):
-        scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
-        for host, position in (("a", Point(0, 0)), ("b", Point(50, 0))):
-            network.register(host, lambda m: None)
-            network.place_host(host, position)
-        network.latency_for(Message(sender="a", recipient="b"))
-        assert network.link_breaks_predicted == 0
-        assert scheduler.peek_time() is None
-
-
 class _OpaqueDrift:
-    """Reports positions only (no legs, no move times): 5 m/s along x."""
+    """Reports positions only (no ``motion_at``): 5 m/s along x."""
 
     def position_at(self, time):
         return Point(50.0 + 5.0 * time, 0.0)
