@@ -24,6 +24,16 @@ The implementation below follows the paper faithfully (including the
 distance bookkeeping and the colour names, which make traces easy to map
 back to the pseudo-code) while replacing the nondeterministic "pick any node
 matching a guard" with a deterministic worklist so results are reproducible.
+
+Inside, both phases run over the supergraph's dense integer node ids (its
+node table, see :mod:`repro.core.supergraph`): :class:`ColoringState` maps
+ids to colours and distances, and parent and child id lists are read as
+stored, without building or hashing a :class:`NodeRef`.  Ties still break
+in ``NodeRef`` order.  Child lists are stored in name order, so children
+are enqueued by name, and a distance tie between the parents of a
+disjunctive node goes to the smallest name.  The effort counters, the
+workflow and every trial result are therefore those of the ``NodeRef``
+formulation, which ``tests/reference/coloring.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConstructionError, UnsatisfiableSpecificationError
@@ -57,27 +67,63 @@ class Color(enum.Enum):
         return self.value
 
 
-@dataclass
 class ColoringState:
-    """Mutable per-run colouring annotations for the supergraph nodes."""
+    """Colouring annotations of one run, keyed by supergraph node id.
 
-    colors: dict[NodeRef, Color] = field(default_factory=dict)
-    distances: dict[NodeRef, float] = field(default_factory=dict)
-    blue_edges: set[tuple[NodeRef, NodeRef]] = field(default_factory=set)
+    Algorithm 1 reads and writes the id-keyed maps: ``color_ids``,
+    ``distance_ids`` and ``blue_edge_ids`` (pairs of parent and child ids).
+    The :class:`NodeRef` reads (:meth:`color_of`, :meth:`distance_of`,
+    :attr:`colors`, :attr:`distances`, :attr:`blue_edges`) resolve the ids
+    through the supergraph the state colours, for traces, renderers and
+    tests.  A state made without a graph (a baseline's) stays empty.
+    """
+
+    __slots__ = ("graph", "color_ids", "distance_ids", "blue_edge_ids")
+
+    def __init__(self, graph: Supergraph | None = None) -> None:
+        self.graph = graph
+        self.color_ids: dict[int, Color] = {}
+        self.distance_ids: dict[int, float] = {}
+        self.blue_edge_ids: set[tuple[int, int]] = set()
+
+    def exploration_copy(self) -> "ColoringState":
+        """A copy of the colours and distances, without blue edges."""
+
+        copy = ColoringState(self.graph)
+        copy.color_ids = dict(self.color_ids)
+        copy.distance_ids = dict(self.distance_ids)
+        return copy
+
+    def _id(self, node: NodeRef) -> int | None:
+        return None if self.graph is None else self.graph.node_id(node)
 
     def color_of(self, node: NodeRef) -> Color:
-        return self.colors.get(node, Color.UNCOLORED)
+        node_id = self._id(node)
+        if node_id is None:
+            return Color.UNCOLORED
+        return self.color_ids.get(node_id, Color.UNCOLORED)
 
     def distance_of(self, node: NodeRef) -> float:
-        return self.distances.get(node, INFINITE_DISTANCE)
+        node_id = self._id(node)
+        if node_id is None:
+            return INFINITE_DISTANCE
+        return self.distance_ids.get(node_id, INFINITE_DISTANCE)
 
-    def set(self, node: NodeRef, color: Color, distance: float | None = None) -> None:
-        self.colors[node] = color
-        if distance is not None:
-            self.distances[node] = distance
+    @property
+    def colors(self) -> dict[NodeRef, Color]:
+        return {self._ref(node): color for node, color in self.color_ids.items()}
 
-    def nodes_with_color(self, color: Color) -> set[NodeRef]:
-        return {node for node, c in self.colors.items() if c is color}
+    @property
+    def distances(self) -> dict[NodeRef, float]:
+        return {self._ref(node): d for node, d in self.distance_ids.items()}
+
+    @property
+    def blue_edges(self) -> set[tuple[NodeRef, NodeRef]]:
+        return {(self._ref(p), self._ref(c)) for p, c in self.blue_edge_ids}
+
+    def _ref(self, node: int) -> NodeRef:
+        assert self.graph is not None  # only a graph's state holds ids
+        return self.graph.node_ref(node)
 
 
 @dataclass
@@ -196,7 +242,7 @@ class WorkflowConstructor:
         """
 
         started = time.perf_counter()
-        state = ColoringState()
+        state = ColoringState(supergraph)
         stats = self.begin_statistics(supergraph)
         for label in specification.triggers:
             supergraph.add_label(label)
@@ -214,10 +260,10 @@ class WorkflowConstructor:
         """Fresh statistics pre-filled with the supergraph's current size."""
 
         return ConstructionStatistics(
-            supergraph_tasks=len(supergraph.task_names),
-            supergraph_labels=len(supergraph.labels),
+            supergraph_tasks=supergraph.task_count,
+            supergraph_labels=supergraph.label_count,
             supergraph_edges=supergraph.edge_count,
-            fragments_considered=len(supergraph.fragment_ids),
+            fragments_considered=supergraph.fragment_count,
         )
 
     def finalize(
@@ -253,13 +299,14 @@ class WorkflowConstructor:
                 )
             return ConstructionResult(specification, None, state, stats, reason=reason)
 
-        workflow = self._prune(supergraph, specification, state, stats)
+        blue = self._prune(supergraph, specification, state, stats)
+        workflow = self._blue_workflow(supergraph, specification, state, blue)
         selected = self._selected_fragments(supergraph, workflow)
         stats.fragments_selected = len(selected)
-        stats.green_nodes = len(state.nodes_with_color(Color.GREEN)) + len(
-            state.nodes_with_color(Color.BLUE)
-        )
-        stats.blue_nodes = len(state.nodes_with_color(Color.BLUE))
+        # Pruning turns every purple node blue, so the coloured nodes are
+        # exactly the green and blue ones.
+        stats.green_nodes = len(state.color_ids)
+        stats.blue_nodes = len(blue)
         stats.elapsed_seconds = time.perf_counter() - started
         return ConstructionResult(
             specification,
@@ -290,7 +337,7 @@ class WorkflowConstructor:
         specification: Specification,
         state: ColoringState,
         stats: ConstructionStatistics,
-        dirty: Iterable[NodeRef],
+        dirty: Iterable[int],
         task_filter: Callable[[Task], bool] | None = None,
     ) -> bool:
         """Extend an existing green colouring after graph mutations.
@@ -298,17 +345,17 @@ class WorkflowConstructor:
         ``state`` must be the exploration state of an earlier
         :meth:`explore` / :meth:`resume_coloring` call for the *same*
         specification and task filter against the same (since grown) graph;
-        ``dirty`` is the set of nodes added or whose adjacency changed since
-        (as reported by :meth:`Supergraph.dirty_since`).  Because fragment
-        addition is monotone — tasks are immutable once merged and labels
-        only ever gain producers/consumers — every previously green node
-        remains validly green, so only the dirty region and whatever it
-        newly unlocks needs to be (re)visited.
+        ``dirty`` holds the ids of the nodes added or whose adjacency
+        changed since (as reported by :meth:`Supergraph.dirty_ids_since`).
+        Because fragment addition is monotone — tasks are immutable once
+        merged and labels only ever gain producers/consumers — every
+        previously green node remains validly green, so only the dirty
+        region and whatever it newly unlocks needs to be (re)visited.
         """
 
         self._task_filter = task_filter
         seeds = self._seed_triggers(graph, specification, state, stats)
-        seeds.extend(sorted(n for n in dirty if graph.has_node(n)))
+        seeds.extend(sorted(dirty, key=graph.node_ref))
         return self._propagate(graph, specification, state, stats, seeds)
 
     def _seed_triggers(
@@ -317,26 +364,21 @@ class WorkflowConstructor:
         specification: Specification,
         state: ColoringState,
         stats: ConstructionStatistics,
-    ) -> list[NodeRef]:
+    ) -> list[int]:
         """Colour trigger labels green at distance 0; return nodes to enqueue."""
 
-        seeds: list[NodeRef] = []
+        colors, distances = state.color_ids, state.distance_ids
+        seeds: list[int] = []
         for label in sorted(specification.triggers):
-            node = NodeRef.label(label)
-            if not graph.has_label(label):
+            node = graph.label_id(label)
+            if node is None:
                 continue
-            if state.color_of(node) is Color.GREEN and state.distance_of(node) == 0.0:
+            if colors.get(node) is Color.GREEN and distances[node] == 0.0:
                 continue
-            state.set(node, Color.GREEN, 0.0)
+            colors[node] = Color.GREEN
+            distances[node] = 0.0
             stats.nodes_recolored += 1
-            # Sorted: children() is a frozenset, and its iteration order
-            # follows the interpreter's string hash seed.  The final
-            # colouring is visit-order independent, but the effort counters
-            # (a node coloured at a provisional distance and improved later
-            # counts twice) are not — and trial results must be
-            # byte-identical across interpreters
-            # (tests/integration/test_hash_seed_determinism.py).
-            seeds.extend(sorted(graph.children(node)))
+            seeds.extend(graph.child_ids[node])
         return seeds
 
     def _propagate(
@@ -345,84 +387,88 @@ class WorkflowConstructor:
         specification: Specification,
         state: ColoringState,
         stats: ConstructionStatistics,
-        initial: Iterable[NodeRef],
+        initial: Iterable[int],
     ) -> bool:
-        goal_nodes = {NodeRef.label(g) for g in specification.goals}
-        green_goals = {
-            n for n in goal_nodes if state.color_of(n) is Color.GREEN
+        """Worklist propagation of green from the ``initial`` node ids.
+
+        Every child list is in name order, so nodes are enqueued in
+        ``NodeRef`` order.  The final colouring does not depend on visit
+        order, but the effort counters do (a node coloured at a
+        provisional distance and improved later counts twice), and trial
+        results must be byte-identical across interpreters
+        (tests/integration/test_hash_seed_determinism.py).
+        """
+
+        colors = state.color_ids
+        # Goals not yet green; an unknown goal (None) is never reached.
+        pending = {
+            node
+            for node in map(graph.label_id, specification.goals)
+            if colors.get(node) is not Color.GREEN
         }
+        stop_early = self.stop_exploration_early
+        tasks, parents, children = graph.node_tasks, graph.parent_ids, graph.child_ids
 
-        worklist: deque[NodeRef] = deque()
-        queued: set[NodeRef] = set()
-
-        def enqueue(node: NodeRef) -> None:
-            if node not in queued:
-                queued.add(node)
-                worklist.append(node)
-
-        for node in initial:
-            enqueue(node)
-
-        if self.stop_exploration_early and green_goals >= goal_nodes:
+        worklist = deque(dict.fromkeys(initial))
+        queued = set(worklist)
+        if stop_early and not pending:
             return True
 
         while worklist:
             node = worklist.popleft()
             queued.discard(node)
             stats.exploration_iterations += 1
-
-            updated = self._try_color_green(graph, node, state)
-            if not updated:
+            if not self._try_color_green(node, tasks[node], parents[node], state):
                 continue
             stats.nodes_recolored += 1
-            if node in goal_nodes:
-                green_goals.add(node)
-                if self.stop_exploration_early and green_goals >= goal_nodes:
+            if node in pending:
+                pending.discard(node)
+                if stop_early and not pending:
                     return True
-            # Sorted for cross-interpreter determinism (see _seed_triggers).
-            for child in sorted(graph.children(node)):
-                enqueue(child)
+            for child in children[node]:
+                if child not in queued:
+                    queued.add(child)
+                    worklist.append(child)
 
-        return green_goals >= goal_nodes
+        return not pending
 
     def _try_color_green(
-        self, graph: Supergraph, node: NodeRef, state: ColoringState
+        self, node: int, task: Task | None, parents: list[int], state: ColoringState
     ) -> bool:
         """Apply the exploration-phase guard/update for a single node.
 
-        Returns ``True`` when the node's colour or distance changed.
+        ``task`` is the node's task (``None`` for a label) and ``parents``
+        its parent ids.  Returns ``True`` when the node's colour or
+        distance changed.
         """
 
-        if (
-            node.is_task
-            and self._task_filter is not None
-            and not self._task_filter(graph.task(node.name))
-        ):
+        task_filter = self._task_filter
+        if task is not None and task_filter is not None and not task_filter(task):
             return False
-        # Degree-index early-out: a parentless node can never be coloured by
-        # propagation (triggers are seeded directly), so skip building the
-        # parent set for it.
-        if graph.in_degree(node) == 0:
+        # A parentless node can never be coloured by propagation (triggers
+        # are seeded directly).
+        if not parents:
             return False
-        parents = graph.parents(node)
-        green_parents = [
-            p for p in parents if state.color_of(p) is Color.GREEN
-        ]
-        if graph.is_disjunctive_node(node):
-            if not green_parents:
+        colors, distances = state.color_ids, state.distance_ids
+        green = Color.GREEN
+        if task is None or task.is_disjunctive:
+            d = min(
+                (distances[p] for p in parents if colors.get(p) is green),
+                default=None,
+            )
+            if d is None:
                 return False
-            d = min(state.distance_of(p) for p in green_parents)
         else:
-            if not parents or len(green_parents) != len(parents):
-                return False
-            d = max(state.distance_of(p) for p in green_parents)
+            for p in parents:
+                if colors.get(p) is not green:
+                    return False
+            d = max(distances[p] for p in parents)
 
-        current_color = state.color_of(node)
+        current = colors.get(node)
         new_distance = d + 1
-        if current_color is Color.UNCOLORED or (
-            current_color is Color.GREEN and state.distance_of(node) > new_distance
-        ):
-            state.set(node, Color.GREEN, new_distance)
+        if current is None or (current is green and distances[node] > new_distance):
+            colors[node] = green
+            distances[node] = new_distance
             return True
         return False
 
@@ -433,74 +479,80 @@ class WorkflowConstructor:
         specification: Specification,
         state: ColoringState,
         stats: ConstructionStatistics,
-    ) -> Workflow:
-        purple: list[NodeRef] = []
+    ) -> list[int]:
+        """Walk back from the goals; return the ids turned blue, in order."""
+
+        colors = state.color_ids
+        purple: deque[int] = deque()
         for label in sorted(specification.goals):
-            node = NodeRef.label(label)
-            if state.color_of(node) is not Color.GREEN:
+            node = graph.label_id(label)
+            if node is None or colors.get(node) is not Color.GREEN:
                 raise ConstructionError(
                     f"goal label {label!r} was not green at the start of pruning"
                 )
-            state.set(node, Color.PURPLE)
+            colors[node] = Color.PURPLE
             purple.append(node)
 
+        blue: list[int] = []
         while purple:
-            node = purple.pop(0)
+            node = purple.popleft()
             stats.pruning_iterations += 1
-            required_parents = self._required_parents(graph, node, state)
-            for parent in required_parents:
-                state.blue_edges.add((parent, node))
-                if state.color_of(parent) is Color.GREEN:
-                    state.set(parent, Color.PURPLE)
+            for parent in self._required_parents(graph, node, state):
+                state.blue_edge_ids.add((parent, node))
+                if colors.get(parent) is Color.GREEN:
+                    colors[parent] = Color.PURPLE
                     purple.append(parent)
-            state.set(node, Color.BLUE)
-
-        return self._blue_workflow(graph, specification, state)
+            colors[node] = Color.BLUE
+            blue.append(node)
+        return blue
 
     def _required_parents(
-        self, graph: Supergraph, node: NodeRef, state: ColoringState
-    ) -> list[NodeRef]:
-        if state.distance_of(node) == 0:
+        self, graph: Supergraph, node: int, state: ColoringState
+    ) -> list[int]:
+        distances = state.distance_ids
+        if distances.get(node) == 0:
             return []
-        parents = graph.parents(node)
-        if graph.is_disjunctive_node(node):
-            colored = [
-                p
-                for p in parents
-                if state.color_of(p) in (Color.GREEN, Color.PURPLE, Color.BLUE)
-            ]
+        parents = graph.parent_ids[node]
+        task = graph.node_tasks[node]
+        if task is None or task.is_disjunctive:
+            colored = [p for p in parents if p in state.color_ids]
             if not colored:
                 raise ConstructionError(
-                    f"disjunctive node {node!r} has no coloured parent during pruning"
+                    f"disjunctive node {graph.node_ref(node)!r} has no coloured "
+                    "parent during pruning"
                 )
-            best = min(colored, key=lambda p: (state.distance_of(p), p))
-            return [best]
-        return sorted(parents)
+            # Parents are in name order and min keeps the first of equals,
+            # so a distance tie goes to the smallest name (NodeRef order).
+            return [min(colored, key=distances.__getitem__)]
+        return parents
 
     def _blue_workflow(
         self,
         graph: Supergraph,
         specification: Specification,
         state: ColoringState,
+        blue: list[int],
     ) -> Workflow:
-        blue_nodes = state.nodes_with_color(Color.BLUE)
-        blue_tasks = [n for n in blue_nodes if n.is_task]
-        blue_labels = {n.name for n in blue_nodes if n.is_label}
+        names, node_tasks = graph.node_names, graph.node_tasks
 
         # Index the blue edges once (O(edges)) instead of scanning the whole
         # edge set per task (O(tasks * edges)) — this is the dominant cost of
         # extracting large workflows.
-        inputs_by_task: dict[NodeRef, set[str]] = {}
-        outputs_by_task: dict[NodeRef, set[str]] = {}
-        for parent, child in state.blue_edges:
-            if parent.is_label and child.is_task:
-                inputs_by_task.setdefault(child, set()).add(parent.name)
-            elif parent.is_task and child.is_label:
-                outputs_by_task.setdefault(parent, set()).add(child.name)
+        inputs_by_task: dict[int, set[str]] = {}
+        outputs_by_task: dict[int, set[str]] = {}
+        for parent, child in state.blue_edge_ids:
+            if node_tasks[child] is not None:
+                inputs_by_task.setdefault(child, set()).add(names[parent])
+            else:
+                outputs_by_task.setdefault(parent, set()).add(names[child])
 
         tasks: list[Task] = []
-        for node in sorted(blue_tasks):
-            original = graph.task(node.name)
+        blue_labels: set[str] = set()
+        for node in sorted(blue, key=names.__getitem__):
+            original = node_tasks[node]
+            if original is None:
+                blue_labels.add(names[node])
+                continue
             kept_inputs = inputs_by_task.get(node, set())
             kept_outputs = outputs_by_task.get(node, set())
             # A conjunctive task keeps all of its declared inputs (they are
@@ -552,7 +604,7 @@ def describe_coloring(state: ColoringState) -> Mapping[str, int]:
     """Summarise a colouring state (used by traces and tests)."""
 
     summary = {color.value: 0 for color in Color}
-    for color in state.colors.values():
+    for color in state.color_ids.values():
         summary[color.value] += 1
-    summary["blue_edges"] = len(state.blue_edges)
+    summary["blue_edges"] = len(state.blue_edge_ids)
     return summary

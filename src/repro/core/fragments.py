@@ -108,14 +108,16 @@ class WorkflowFragment:
         return len(self.tasks)
 
     def with_contributor(self, contributor: str) -> "WorkflowFragment":
-        """Return a copy of the fragment attributed to ``contributor``."""
+        """Return a copy of the fragment attributed to ``contributor``.
 
-        return WorkflowFragment(
-            self.tasks,
-            fragment_id=self.fragment_id,
-            contributor=contributor,
-            description=self.description,
-        )
+        The copy keeps the id, description and tasks, and shares this
+        fragment's validated workflow: validation happens once, where a
+        fragment is first made, and attribution changes no task.
+        """
+
+        attributed = object.__new__(WorkflowFragment)
+        attributed.__dict__.update(self.__dict__, contributor=contributor)
+        return attributed
 
     def mentions_label(self, label: str) -> bool:
         """True when the fragment produces or consumes ``label``."""

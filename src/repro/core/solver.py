@@ -14,7 +14,7 @@ Two implementations live here:
 * :class:`MemoizedColoringSolver` — an incremental engine that memoizes the
   exploration (green) state per ``(supergraph, specification, filter)`` and,
   when the graph has grown since the cached colouring, recolors only the
-  dirty region reported by :meth:`Supergraph.dirty_since` instead of the
+  dirty region reported by :meth:`Supergraph.dirty_ids_since` instead of the
   whole graph.  Re-solving an unchanged graph is a pure cache hit (zero
   colouring work); re-solving after a fragment arrival costs work
   proportional to the arrival's footprint, not the graph size.
@@ -203,7 +203,7 @@ class MemoizedColoringSolver(ColoringSolver):
     The cache maps ``(graph_id, triggers, goals, filter_token)`` to the
     exploration state and the graph version it was computed at.  On a hit at
     the same version the green phase is skipped entirely; at a newer version
-    only ``supergraph.dirty_since(cached_version)`` is re-seeded.
+    only ``supergraph.dirty_ids_since(cached_version)`` is re-seeded.
 
     The cache is bounded: once ``max_entries`` is exceeded, entries are
     evicted from the least-recently-used end, but with a *hit-rate-aware
@@ -278,7 +278,7 @@ class MemoizedColoringSolver(ColoringSolver):
         stats = constructor.begin_statistics(supergraph)
         entry = self._cache.get(key)
         if entry is None:
-            state = ColoringState()
+            state = ColoringState(supergraph)
             reached = constructor.explore(
                 supergraph, specification, state, stats, task_filter=task_filter
             )
@@ -289,7 +289,7 @@ class MemoizedColoringSolver(ColoringSolver):
         else:
             self._cache.move_to_end(key)
             entry.hits += 1
-            dirty = supergraph.dirty_since(entry.version)
+            dirty = supergraph.dirty_ids_since(entry.version)
             if dirty:
                 entry.reached = constructor.resume_coloring(
                     supergraph,
@@ -340,10 +340,7 @@ class MemoizedColoringSolver(ColoringSolver):
         # copy-on-write ChainMap overlay (O(workflow) writes, Python-level
         # reads) measured 4x slower end-to-end on the fig5 arrival benchmark
         # because pruning and finalization read far more than they write.
-        prune_state = ColoringState(
-            colors=dict(entry.state.colors),
-            distances=dict(entry.state.distances),
-        )
+        prune_state = entry.state.exploration_copy()
         result = constructor.finalize(
             supergraph, specification, prune_state, stats, entry.reached, started
         )

@@ -14,19 +14,27 @@ construction variant relies on (fragments are pulled from remote hosts only
 when the colored frontier reaches labels the local graph cannot yet
 explain).
 
+The adjacency is one integer node table.  Each node gets a dense id as it
+is merged, and the table holds, per id, the node's name, its task (``None``
+for a label), and its parent and child id lists.  Each list is kept in name
+order as it is built, which is the ``NodeRef`` order the colouring breaks
+ties by, so graph navigation during colouring never sorts, hashes a
+``NodeRef`` or scans the task table.  The string and ``NodeRef`` queries
+(:meth:`producers_of`, :meth:`consumers_of`, :meth:`parents`,
+:meth:`children`, :meth:`in_degree`, ...) are views over the same table.
+
 To make repeated construction over a growing graph cheap, the supergraph is
 *versioned*: every mutation that actually changes the graph bumps a
-monotonically increasing :attr:`version` and records the set of affected
-nodes in a journal.  A solver that cached a coloring at version ``v`` can
-ask :meth:`dirty_since` for the nodes touched after ``v`` and recolor only
-that dirty region instead of the whole graph (see
-:mod:`repro.core.solver`).  Adjacency indexes (label → producers/consumers,
-task → in/out degree) are maintained eagerly on every ``add_fragment`` so
-graph navigation during coloring never scans the task table.
+monotonically increasing :attr:`version` and records the ids of the
+affected nodes in a journal.  A solver that cached a coloring at version
+``v`` can ask :meth:`dirty_ids_since` for the nodes touched after ``v`` and
+recolor only that dirty region instead of the whole graph (see
+:mod:`repro.core.solver`).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Iterator, Mapping
 
@@ -50,16 +58,23 @@ class Supergraph:
     The supergraph keeps track of which fragments contributed each task so
     that, after construction, the selected sub-workflow can be attributed
     back to the know-how (and therefore the participants) it came from.
+
+    The integer node table (:attr:`node_names`, :attr:`node_tasks`,
+    :attr:`parent_ids`, :attr:`child_ids`) is exposed for the colouring
+    kernel; callers must treat those lists as read-only.
     """
 
     def __init__(self, fragments: Iterable[WorkflowFragment] = ()) -> None:
         self._graph_id = f"supergraph-{next(_graph_counter)}"
         self._version = 0
-        self._journal: list[tuple[int, frozenset[NodeRef]]] = []
-        self._tasks: dict[str, Task] = {}
-        self._labels: set[str] = set()
-        self._producers: dict[str, set[str]] = {}
-        self._consumers: dict[str, set[str]] = {}
+        self._journal: list[tuple[int, frozenset[int]]] = []
+        self._label_ids: dict[str, int] = {}
+        self._task_ids: dict[str, int] = {}
+        self._names: list[str] = []
+        self._tasks: list[Task | None] = []
+        self._parents: list[list[int]] = []
+        self._children: list[list[int]] = []
+        self._edge_count = 0
         self._task_fragments: dict[str, set[str]] = {}
         self._fragment_ids: set[str] = set()
         for fragment in fragments:
@@ -78,7 +93,7 @@ class Supergraph:
 
         return self._version
 
-    def _record_mutation(self, nodes: Iterable[NodeRef]) -> None:
+    def _record_mutation(self, nodes: Iterable[int]) -> None:
         affected = frozenset(nodes)
         if not affected:
             return
@@ -97,29 +112,34 @@ class Supergraph:
 
         half = len(self._journal) // 2
         old, recent = self._journal[:half], self._journal[half:]
-        merged: list[tuple[int, frozenset[NodeRef]]] = []
+        merged: list[tuple[int, frozenset[int]]] = []
         for i in range(0, len(old), 2):
             pair = old[i : i + 2]
             merged.append((pair[-1][0], frozenset().union(*(s for _, s in pair))))
         self._journal = merged + recent
 
-    def dirty_since(self, version: int) -> frozenset[NodeRef]:
-        """Nodes added or whose adjacency changed after ``version``.
+    def dirty_ids_since(self, version: int) -> frozenset[int]:
+        """Ids of the nodes added or whose parents changed after ``version``.
 
-        ``dirty_since(self.version)`` is always empty.  For versions that
-        predate journal compaction the result may be a superset of the true
-        dirty region (never a subset), which keeps incremental recoloring
-        conservative but correct.
+        ``dirty_ids_since(self.version)`` is always empty.  For versions
+        that predate journal compaction the result may be a superset of the
+        true dirty region (never a subset), which keeps incremental
+        recoloring conservative but correct.
         """
 
         if version >= self._version:
             return frozenset()
-        dirty: set[NodeRef] = set()
+        dirty: set[int] = set()
         for entry_version, nodes in reversed(self._journal):
             if entry_version <= version:
                 break
             dirty |= nodes
         return frozenset(dirty)
+
+    def dirty_since(self, version: int) -> frozenset[NodeRef]:
+        """:meth:`dirty_ids_since` as node references."""
+
+        return frozenset(self.node_ref(node) for node in self.dirty_ids_since(version))
 
     # -- mutation ----------------------------------------------------------
     def add_fragment(self, fragment: WorkflowFragment) -> bool:
@@ -132,7 +152,7 @@ class Supergraph:
 
         if fragment.fragment_id in self._fragment_ids:
             return False
-        affected: set[NodeRef] = set()
+        affected: set[int] = set()
         try:
             for task in fragment.tasks:
                 self._add_task(task, fragment.fragment_id, affected)
@@ -161,7 +181,7 @@ class Supergraph:
         *after* journaling the nodes merged so far.
         """
 
-        affected: set[NodeRef] = set()
+        affected: set[int] = set()
         changed = 0
         try:
             for fragment in fragments:
@@ -185,54 +205,107 @@ class Supergraph:
     def add_label(self, label: str) -> None:
         """Ensure a free-standing label node exists (used for trigger labels)."""
 
-        if label not in self._labels:
-            self._labels.add(label)
-            self._producers.setdefault(label, set())
-            self._consumers.setdefault(label, set())
-            self._record_mutation({NodeRef.label(label)})
+        affected: set[int] = set()
+        self._label_node(label, affected)
+        self._record_mutation(affected)
 
-    def _add_label_quietly(self, label: str, affected: set[NodeRef]) -> None:
-        if label not in self._labels:
-            self._labels.add(label)
-            self._producers.setdefault(label, set())
-            self._consumers.setdefault(label, set())
-            affected.add(NodeRef.label(label))
+    def _new_node(
+        self, name: str, task: Task | None, parents: list[int], children: list[int]
+    ) -> int:
+        node = len(self._names)
+        self._names.append(name)
+        self._tasks.append(task)
+        self._parents.append(parents)
+        self._children.append(children)
+        return node
 
-    def _add_task(self, task: Task, fragment_id: str, affected: set[NodeRef]) -> bool:
-        existing = self._tasks.get(task.name)
+    def _label_node(self, label: str, affected: set[int]) -> int:
+        node = self._label_ids.get(label)
+        if node is None:
+            node = self._label_ids[label] = self._new_node(label, None, [], [])
+            affected.add(node)
+        return node
+
+    def _add_task(self, task: Task, fragment_id: str, affected: set[int]) -> None:
+        existing = self._task_ids.get(task.name)
         if existing is not None:
-            if existing != task:
+            if self._tasks[existing] != task:
                 raise InvalidWorkflowError(
                     f"conflicting definitions for task {task.name!r} while merging "
                     f"fragment {fragment_id!r}"
                 )
             self._task_fragments[task.name].add(fragment_id)
-            return False
-        self._tasks[task.name] = task
+            return
+        inputs = [self._label_node(label, affected) for label in sorted(task.inputs)]
+        outputs = [self._label_node(label, affected) for label in sorted(task.outputs)]
+        node = self._new_node(task.name, task, inputs, outputs)
+        self._task_ids[task.name] = node
         self._task_fragments[task.name] = {fragment_id}
-        affected.add(NodeRef.task(task.name))
-        for label in task.inputs | task.outputs:
-            self._add_label_quietly(label, affected)
-        for out in task.outputs:
-            self._producers[out].add(task.name)
-            # The label gained a producer: its parent set changed.
-            affected.add(NodeRef.label(out))
-        for inp in task.inputs:
-            self._consumers[inp].add(task.name)
-        return True
+        affected.add(node)
+        by_name = self._names.__getitem__
+        for label in inputs:
+            bisect.insort(self._children[label], node, key=by_name)
+        for label in outputs:
+            bisect.insort(self._parents[label], node, key=by_name)
+            # The label gained a producer: its parent list changed.
+            affected.add(label)
+        self._edge_count += len(inputs) + len(outputs)
+
+    # -- integer node table ---------------------------------------------------
+    @property
+    def node_names(self) -> list[str]:
+        """Node id -> label or task name."""
+
+        return self._names
+
+    @property
+    def node_tasks(self) -> list[Task | None]:
+        """Node id -> task (``None`` for a label node)."""
+
+        return self._tasks
+
+    @property
+    def parent_ids(self) -> list[list[int]]:
+        """Node id -> parent ids in name order (inputs, or producers)."""
+
+        return self._parents
+
+    @property
+    def child_ids(self) -> list[list[int]]:
+        """Node id -> child ids in name order (outputs, or consumers)."""
+
+        return self._children
+
+    def label_id(self, label: str) -> int | None:
+        """The id of the label node called ``label``, if it exists."""
+
+        return self._label_ids.get(label)
+
+    def node_id(self, node: NodeRef) -> int | None:
+        """The id of ``node``, if it exists."""
+
+        ids = self._task_ids if node.is_task else self._label_ids
+        return ids.get(node.name)
+
+    def node_ref(self, node: int) -> NodeRef:
+        """The reference of the node with id ``node``."""
+
+        name = self._names[node]
+        return NodeRef.label(name) if self._tasks[node] is None else NodeRef.task(name)
 
     # -- accessors ------------------------------------------------------------
     @property
     def tasks(self) -> Mapping[str, Task]:
-        return dict(self._tasks)
+        tasks = self._tasks
+        return {name: tasks[node] for name, node in self._task_ids.items()}
 
     @property
     def task_names(self) -> frozenset[str]:
-        return frozenset(self._tasks)
+        return frozenset(self._task_ids)
 
     @property
     def labels(self) -> frozenset[str]:
-        return frozenset(self._labels)
+        return frozenset(self._label_ids)
 
     @property
     def fragment_ids(self) -> frozenset[str]:
@@ -244,17 +317,22 @@ class Supergraph:
 
         return len(self._fragment_ids)
 
+    @property
+    def task_count(self) -> int:
+        return len(self._task_ids)
+
+    @property
+    def label_count(self) -> int:
+        return len(self._label_ids)
+
     def task(self, name: str) -> Task:
-        return self._tasks[name]
+        return self._tasks[self._task_ids[name]]  # type: ignore[return-value]
 
     def has_task(self, name: str) -> bool:
-        return name in self._tasks
+        return name in self._task_ids
 
     def has_label(self, name: str) -> bool:
-        return name in self._labels
-
-    def has_node(self, node: NodeRef) -> bool:
-        return node.name in self._tasks if node.is_task else node.name in self._labels
+        return name in self._label_ids
 
     def fragments_for_task(self, task_name: str) -> frozenset[str]:
         """The ids of the fragments that contributed ``task_name``."""
@@ -262,7 +340,7 @@ class Supergraph:
         return frozenset(self._task_fragments.get(task_name, ()))
 
     def __len__(self) -> int:
-        return len(self._tasks) + len(self._labels)
+        return len(self._names)
 
     @property
     def node_count(self) -> int:
@@ -270,79 +348,81 @@ class Supergraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(t.inputs) + len(t.outputs) for t in self._tasks.values())
+        return self._edge_count
 
     # -- graph navigation --------------------------------------------------------
     def nodes(self) -> Iterator[NodeRef]:
-        for name in sorted(self._labels):
+        for name in sorted(self._label_ids):
             yield NodeRef.label(name)
-        for name in sorted(self._tasks):
+        for name in sorted(self._task_ids):
             yield NodeRef.task(name)
 
     def edges(self) -> Iterator[Edge]:
-        for name in sorted(self._tasks):
-            task = self._tasks[name]
+        for name in sorted(self._task_ids):
+            task = self.task(name)
             for inp in sorted(task.inputs):
                 yield Edge(NodeRef.label(inp), NodeRef.task(name))
             for out in sorted(task.outputs):
                 yield Edge(NodeRef.task(name), NodeRef.label(out))
 
+    def _adjacent(self, node: NodeRef, adjacency: list[list[int]]) -> list[int]:
+        """``node``'s id list in ``adjacency``; empty for an unknown label."""
+
+        if node.is_task:
+            return adjacency[self._task_ids[node.name]]
+        label = self._label_ids.get(node.name)
+        return [] if label is None else adjacency[label]
+
     def producers_of(self, label: str) -> frozenset[str]:
-        return frozenset(self._producers.get(label, ()))
+        producers = self._adjacent(NodeRef.label(label), self._parents)
+        return frozenset(self._names[task] for task in producers)
 
     def consumers_of(self, label: str) -> frozenset[str]:
-        return frozenset(self._consumers.get(label, ()))
+        consumers = self._adjacent(NodeRef.label(label), self._children)
+        return frozenset(self._names[task] for task in consumers)
 
     # -- degree indexes ----------------------------------------------------
     def in_degree(self, node: NodeRef) -> int:
         """Number of parents: producers for a label, inputs for a task."""
 
-        if node.is_task:
-            return len(self._tasks[node.name].inputs)
-        return len(self._producers.get(node.name, ()))
+        return len(self._adjacent(node, self._parents))
 
     def out_degree(self, node: NodeRef) -> int:
         """Number of children: consumers for a label, outputs for a task."""
 
-        if node.is_task:
-            return len(self._tasks[node.name].outputs)
-        return len(self._consumers.get(node.name, ()))
+        return len(self._adjacent(node, self._children))
 
     def parents(self, node: NodeRef) -> frozenset[NodeRef]:
-        if node.is_task:
-            return frozenset(NodeRef.label(i) for i in self._tasks[node.name].inputs)
-        return frozenset(NodeRef.task(t) for t in self.producers_of(node.name))
+        return frozenset(map(self.node_ref, self._adjacent(node, self._parents)))
 
     def children(self, node: NodeRef) -> frozenset[NodeRef]:
-        if node.is_task:
-            return frozenset(NodeRef.label(o) for o in self._tasks[node.name].outputs)
-        return frozenset(NodeRef.task(t) for t in self.consumers_of(node.name))
+        return frozenset(map(self.node_ref, self._adjacent(node, self._children)))
 
     def is_disjunctive_node(self, node: NodeRef) -> bool:
         """Label nodes are disjunctive; task nodes follow their declared mode."""
 
         if node.is_label:
             return True
-        return self._tasks[node.name].is_disjunctive
+        return self.task(node.name).is_disjunctive
 
     # -- statistics used by the evaluation harness ---------------------------------
     def statistics(self) -> dict[str, int]:
         """Simple size statistics (used in experiment reports)."""
 
         return {
-            "tasks": len(self._tasks),
-            "labels": len(self._labels),
-            "edges": self.edge_count,
+            "tasks": len(self._task_ids),
+            "labels": len(self._label_ids),
+            "edges": self._edge_count,
             "fragments": len(self._fragment_ids),
             "version": self._version,
             "multi_producer_labels": sum(
-                1 for prods in self._producers.values() if len(prods) > 1
+                1 for node in self._label_ids.values() if len(self._parents[node]) > 1
             ),
         }
 
     def __repr__(self) -> str:
         return (
-            f"Supergraph(tasks={len(self._tasks)}, labels={len(self._labels)}, "
+            f"Supergraph(tasks={len(self._task_ids)}, labels={len(self._label_ids)}, "
             f"fragments={len(self._fragment_ids)})"
         )
 

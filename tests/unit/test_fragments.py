@@ -1,5 +1,7 @@
 """Unit tests for repro.core.fragments."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import InvalidFragmentError
@@ -61,6 +63,51 @@ class TestWorkflowFragment:
         fragments = fragments_from_tasks([task, Task("u", ["b"], ["c"])], contributor="x")
         assert len(fragments) == 2
         assert all(f.contributor == "x" for f in fragments)
+
+
+class TestWithContributor:
+    """Attribution copies a fragment without validating it again."""
+
+    @staticmethod
+    def fragment() -> WorkflowFragment:
+        return WorkflowFragment(
+            [Task("t1", ["a"], ["b"]), Task("t2", ["b"], ["c"])],
+            fragment_id="f1",
+            description="two steps",
+        )
+
+    def test_copy_shares_the_validated_workflow(self):
+        fragment = self.fragment()
+        attributed = fragment.with_contributor("alice")
+        assert attributed is not fragment
+        assert attributed.as_workflow() is fragment.as_workflow()
+
+    def test_copy_keeps_everything_but_the_contributor(self):
+        fragment = self.fragment()
+        attributed = fragment.with_contributor("alice")
+        assert attributed.contributor == "alice"
+        assert fragment.contributor is None
+        assert attributed.fragment_id == "f1"
+        assert attributed.description == "two steps"
+        assert attributed.tasks == fragment.tasks
+        assert attributed == fragment
+        assert hash(attributed) == hash(fragment)
+        assert (attributed.inset, attributed.outset) == ({"a"}, {"c"})
+
+    def test_copy_survives_a_pickle_round_trip(self):
+        attributed = self.fragment().with_contributor("alice")
+        restored = pickle.loads(pickle.dumps(attributed))
+        assert restored == attributed
+        assert restored.contributor == "alice"
+        assert restored.fragment_id == "f1"
+        assert restored.description == "two steps"
+        assert restored.as_workflow() == attributed.as_workflow()
+
+    def test_construction_still_rejects_malformed_fragments(self):
+        with pytest.raises(InvalidFragmentError):
+            WorkflowFragment([Task("t1", ["a"], ["b"]), Task("t2", ["b"], ["a"])])
+        with pytest.raises(InvalidFragmentError):
+            WorkflowFragment([Task("t1", ["a"], ["x"]), Task("t2", ["b"], ["x"])])
 
 
 class TestKnowledgeSet:
