@@ -303,8 +303,8 @@ def run_tick_sweep(incremental_grid: bool) -> dict:
     time — the instant spacing the discrete event simulation actually
     produces (consecutive instants are message latencies apart, so links
     rarely change between neighbouring ticks); each tick asks for a
-    handful of neighbour sets, link epochs, and one connectivity verdict —
-    the query mix route revalidation generates.  The rebuild path pays
+    handful of neighbour sets and one connectivity verdict — the query mix
+    route revalidation generates.  The rebuild path pays
     O(n) position evaluations plus a fresh component sweep per tick
     regardless; the event-driven path pays O(moved hosts) and keeps its
     memos across the (common) no-link-change ticks.
@@ -331,7 +331,6 @@ def run_tick_sweep(incremental_grid: bool) -> dict:
         scheduler.clock.advance(0.05)
         for probe in probes:
             network.neighbours_of(probe)
-            network.link_epoch(probe)
         network.is_connected()
     elapsed = time.perf_counter() - started
     return {

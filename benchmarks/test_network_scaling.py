@@ -6,8 +6,9 @@ Measures, at 50/200/500 hosts scattered over a density-preserving site:
   brute-force O(n) scans (``use_spatial_index=False``);
 * community connectivity probes — one components pass vs. the original
   all-pairs reachability loop;
-* route churn under mobility — link-epoch revalidation vs. flushing the
-  route cache on every movement tick;
+* route churn under mobility — revalidation keyed by the topology
+  generation vs. flushing the route cache on every movement tick (the
+  ``epoch_*`` keys of ``BENCH_network.json`` name the revalidating run);
 * a fig4-style sweep through the parallel ``TrialRunner`` vs. sequential
   execution (skipped below 4 cores);
 * the vectorized geometry kernels at fleet scale (1000 and 5000 hosts) —
@@ -187,7 +188,8 @@ def test_connectivity_probe_speedup(num_hosts):
 
 @pytest.mark.parametrize("num_hosts", (200,))
 def test_route_churn_under_mobility(num_hosts):
-    """Link-epoch revalidation keeps most routes across movement ticks."""
+    """Generation-keyed revalidation keeps most routes across movement
+    ticks (recorded under the ``epoch_*`` keys)."""
 
     ticks, pairs_per_tick = 20, 50
 
@@ -218,8 +220,8 @@ def test_route_churn_under_mobility(num_hosts):
         "epoch_discoveries": epoch_discoveries,
         "discoveries_saved": 1 - epoch_discoveries / flush_discoveries,
     }
-    # The epoch cache must eliminate a substantial share of rediscoveries;
-    # at walking speeds most 150 m links survive a 1 s tick.
+    # The revalidating cache must eliminate a substantial share of
+    # rediscoveries; at walking speeds most 150 m links survive a 1 s tick.
     assert epoch_discoveries < flush_discoveries * 0.5
 
 

@@ -25,13 +25,13 @@ Scaling architecture
 --------------------
 All geometry flows through a per-timestamp *snapshot*: the first query at a
 simulated instant evaluates the host positions, indexes them in a
-:class:`~repro.net.spatial.SpatialGridIndex`, and memoizes neighbour sets,
-connectivity components, and link epochs against that snapshot.  Every
-further query at the same instant — and the discrete event simulation
-batches many (a routing BFS, a broadcast fan-out) at one instant — is a
-dictionary lookup.  ``neighbours_of`` is an O(k) grid query,
-``is_connected`` one O(V+E) component sweep, and cached routes revalidate
-by comparing link epochs instead of walking links.
+:class:`~repro.net.spatial.SpatialGridIndex`, and memoizes neighbour sets
+and connectivity components against that snapshot.  Every further query
+at the same instant — and the discrete event simulation batches many (a
+routing BFS, a broadcast fan-out) at one instant — is a dictionary
+lookup.  ``neighbours_of`` is an O(k) grid query, ``in_radio_range`` a
+memo lookup, ``is_connected`` one O(V+E) component sweep, and cached
+routes and BFS trees hold for as long as the topology generation does.
 
 Event-driven link maintenance (the default, ``incremental_grid=True``)
 makes the *tick boundary* cheap as well.  Instead of discarding the whole
@@ -43,11 +43,10 @@ the hosts that may have moved, re-evaluates just those, relocates them in
 the grid (:meth:`~repro.net.spatial.SpatialGridIndex.move` rehashes only
 on a cell change), and compares each mover's radio disc before and after:
 when no link changed — the overwhelmingly common tick under smooth
-mobility — every memoized neighbour set, component label, and link epoch
-survives, so the tick costs O(moved hosts) instead of an O(n) rebuild.
-When links did change, only the hosts touching a changed link have their
-memos dropped (their epochs then bump lazily on the next query, exactly
-as on the rebuild path).
+mobility — every memoized neighbour set and component label survives,
+so the tick costs O(moved hosts) instead of an O(n) rebuild.  When links
+did change, only the hosts touching a changed link have their memos
+dropped, and the topology generation advances.
 
 Stability horizons make most tick boundaries free.  Under mobility where
 most hosts move every tick, the advance above drops every memo (comparing
@@ -60,7 +59,7 @@ their speeds, so no link can appear or disappear before the horizon of
 of ``(|d_ij - R| - margin) / (s_i + s_j)``, a cell-edge bound for every
 pair outside a block, and the earliest leg or pause end (a new leg may be
 faster).  Every instant before ``anchor + horizon`` is answered from the
-kept neighbour, epoch and component memos without advancing at all: the
+kept neighbour and component memos without advancing at all: the
 grid keeps its anchor coordinates, while ``position_of`` and
 ``positions()`` still evaluate the models at the current instant, so
 positions stay exact.  A host outside the grid (placed but unregistered,
@@ -85,13 +84,13 @@ already runs, so traffic that only advances (a fleet ticking without
 reachability queries) never pays for it; the rebuild path
 (``incremental_grid=False``) computes none.
 
-Link epochs are maintained lazily, and that is all a route cache needs:
-a cached route is judged only in :meth:`AodvRouter._entry_valid
-<repro.net.routing.AodvRouter._entry_valid>`, which re-walks the route's
-links whenever any hop's epoch differs, and the first epoch query at an
-instant already bumps on every observed neighbour-set change — so bumping
-an epoch earlier could only turn an epoch hit into a link walk that
-reaches the same verdict.
+The *topology generation* keys the router's BFS trees and cached routes.
+It advances when a snapshot is built and wherever an advance drops the
+component labelling (an uncertified dense advance, or a sparse one whose
+disc diff is non-empty), so equal generations prove every link among the
+grid's hosts unchanged; keyed by it, no tree ever has to be cleared.  The
+advance never diffs the links of a host outside the grid, so
+:meth:`AdHocWirelessNetwork.generation_of` vouches for none of them.
 
 Vectorized geometry kernels (``vectorized=True``, automatic whenever
 NumPy is importable and the spatial index is on) move the remaining
@@ -102,7 +101,7 @@ replay, and the grid is a :class:`~repro.net.kernels.VectorGridIndex`
 whose whole-population disc sweeps come from one vectorized gather.  The
 kernels run the exact float operation sequences of the scalar paths
 (boundary pairs re-checked with scalar ``math.hypot``), so every
-neighbour set, epoch, component verdict, and stability horizon is
+neighbour set, component verdict, and stability horizon is
 identical bit-for-bit — pinned by the kernel equivalence property suite.
 NumPy is optional: without it the flag auto-resolves to ``False`` and the
 scalar paths below run untouched.
@@ -118,7 +117,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..core.errors import HostUnreachableError
 from ..mobility.geometry import Point
@@ -155,7 +154,6 @@ class _Snapshot:
         "grid_time",
         "stable_until",
         "neighbours",
-        "epochs",
         "components",
     )
 
@@ -178,7 +176,6 @@ class _Snapshot:
         # No radio link can appear or disappear before this instant.
         self.stable_until = -math.inf
         self.neighbours: dict[str, frozenset[str]] = {}
-        self.epochs: dict[str, int] = {}
         self.components: dict[str, int] | None = None
 
 
@@ -279,11 +276,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self._leg_table_version = -1
         self._snapshot: _Snapshot | None = None
         self._version = 0  # bumped on membership / placement changes
-        # Link epochs persist across snapshots: a host's epoch advances when
-        # its neighbour set is observed to differ from the set recorded the
-        # last time its epoch was established.
-        self._link_epochs: dict[str, int] = {}
-        self._epoch_links: dict[str, frozenset[str]] = {}
         # Event-driven maintenance: (next-possible-move time, host) entries.
         # A host paused until T (or static: never in the heap at all) is not
         # touched by any snapshot advance before T.
@@ -293,7 +285,9 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.hosts_reevaluated = 0  # mobility evaluations during advances
         self.hosts_moved = 0  # position changes applied incrementally
         self.advances_skipped = 0  # instants answered inside a stability horizon
-        self._router = AodvRouter(self.neighbours_of, epoch_of=self.link_epoch)
+        # Advanced wherever a radio link may have appeared or disappeared.
+        self.topology_generation = 0
+        self._router = AodvRouter(self.neighbours_of, generation_of=self.generation_of)
 
     # -- membership with positions -------------------------------------------
     def register(self, host_id: str, handler) -> None:  # type: ignore[override]
@@ -358,6 +352,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self._snapshot = snapshot
         self.snapshots_built += 1
         self.grid_rebuilds += 1
+        self.topology_generation += 1
         if self.incremental_grid and self.use_spatial_index:
             self._rebuild_move_heap(now)
         return snapshot
@@ -433,14 +428,15 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         """Carry the snapshot forward to ``now``, touching only movable hosts.
 
         Hosts whose next-possible-move time lies beyond ``now`` are provably
-        where they were — their positions, neighbour memos, and epochs carry
-        over untouched.  The hosts popped off the heap are re-evaluated; the
+        where they were — their positions and neighbour memos carry over
+        untouched.  The hosts popped off the heap are re-evaluated; the
         ones that actually moved are relocated in the grid and their radio
         discs compared before/after.  Memos are dropped only for hosts
         incident to a link that appeared or disappeared, and the component
-        labelling only when at least one such link exists.  Before the
-        snapshot's ``stable_until`` no link can have changed, so the moves
-        are applied without any comparison and every memo survives.
+        labelling (advancing the topology generation) only when at least
+        one such link exists.  Before the snapshot's ``stable_until`` no
+        link can have changed, so the moves are applied without any
+        comparison and every memo survives.
         """
 
         if self.vectorized:
@@ -480,8 +476,8 @@ class AdHocWirelessNetwork(CommunicationsLayer):
                 grid.move(host, new)
             if not certified:
                 snapshot.neighbours.clear()
-                snapshot.epochs.clear()
                 snapshot.components = None
+                self.topology_generation += 1
             return
         radius = self.radio_range
         # Radio discs on the *old* positions (of every host) first, then
@@ -500,9 +496,9 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if not changed:
             return  # every mover kept its exact link set: all memos survive
         snapshot.components = None
+        self.topology_generation += 1
         for host in changed:
             snapshot.neighbours.pop(host, None)
-            snapshot.epochs.pop(host, None)
 
     def _advance_snapshot_vectorized(self, snapshot: _Snapshot, now: float) -> None:
         """The same advance, with every per-host loop batched: one leg
@@ -584,8 +580,8 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             grid.move_many(moved_indices, moved_xs, moved_ys)
             if not certified:
                 snapshot.neighbours.clear()
-                snapshot.epochs.clear()
                 snapshot.components = None
+                self.topology_generation += 1
             return
         # Discs around the movers' old positions, then the new ones; encode
         # each (mover, member) pair as one integer so the links that changed
@@ -601,13 +597,12 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if not changed_codes.size:
             return  # every mover kept its exact link set: all memos survive
         snapshot.components = None
+        self.topology_generation += 1
         changed = np.unique(
             np.concatenate([changed_codes // size, changed_codes % size])
         )
         for index in changed.tolist():
-            host = ids[index]
-            snapshot.neighbours.pop(host, None)
-            snapshot.epochs.pop(host, None)
+            snapshot.neighbours.pop(ids[index], None)
 
     def position_of(self, host_id: str) -> Point:
         """Current position of ``host_id`` (origin when never placed)."""
@@ -638,10 +633,15 @@ class AdHocWirelessNetwork(CommunicationsLayer):
 
     # -- connectivity -------------------------------------------------------------
     def in_radio_range(self, host_a: str, host_b: str) -> bool:
-        """True when the two hosts can currently exchange frames directly."""
+        """True when the two hosts can currently exchange frames directly
+        (from ``host_a``'s neighbour memo when ``host_b`` is on the grid)."""
 
         if host_a == host_b:
             return True
+        snapshot = self._current_snapshot()
+        neighbours = snapshot.neighbours.get(host_a)
+        if neighbours is not None and host_b in snapshot.grid:
+            return host_b in neighbours
         distance = self.position_of(host_a).distance_to(self.position_of(host_b))
         return distance <= self.radio_range
 
@@ -677,28 +677,14 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         snapshot.neighbours[host_id] = neighbours
         return neighbours
 
-    def link_epoch(self, host_id: str) -> int:
-        """The host's link epoch: advances whenever its neighbour set changes.
+    def generation_of(self, hosts: Iterable[str]) -> int | None:
+        """The topology generation, or ``None`` when a host is off the grid."""
 
-        Evaluated lazily (and memoized per instant): the first query at a
-        new instant compares the host's current neighbour set against the
-        set recorded when its epoch was last established and bumps the
-        counter on a difference.  Cached routes validate against these
-        counters instead of re-walking their links.
-        """
-
-        snapshot = self._current_snapshot()
-        cached = snapshot.epochs.get(host_id)
-        if cached is not None:
-            return cached
-        current_links = self.neighbours_of(host_id)
-        if self._epoch_links.get(host_id) != current_links:
-            self._link_epochs[host_id] = self._link_epochs.get(host_id, 0) + 1
-            self._epoch_links[host_id] = current_links
-        epoch = self._link_epochs.get(host_id, 0)
-        if host_id in snapshot.grid:  # unregistered hosts keep no memo
-            snapshot.epochs[host_id] = epoch
-        return epoch
+        grid = self._current_snapshot().grid
+        for host in hosts:
+            if host not in grid:
+                return None
+        return self.topology_generation
 
     def _component_labels(self) -> dict[str, int]:
         snapshot = self._current_snapshot()
@@ -837,10 +823,11 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def invalidate_routes(self, flush: bool = False) -> None:
         """Signal that hosts may have moved.
 
-        With link-epoch validation this is a no-op: movement is detected
-        lazily when a cached route's hosts report changed epochs, and only
-        routes whose own links broke are dropped.  Pass ``flush=True`` to
-        force the original flush-everything behaviour.
+        With topology-generation validation this is a no-op: a moved link
+        advances the generation, cached routes stamped with an older one
+        re-walk their links, and only routes whose own links broke are
+        dropped.  Pass ``flush=True`` to force the original
+        flush-everything behaviour.
         """
 
         if flush:

@@ -15,15 +15,18 @@ instantaneous connectivity graph:
 * discovered routes are cached and invalidated when any link on the path
   breaks.
 
-Cache revalidation is *link-epoch* based when the network supplies an
-``epoch_of`` callback: every host carries a counter that the network bumps
-whenever that host's link set changes (it moved, or a neighbour moved in or
-out of range).  A cached route whose hosts all report unchanged epochs is
-known-good without touching a single link; only routes through hosts whose
-neighbourhood actually changed pay a per-link re-check, and even then the
-route survives when its own links are intact.  Mobile scenarios therefore
-keep most of their routes across movement instead of rediscovering the
-whole table.
+Discovery and revalidation are keyed by a *topology generation* when the
+network supplies a ``generation_of`` callback: a counter that advances
+wherever a radio link may have appeared or disappeared, and ``None`` for a
+host the network cannot vouch for.  A breadth-first search that visits
+neighbours in sorted order gives every host the same parent whatever the
+destination, so one full tree per source answers every destination with
+the route an early-exit search would find; the router keeps one tree per
+source until the generation moves.  A cached route stamped with the
+current generation is valid without touching a link; otherwise its links
+are re-walked, and a route whose own links are intact survives (and is
+re-stamped).  Mobile scenarios therefore keep most of their routes across
+movement instead of rediscovering the whole table.
 
 The class operates purely on host positions and radio range supplied by the
 ad hoc network; it has no dependency on the middleware above it.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,13 @@ class RouteNotFound(Exception):
 
 
 class _CacheEntry:
-    """A cached route plus the link epochs of its hosts at validation time."""
+    """A cached route plus the topology generation it was last validated in."""
 
-    __slots__ = ("route", "epochs")
+    __slots__ = ("route", "generation")
 
-    def __init__(self, route: Route, epochs: tuple[int, ...] | None) -> None:
+    def __init__(self, route: Route, generation: int | None) -> None:
         self.route = route
-        self.epochs = epochs
+        self.generation = generation
 
 
 class AodvRouter:
@@ -86,27 +89,26 @@ class AodvRouter:
         Callback returning the hosts currently within direct radio range of
         a given host.  The ad hoc network supplies this; the router never
         looks at positions itself.
-    epoch_of:
-        Optional callback returning a host's current *link epoch* — a
-        counter the network bumps whenever the host's neighbour set
-        changes.  When provided, cached routes whose hosts all report
-        unchanged epochs are accepted without re-checking any link.
+    generation_of:
+        Callback returning the network's *topology generation* for a set of
+        hosts — a counter that advances wherever a radio link may have
+        changed — or ``None`` when it cannot vouch for one of them.  The
+        default vouches for nothing: every discovery runs a fresh search
+        and every cache hit walks its links.
     """
 
     def __init__(
         self,
         neighbours_of: Callable[[str], frozenset[str]],
-        epoch_of: Callable[[str], int] | None = None,
+        generation_of: Callable[[Iterable[str]], int | None] = lambda hosts: None,
     ) -> None:
         self._neighbours_of = neighbours_of
-        self._epoch_of = epoch_of
+        self._generation_of = generation_of
         self._cache: dict[tuple[str, str], _CacheEntry] = {}
+        # source -> (generation, BFS parent map); the source maps to itself.
+        self._trees: dict[str, tuple[int, dict[str, str]]] = {}
         self.discoveries = 0
         self.cache_hits = 0
-        self.epoch_hits = 0
-        """Cache hits validated purely by unchanged link epochs."""
-        self.revalidations = 0
-        """Cached routes that survived a per-link re-check after epoch churn."""
 
     # -- route lookup -------------------------------------------------------
     def route(self, source: str, destination: str) -> Route:
@@ -132,23 +134,22 @@ class AodvRouter:
         if source == destination:
             return Route(source, destination, (source,)), True
         entry = self._cache.get((source, destination))
-        if entry is not None and self._entry_valid(entry, count=True):
+        if entry is not None and self._entry_valid(entry):
             self.cache_hits += 1
             return entry.route, True
         route = self._discover(source, destination)
-        epochs = self._epochs_for(route.hops)
-        self._cache[(source, destination)] = _CacheEntry(route, epochs)
+        generation = self._generation_of(route.hops)
+        self._cache[(source, destination)] = _CacheEntry(route, generation)
         # AODV installs the reverse path for free as the RREP travels back.
         reverse = Route(destination, source, tuple(reversed(route.hops)))
-        reverse_epochs = None if epochs is None else tuple(reversed(epochs))
-        self._cache[(destination, source)] = _CacheEntry(reverse, reverse_epochs)
+        self._cache[(destination, source)] = _CacheEntry(reverse, generation)
         return route, False
 
     def was_cached(self, source: str, destination: str) -> bool:
         """True when a still-valid route for the pair is in the cache."""
 
         entry = self._cache.get((source, destination))
-        return entry is not None and self._entry_valid(entry, count=False)
+        return entry is not None and self._entry_valid(entry)
 
     def invalidate(self, host_a: str, host_b: str) -> int:
         """Drop every cached route using the (broken) link a-b; returns the count."""
@@ -166,34 +167,24 @@ class AodvRouter:
         """Drop the entire route cache (e.g. after large-scale movement)."""
 
         self._cache.clear()
+        self._trees.clear()
 
     @property
     def cached_route_count(self) -> int:
         return len(self._cache)
 
     # -- internals ----------------------------------------------------------------
-    def _epochs_for(self, hops: tuple[str, ...]) -> tuple[int, ...] | None:
-        if self._epoch_of is None:
-            return None
-        return tuple(self._epoch_of(host) for host in hops)
-
-    def _entry_valid(self, entry: _CacheEntry, count: bool) -> bool:
-        if self._epoch_of is not None and entry.epochs is not None:
-            current = self._epochs_for(entry.route.hops)
-            if current == entry.epochs:
-                if count:
-                    self.epoch_hits += 1
-                return True
-            # Some host's neighbourhood changed; the route may still be
-            # intact (an unrelated neighbour moved).  Re-check its links and
-            # refresh the stored epochs when it survives.
-            if self._links_valid(entry.route):
-                if count:
-                    self.revalidations += 1
-                entry.epochs = current
-                return True
+    def _entry_valid(self, entry: _CacheEntry) -> bool:
+        generation = self._generation_of(entry.route.hops)
+        if generation is not None and generation == entry.generation:
+            return True
+        # Some link may have changed since the entry was last validated (or
+        # a hop is one the network cannot vouch for): the route may still be
+        # intact, so re-check its links and re-stamp it when it survives.
+        if not self._links_valid(entry.route):
             return False
-        return self._links_valid(entry.route)
+        entry.generation = generation
+        return True
 
     def _links_valid(self, route: Route) -> bool:
         for first, second in zip(route.hops, route.hops[1:]):
@@ -203,22 +194,36 @@ class AodvRouter:
 
     def _discover(self, source: str, destination: str) -> Route:
         self.discoveries += 1
-        # Breadth-first search = minimum hop count, which is what AODV's
-        # first-RREQ-wins behaviour converges to on an idle network.
-        parents: dict[str, str] = {}
-        visited = {source}
+        parents = self._tree(source)
+        if destination not in parents:
+            raise RouteNotFound(f"no route from {source!r} to {destination!r}")
+        return Route(source, destination, self._unwind(parents, source, destination))
+
+    def _tree(self, source: str) -> dict[str, str]:
+        """The BFS parent map from ``source`` over the current topology.
+
+        Breadth-first search = minimum hop count, which is what AODV's
+        first-RREQ-wins behaviour converges to on an idle network.  Visiting
+        neighbours in sorted order fixes every host's parent whatever the
+        destination, so one tree per source and generation serves them all.
+        """
+
+        generation = self._generation_of((source,))
+        if generation is not None:
+            kept = self._trees.get(source)
+            if kept is not None and kept[0] == generation:
+                return kept[1]
+        parents = {source: source}
         queue: deque[str] = deque([source])
         while queue:
             current = queue.popleft()
             for neighbour in sorted(self._neighbours_of(current)):
-                if neighbour in visited:
-                    continue
-                visited.add(neighbour)
-                parents[neighbour] = current
-                if neighbour == destination:
-                    return Route(source, destination, self._unwind(parents, source, destination))
-                queue.append(neighbour)
-        raise RouteNotFound(f"no route from {source!r} to {destination!r}")
+                if neighbour not in parents:
+                    parents[neighbour] = current
+                    queue.append(neighbour)
+        if generation is not None:
+            self._trees[source] = (generation, parents)
+        return parents
 
     @staticmethod
     def _unwind(parents: Mapping[str, str], source: str, destination: str) -> tuple[str, ...]:

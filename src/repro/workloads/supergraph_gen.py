@@ -36,8 +36,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..core.fragments import KnowledgeSet, WorkflowFragment
 from ..core.specification import Specification
 from ..core.tasks import Task, TaskMode
@@ -199,8 +197,8 @@ class RandomSupergraphWorkload:
         if num_tasks < 2:
             raise ValueError("a supergraph needs at least two task nodes")
         rng = derive_rng(self.seed, "supergraph", num_tasks)
-        digraph = nx.DiGraph()
-        digraph.add_nodes_from(range(num_tasks))
+        successors: list[set[int]] = [set() for _ in range(num_tasks)]
+        predecessors: list[set[int]] = [set() for _ in range(num_tasks)]
 
         # Repeatedly add edges between *disconnected* nodes (pairs with no
         # directed path between them yet) until the graph is strongly
@@ -208,28 +206,31 @@ class RandomSupergraphWorkload:
         # previously disconnected pairs keeps the supergraph sparse, which is
         # what gives the large supergraphs of Figure 5 their long paths.
         # An edge i -> j means task j consumes the label produced by task i.
+        # Every such edge is new, so the edge count is the number added.
         everyone = set(range(num_tasks))
-        while not nx.is_strongly_connected(digraph):
+        edge_count = 0
+        while not (
+            len(_reachable(successors, 0)) == num_tasks
+            and len(_reachable(predecessors, 0)) == num_tasks
+        ):
             source = rng.randrange(num_tasks)
-            unreachable = sorted(everyone - {source} - nx.descendants(digraph, source))
+            unreachable = sorted(everyone - _reachable(successors, source))
             if unreachable:
-                target = unreachable[rng.randrange(len(unreachable))]
-                digraph.add_edge(source, target)
-                continue
-            cannot_reach_source = sorted(
-                everyone - {source} - nx.ancestors(digraph, source)
-            )
-            origin = cannot_reach_source[rng.randrange(len(cannot_reach_source))]
-            digraph.add_edge(origin, source)
+                origin, target = source, unreachable[rng.randrange(len(unreachable))]
+            else:
+                cannot_reach_source = sorted(everyone - _reachable(predecessors, source))
+                origin = cannot_reach_source[rng.randrange(len(cannot_reach_source))]
+                target = source
+            successors[origin].add(target)
+            predecessors[target].add(origin)
+            edge_count += 1
 
         workload = GeneratedWorkload(num_tasks=num_tasks, seed=self.seed)
-        workload.task_successors = {
-            node: set(digraph.successors(node)) for node in digraph.nodes
-        }
-        workload.edge_count = digraph.number_of_edges()
+        workload.task_successors = dict(enumerate(successors))
+        workload.edge_count = edge_count
 
         for index in range(num_tasks):
-            inputs = [label_name(p) for p in sorted(digraph.predecessors(index))]
+            inputs = [label_name(p) for p in sorted(predecessors[index])]
             task = Task(
                 task_name(index),
                 inputs=inputs,
@@ -243,6 +244,19 @@ class RandomSupergraphWorkload:
             )
             workload.services.append(ServiceDescription(task_name(index)))
         return workload
+
+
+def _reachable(adjacency: list[set[int]], start: int) -> set[int]:
+    """``start`` and every node reachable from it along ``adjacency``."""
+
+    seen = {start}
+    stack = [start]
+    while stack:
+        for node in adjacency[stack.pop()]:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def _partition_evenly(items: list, num_buckets: int, rng: random.Random) -> list[list]:

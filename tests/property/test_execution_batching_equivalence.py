@@ -16,14 +16,13 @@ Two independent properties of the execution-phase substrate:
   (``messages_sent`` / ``bytes_sent``), which are exactly what batching
   improves.
 
-* **Epoch soundness**: link epochs are maintained lazily — the first
-  query at an instant compares a host's neighbour set with the set its
-  epoch was established against and bumps the epoch on a difference.  On
-  mobile communities driven through a probe schedule, with message
-  traffic between probes, every host must uphold the route-cache
-  soundness invariant: a host whose epoch did not change between probes
-  has an unchanged neighbour set, and a changed neighbour set always comes
-  with a changed epoch.  Every multi-hop route the cache serves must have
+* **Generation soundness**: the network's topology generation keys the
+  route cache and the router's BFS trees.  On mobile communities driven
+  through a probe schedule, with message traffic between probes, the
+  route-cache soundness invariant must hold: while the generation is
+  unchanged between probes every host's neighbour set, judged from
+  positions, is unchanged, and a changed neighbour set always comes with
+  a changed generation.  Every multi-hop route the cache serves must have
   all of its links in range.
 """
 
@@ -46,6 +45,8 @@ from repro.net.messages import Message
 from repro.sim.events import EventScheduler
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+
+from ..reference.network import in_range_by_position
 
 SEED = 20090514
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -186,7 +187,7 @@ def test_sim_timing_trial_results_byte_identical_across_flag():
 
 
 # ---------------------------------------------------------------------------
-# Lazy link epochs under message traffic
+# The topology generation under message traffic
 # ---------------------------------------------------------------------------
 
 SITE = Rectangle(0.0, 0.0, 300.0, 300.0)
@@ -238,38 +239,47 @@ def build_mobile_network(specs):
 @given(populations, schedules)
 @SETTINGS
 def test_lazy_link_epochs_keep_route_cache_sound(specs, deltas):
+    """Route-cache soundness under the topology generation (which replaced
+    per-host link epochs; the test id is kept).  Links are judged from
+    positions, not ``in_radio_range``, which reads the memos under test."""
+
     network, scheduler = build_mobile_network(specs)
 
     hosts = sorted(network.host_ids)
-    seen = {}
+    previous = None
     for delta in deltas:
         scheduler.clock.advance(delta)
         for index, sender in enumerate(hosts):
             # Message-shaped traffic: route lookups validate cached routes
-            # against the epochs and refresh them, as a running middleware
-            # does between probes.
+            # against the generation and re-stamp them, as a running
+            # middleware does between probes.
             recipient = hosts[(index + 1) % len(hosts)]
             try:
                 network.latency_for(Message(sender=sender, recipient=recipient))
             except HostUnreachableError:
                 continue
-            if not network.in_radio_range(sender, recipient):
+            if not in_range_by_position(network, sender, recipient):
                 # The multi-hop route the cache just served is intact.
                 route, cached = network.router.lookup(sender, recipient)
                 assert cached, (sender, recipient)
                 for first, second in zip(route.hops, route.hops[1:]):
-                    assert network.in_radio_range(first, second), route
-        for host in hosts:
-            epoch = network.link_epoch(host)
-            neighbours = network.neighbours_of(host)
-            previous = seen.get(host)
-            if previous is not None:
-                last_epoch, last_neighbours = previous
-                # Route-cache soundness: an unchanged epoch proves an
-                # unchanged link set, and a changed link set always
-                # advances the epoch.
-                if epoch == last_epoch:
-                    assert neighbours == last_neighbours, host
-                if neighbours != last_neighbours:
-                    assert epoch != last_epoch, host
-            seen[host] = (epoch, neighbours)
+                    assert in_range_by_position(network, first, second), route
+        generation = network.generation_of(hosts)
+        assert generation is not None
+        links = {
+            host: {
+                other
+                for other in hosts
+                if other != host and in_range_by_position(network, host, other)
+            }
+            for host in hosts
+        }
+        if previous is not None:
+            last_generation, last_links = previous
+            # An unchanged generation proves every link set unchanged, and
+            # a changed link set always advances the generation.
+            if generation == last_generation:
+                assert links == last_links
+            if links != last_links:
+                assert generation != last_generation
+        previous = (generation, links)

@@ -4,9 +4,10 @@ Two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the same
 placements and mobility schedules — one advancing its snapshot
 incrementally (``incremental_grid=True``, the default), one rebuilding it
 every tick (``incremental_grid=False``, the PR-2 reference path) — must
-agree on every position, neighbour set, link epoch, reachability answer,
-and connectivity verdict at every sampled instant of an increasing time
-schedule.  Mixed populations (static hosts, scripted waypoint walkers,
+agree on every position, neighbour set, radio-range verdict, route,
+reachability answer, and connectivity verdict at every sampled instant of
+an increasing time schedule, and every hop of every route must be in range
+by the hosts' positions.  Mixed populations (static hosts, scripted waypoint walkers,
 random-waypoint wanderers) exercise both the skip path (hosts provably at
 rest, and instants inside a sweep's stability horizon) and the move path
 (re-evaluation, grid relocation, memo invalidation).  Mobility models
@@ -24,6 +25,8 @@ from repro.mobility.models import (
 )
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.sim.events import EventScheduler
+
+from ..reference.network import assert_same_links_and_routes
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -105,7 +108,7 @@ def test_incremental_maintenance_equivalent_to_rebuild(specs, deltas):
         assert dict(incremental.positions()) == dict(rebuilt.positions())
         for host in hosts:
             assert incremental.neighbours_of(host) == rebuilt.neighbours_of(host), host
-            assert incremental.link_epoch(host) == rebuilt.link_epoch(host), host
+        assert_same_links_and_routes(incremental, rebuilt, hosts)
         for a in hosts:
             for b in hosts:
                 assert incremental.is_reachable(a, b) == rebuilt.is_reachable(a, b)
@@ -130,4 +133,5 @@ def test_incremental_maintenance_matches_brute_force(specs, deltas):
         assert incremental.is_connected() == brute.is_connected()
         for host in hosts:
             assert incremental.neighbours_of(host) == brute.neighbours_of(host), host
+        assert_same_links_and_routes(incremental, brute, hosts)
         assert incremental.is_connected() == brute.is_connected()

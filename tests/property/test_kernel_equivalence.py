@@ -6,10 +6,11 @@ Two layers of the same contract, in the repo's flag+equivalence idiom:
   same placements — one on the batched NumPy kernels
   (``vectorized=True``), one on the scalar per-host loops
   (``vectorized=False``) — must agree on every position, neighbour set,
-  link epoch, reachability answer, and connectivity verdict at every
-  sampled instant, and on the maintenance counters (the vectorized
-  advance must pop, re-evaluate, and move exactly the hosts the scalar
-  one does);
+  radio-range verdict, route, reachability answer, and connectivity
+  verdict at every sampled instant, and on the maintenance counters (the
+  vectorized advance must pop, re-evaluate, and move exactly the hosts the
+  scalar one does, and advance the topology generation on the same
+  branches);
 * :class:`~repro.net.kernels.LegTable` replay must be *bit-identical* to
   the mobility models' scalar ``position_at``, including degenerate legs
   (zero velocity, single-waypoint rests, ``inf`` validity horizons), and
@@ -36,6 +37,8 @@ from repro.mobility.models import (
 from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.sim.events import EventScheduler
+
+from ..reference.network import assert_same_links_and_routes
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -112,19 +115,21 @@ def test_vectorized_network_equivalent_to_scalar(specs, deltas):
         assert dict(batched.positions()) == dict(scalar.positions())
         for host in hosts:
             assert batched.neighbours_of(host) == scalar.neighbours_of(host), host
-            assert batched.link_epoch(host) == scalar.link_epoch(host), host
+        assert_same_links_and_routes(batched, scalar, hosts)
         for a in hosts:
             for b in hosts:
                 assert batched.is_reachable(a, b) == scalar.is_reachable(a, b)
         assert batched.is_connected() == scalar.is_connected()
     # The batched maintenance must do exactly the scalar path's work: same
-    # snapshots, same heap pops, same applied moves, same skipped advances.
+    # snapshots, same heap pops, same applied moves, same skipped advances,
+    # and the same branches (the generation advances where memos drop).
     for counter in (
         "snapshots_built",
         "grid_rebuilds",
         "hosts_reevaluated",
         "hosts_moved",
         "advances_skipped",
+        "topology_generation",
     ):
         assert getattr(batched, counter) == getattr(scalar, counter), counter
 

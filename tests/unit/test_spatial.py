@@ -1,9 +1,9 @@
 """Unit tests for the spatial grid index and the indexed ad hoc network.
 
 Covers the per-tick snapshot (positions evaluated once per instant), the
-grid-backed neighbour/connectivity queries, link-epoch route revalidation,
-the loopback-jitter fix, and the stability horizon that lets instants skip
-the snapshot advance.
+grid-backed neighbour/connectivity queries, route revalidation keyed by the
+topology generation, the loopback-jitter fix, and the stability horizon
+that lets instants skip the snapshot advance.
 """
 
 import pytest
@@ -15,6 +15,8 @@ from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.messages import Message
 from repro.net.spatial import SpatialGridIndex
 from repro.sim.events import EventScheduler
+
+from ..reference.network import assert_same_links_and_routes, in_range_by_position
 
 
 class TestSpatialGridIndex:
@@ -153,11 +155,17 @@ class TestGridBruteForceParity:
 
 
 class TestLinkEpochs:
+    """Route-cache validity across movement.  The cache is keyed by the
+    topology generation, which replaced per-host link epochs; the test ids
+    are kept."""
+
     def test_epoch_stable_while_stationary(self):
         network, scheduler = make_network()
-        first = network.link_epoch("a")
+        network.place_host("ghost", Point(40, 0))  # placed, never registered
+        first = network.generation_of(("a", "b", "c"))
         scheduler.clock.advance(5.0)
-        assert network.link_epoch("a") == first
+        assert network.generation_of(("a", "b", "c")) == first
+        assert network.generation_of(("a", "ghost")) is None  # off the grid
 
     def test_epoch_bumps_when_links_change(self):
         scheduler = EventScheduler()
@@ -168,9 +176,9 @@ class TestLinkEpochs:
         network.place_host(
             "mobile", WaypointMobility([Point(50, 0), Point(500, 0)], speed=10.0)
         )
-        before = network.link_epoch("base")
+        before = network.generation_of(("base",))
         scheduler.clock.advance(40.0)  # mobile walked out of range
-        assert network.link_epoch("base") == before + 1
+        assert network.generation_of(("base",)) == before + 1
 
     def test_routes_survive_unrelated_movement(self):
         scheduler = EventScheduler()
@@ -179,23 +187,29 @@ class TestLinkEpochs:
             "a": Point(0, 0),
             "b": Point(80, 0),
             "c": Point(160, 0),
+            "d": Point(0, 500),
         }.items():
             network.register(host, lambda m: None)
             network.place_host(host, place)
         network.register("walker", lambda m: None)
-        # The walker wanders far outside everyone's range the whole time.
+        # The walker wanders far outside everyone's range the whole time;
+        # one mover in five takes the sparse advance, which finds no link
+        # changed and keeps the generation.
         network.place_host(
             "walker", WaypointMobility([Point(1000, 1000), Point(2000, 1000)], speed=5.0)
         )
         route = network.router.route("a", "c")
         assert route.hop_count == 2
         assert network.router.discoveries == 1
+        generation = network.generation_of(route.hops)
         scheduler.clock.advance(10.0)
-        network.invalidate_routes()  # soft: epochs revalidate lazily
+        network.invalidate_routes()  # soft: the generation revalidates lazily
         again = network.router.route("a", "c")
         assert again.hops == route.hops
         assert network.router.discoveries == 1  # no rediscovery
-        assert network.router.epoch_hits >= 1
+        assert network.router.cache_hits == 1
+        assert network.hosts_moved == 1
+        assert network.generation_of(again.hops) == generation
 
     def test_routes_break_when_their_links_break(self):
         scheduler = EventScheduler()
@@ -321,10 +335,10 @@ class TestIncrementalMaintenance:
         network.place_host(
             "mobile", WaypointMobility([Point(50, 0), Point(500, 0)], speed=10.0)
         )
-        before = network.link_epoch("base")
+        before = network.generation_of(("base",))
         scheduler.clock.advance(40.0)  # mobile walked out of range
+        assert network.generation_of(("base",)) == before + 1
         assert network.grid_rebuilds == 1  # advanced, not rebuilt
-        assert network.link_epoch("base") == before + 1
 
     def test_grid_move_rehashes_only_on_cell_change(self):
         grid = SpatialGridIndex({"a": Point(0, 0), "b": Point(50, 0)}, cell_size=100.0)
@@ -375,7 +389,8 @@ class TestStabilityHorizon:
     def walk(self, placements, vectorized, until, step, ghosts=()):
         """Sample the network and a rebuild-every-tick reference at every
         ``step`` up to ``until``, comparing connectivity first (the sweep
-        that certifies a horizon), then every host's links."""
+        that certifies a horizon), then every host's links and every
+        ordered pair's radio range and route."""
 
         network, clock = self.build(placements, ghosts, vectorized=vectorized)
         reference, reference_clock = self.build(
@@ -391,10 +406,7 @@ class TestStabilityHorizon:
                 assert network.neighbours_of(host) == reference.neighbours_of(
                     host
                 ), (host, now)
-                assert network.link_epoch(host) == reference.link_epoch(host), (
-                    host,
-                    now,
-                )
+            assert_same_links_and_routes(network, reference, sorted(placements))
         return network
 
     def test_pair_in_non_adjacent_cells_closing_in(self, vectorized):
@@ -478,3 +490,31 @@ class TestStabilityHorizon:
                 "b": Point(250, 250),
             }
             assert network.position_of("a") == model.position_at(now)
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+def test_sparse_advance_drops_a_broken_route(vectorized):
+    # One mover in seven takes the sparse disc-diff branch.  The relay r1
+    # walks up the y axis out of range of s and t; the advance must move the
+    # topology generation, or the cached route and s's BFS tree go stale.
+    scheduler = EventScheduler()
+    network = AdHocWirelessNetwork(scheduler, radio_range=100.0, vectorized=vectorized)
+    placements = {
+        "s": Point(0, 0),
+        "t": Point(160, 0),
+        "r1": WaypointMobility([Point(80, 0), Point(80, 1000)], speed=10.0),
+        "r2": Point(80, 30),
+        "far-1": Point(5000, 5000),
+        "far-2": Point(5000, 5300),
+        "far-3": Point(5300, 5000),
+    }
+    for host, place in placements.items():
+        network.register(host, lambda m: None)
+        network.place_host(host, place)
+    assert network.router.route("s", "t").hops == ("s", "r1", "t")
+    scheduler.clock.advance(12.0)  # r1 is at (80, 120)
+    hops = network.router.route("s", "t").hops
+    assert hops == ("s", "r2", "t")
+    assert all(in_range_by_position(network, *hop) for hop in zip(hops, hops[1:]))
+    assert network.router.discoveries == 2
+    assert network.grid_rebuilds == 1
