@@ -129,16 +129,7 @@ def main() -> None:
     parser.add_argument(
         "--workers", type=int, default=None, help="process count for --parallel"
     )
-    parser.add_argument(
-        "--no-batch-execution",
-        action="store_true",
-        help=(
-            "run every trial with the original per-label / per-task execution "
-            "protocol instead of the batched one (same outcomes, more messages)"
-        ),
-    )
     args = parser.parse_args()
-    batch_execution = not args.no_batch_execution
     if args.parallel or args.workers is not None:
         runner = TrialRunner(max_workers=args.workers)
     else:
@@ -157,7 +148,6 @@ def main() -> None:
                     runs=args.runs,
                     seed=args.seed,
                     runner=runner,
-                    batch_execution=batch_execution,
                 ),
                 args.csv,
                 "figure4.csv",
@@ -168,7 +158,6 @@ def main() -> None:
                     runs=args.runs,
                     seed=args.seed,
                     runner=runner,
-                    batch_execution=batch_execution,
                 ),
                 args.csv,
                 "figure5.csv",
@@ -179,7 +168,6 @@ def main() -> None:
                     runs=args.runs,
                     seed=args.seed,
                     runner=runner,
-                    batch_execution=batch_execution,
                 ),
                 args.csv,
                 "figure6.csv",
@@ -190,7 +178,6 @@ def main() -> None:
                     runs=args.runs,
                     seed=args.seed,
                     runner=runner,
-                    batch_execution=batch_execution,
                 ),
                 args.csv,
                 "adhoc_scaling.csv",

@@ -3,17 +3,11 @@
 :class:`FragmentIndex` is the storage engine behind the
 :class:`~repro.discovery.knowhow.FragmentManager`.  It extends the core
 :class:`~repro.core.fragments.KnowledgeSet` (label → producing/consuming
-fragments) with the three extra ingredients the shared knowledge plane
-needs:
+fragments) with what the shared knowledge plane needs:
 
-* **More inverted keys.**  The inherited produced/consumed-label keys are
-  what ``matching_fragments`` answers wire queries from, in O(matches)
-  instead of O(fragments).  Fragments are additionally indexed by the
-  names of the tasks they contain and by the service types (capabilities)
-  those tasks require — introspection keys maintained at the same cost,
-  exposed as :meth:`fragments_with_task` / :meth:`fragments_with_capability`
-  for capability-aware routing extensions (not yet consulted by the wire
-  protocol itself).
+* **Label keys.**  The inherited produced/consumed-label keys are what
+  ``matching_fragments`` answers wire queries from, in O(matches) instead
+  of O(fragments).
 * **Ingestion sequence numbers.**  Every fragment receives a monotonically
   increasing sequence number when it is first added; :attr:`version` is the
   highest number handed out so far.  A remote that has previously performed
@@ -24,9 +18,6 @@ needs:
   :class:`~repro.net.messages.FragmentResponse` carry on the wire.
 * **Cheap removal.**  Obsolete know-how is dropped from every index in
   O(fragment) instead of rebuilding the whole set.
-
-Index keys and delta semantics are documented for maintainers in
-``ROADMAP.md`` ("Performance architecture (PR 3): knowledge plane").
 """
 
 from __future__ import annotations
@@ -37,17 +28,13 @@ from ..core.fragments import KnowledgeSet, WorkflowFragment
 
 
 class FragmentIndex(KnowledgeSet):
-    """A :class:`KnowledgeSet` with task/capability keys and a version stream.
+    """A :class:`KnowledgeSet` with ingestion sequence numbers and removal.
 
     The inherited label indexes answer "which fragments produce/consume this
-    artifact"; the extra indexes added here answer "which fragments mention
-    this task" and "which fragments need this capability".  All four are
-    maintained eagerly on :meth:`add` / :meth:`discard`.
+    artifact"; both are maintained eagerly on :meth:`add` / :meth:`discard`.
     """
 
     def __init__(self, fragments: Iterable[WorkflowFragment] = ()) -> None:
-        self._by_task: dict[str, set[str]] = {}
-        self._by_capability: dict[str, set[str]] = {}
         self._sequence: dict[str, int] = {}
         self._next_sequence = 0
         super().__init__(fragments)
@@ -59,15 +46,8 @@ class FragmentIndex(KnowledgeSet):
         if fragment.fragment_id in self._fragments:
             return
         super().add(fragment)
-        fragment_id = fragment.fragment_id
         self._next_sequence += 1
-        self._sequence[fragment_id] = self._next_sequence
-        for task in fragment.tasks:
-            self._by_task.setdefault(task.name, set()).add(fragment_id)
-            if task.service_type is not None:
-                self._by_capability.setdefault(task.service_type, set()).add(
-                    fragment_id
-                )
+        self._sequence[fragment.fragment_id] = self._next_sequence
 
     def discard(self, fragment_id: str) -> bool:
         """Remove a fragment from every index; returns whether it existed.
@@ -86,9 +66,6 @@ class FragmentIndex(KnowledgeSet):
                 self._discard_key(self._producing, out, fragment_id)
             for inp in task.inputs:
                 self._discard_key(self._consuming, inp, fragment_id)
-            self._discard_key(self._by_task, task.name, fragment_id)
-            if task.service_type is not None:
-                self._discard_key(self._by_capability, task.service_type, fragment_id)
         return True
 
     @staticmethod
@@ -129,23 +106,6 @@ class FragmentIndex(KnowledgeSet):
             fragment
             for fragment_id, fragment in self._fragments.items()
             if sequence[fragment_id] > version
-        ]
-
-    # -- indexed lookups ---------------------------------------------------
-    def fragments_with_task(self, task_name: str) -> list[WorkflowFragment]:
-        """Fragments containing a task named ``task_name``."""
-
-        return [
-            self._fragments[fid]
-            for fid in sorted(self._by_task.get(task_name, ()))
-        ]
-
-    def fragments_with_capability(self, service_type: str) -> list[WorkflowFragment]:
-        """Fragments with at least one task requiring ``service_type``."""
-
-        return [
-            self._fragments[fid]
-            for fid in sorted(self._by_capability.get(service_type, ()))
         ]
 
     def __repr__(self) -> str:

@@ -84,7 +84,6 @@ def run_figure4(
     runs: int | None = None,
     seed: int = DEFAULT_SEED,
     runner: TrialRunner | None = None,
-    batch_execution: bool = True,
 ) -> FigureResult:
     """Figure 4: 100 task nodes partitioned across different numbers of hosts."""
 
@@ -106,7 +105,6 @@ def run_figure4(
                 seed=seed,
                 max_path_length=workload.max_path_length(),
                 network="simulated",
-                batch_execution=batch_execution,
             )
         )
     return _run_tasks(figure, tasks, runner)
@@ -119,7 +117,6 @@ def run_figure5(
     runs: int | None = None,
     seed: int = DEFAULT_SEED,
     runner: TrialRunner | None = None,
-    batch_execution: bool = True,
 ) -> FigureResult:
     """Figure 5: different numbers of task nodes partitioned across 2 hosts."""
 
@@ -141,7 +138,6 @@ def run_figure5(
                 seed=seed,
                 max_path_length=workloads[task_count].max_path_length(),
                 network="simulated",
-                batch_execution=batch_execution,
             )
         )
     return _run_tasks(figure, tasks, runner)
@@ -154,7 +150,6 @@ def run_figure6(
     runs: int | None = None,
     seed: int = DEFAULT_SEED,
     runner: TrialRunner | None = None,
-    batch_execution: bool = True,
 ) -> FigureResult:
     """Figure 6: ad hoc 802.11g wireless "empirical" runs with 4 hosts.
 
@@ -183,7 +178,6 @@ def run_figure6(
                 seed=seed,
                 max_path_length=workloads[task_count].max_path_length(),
                 network="adhoc",
-                batch_execution=batch_execution,
             )
         )
     figure.metadata["max_path_length"] = {
@@ -200,7 +194,6 @@ def run_adhoc_scaling(
     seed: int = DEFAULT_SEED,
     mobility: str = "waypoint",
     runner: TrialRunner | None = None,
-    batch_execution: bool = True,
 ) -> FigureResult:
     """Fig6-style workloads scaled to hundreds of mobile multi-hop hosts.
 
@@ -240,7 +233,6 @@ def run_adhoc_scaling(
                 network="adhoc-multihop",
                 mobility=mobility,
                 x_values=(num_hosts,),
-                batch_execution=batch_execution,
             )
         )
     return _run_tasks(figure, tasks, runner)

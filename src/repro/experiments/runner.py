@@ -98,21 +98,6 @@ class TrialTask:
     solver: str | None = None
     policy: str = ""
     initiator_index: int = 0
-    batch_auctions: bool = True
-    """Auction protocol for every host of the trial: batched (one combined
-    message per participant, the default) or the original per-task exchange.
-    Both produce the same allocation; only message counts differ."""
-    batch_execution: bool = True
-    """Execution protocol for every host of the trial: batched label
-    delivery and per-burst progress reports (the default) or the original
-    per-label / per-task messaging.  Both produce the same commitment
-    outcomes; only message counts differ."""
-    fault_injection: bool = False
-    """When true every host of the trial speaks the fault-hardened
-    protocols (award acks, retry/backoff, liveness watchdogs) and has
-    recovery enabled.  No fault plane is installed by the sweep runner —
-    this flag alone changes behaviour only under faults; churn scenarios
-    install a plane via :func:`~repro.experiments.trials.run_churn_trial`."""
     cohort: str = ""
     """Seed-derivation label; defaults to ``series``.  Tasks that share a
     cohort draw the same specifications and community deals even when their
@@ -254,12 +239,8 @@ def execute_trial(task: TrialTask, timing: str = "wall") -> TrialOutcome:
         task.num_hosts,
         seed=trial_seed,
         network_factory=_network_factory_for(task),
-        solver=task.solver,
         mobility_factory=_mobility_factory_for(task, trial_seed),
-        batch_auctions=task.batch_auctions,
-        batch_execution=task.batch_execution,
-        fault_injection=task.fault_injection,
-        enable_recovery=task.fault_injection,
+        solver=task.solver,
     )
     if task.policy:
         policy = _policy_for(task.policy, trial_seed)
@@ -525,8 +506,6 @@ def sweep_tasks(
     policy: str = "",
     workload_seed: int | None = None,
     x_values: Sequence[int] | None = None,
-    batch_auctions: bool = True,
-    batch_execution: bool = True,
 ) -> list[TrialTask]:
     """Build the task list for one figure series (``runs`` trials per point).
 
@@ -555,8 +534,6 @@ def sweep_tasks(
                     solver=solver,
                     policy=policy,
                     initiator_index=repetition,
-                    batch_auctions=batch_auctions,
-                    batch_execution=batch_execution,
                 )
             )
     return tasks

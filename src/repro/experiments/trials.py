@@ -25,6 +25,7 @@ from typing import Callable
 from ..core.solver import Solver
 from ..core.specification import Specification
 from ..host.community import Community
+from ..host.config import HostConfig
 from ..host.workspace import Workspace, WorkflowPhase
 from ..net.adhoc import AdHocWirelessNetwork
 from ..net.faults import FaultPlane, HostCrash, LinkFaultPolicy
@@ -160,35 +161,25 @@ def build_trial_community(
     num_hosts: int,
     seed: int,
     network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
-    solver: Solver | str | None = None,
     mobility_factory: Callable[[int], "MobilityModel | Point"] | None = None,
-    share_supergraph: bool = True,
-    batch_auctions: bool = True,
-    batch_execution: bool = True,
-    fault_injection: bool = False,
-    enable_recovery: bool = False,
-    max_repair_attempts: int = 3,
-    durability=None,
-    durable_outputs: bool = True,
+    config: HostConfig = HostConfig(),
+    **options: object,
 ) -> Community:
     """Set up a community for one trial (fragments/services dealt out randomly).
 
-    ``solver`` selects the construction strategy installed on every host, so
-    ablations can sweep strategies with no other change to the procedure.
+    Every host runs ``config`` with ``options`` overriding its fields (see
+    :class:`~repro.host.config.HostConfig`), so ablations can sweep a
+    solver or a protocol with no other change to the procedure.
     ``mobility_factory`` maps a host index to its placement (a fixed
     :class:`~repro.mobility.geometry.Point` or a mobility model); the
     default is the paper-style line of hosts 20 m apart.  The scaled ad hoc
     scenarios use it to scatter hundreds of mobile hosts over a site.
-    ``share_supergraph=False`` restores per-workspace supergraphs on every
-    host (the pre-knowledge-plane behaviour, kept for equivalence tests and
-    the discovery-scaling benchmark baseline), ``batch_auctions=False`` the
-    per-(task, participant) auction protocol, and ``batch_execution=False``
-    the per-label / per-task execution protocol (same outcomes, more
-    messages — the allocation- and execution-scaling benchmark baselines).
     """
 
     if num_hosts < 1:
         raise ValueError("a trial needs at least one host")
+    if options:
+        config = replace(config, **options)
     rng = derive_rng(seed, "partition", workload.num_tasks, num_hosts)
     fragment_groups = workload.partition_fragments(num_hosts, rng)
     service_groups = workload.partition_services(num_hosts, rng)
@@ -199,22 +190,13 @@ def build_trial_community(
             if mobility_factory is not None
             else Point(20.0 * index, 0.0)
         )
-        host = community.add_host(
+        community.add_host(
             f"host-{index}",
             fragments=fragment_groups[index],
             services=service_groups[index],
             mobility=mobility,
-            solver=solver,
-            share_supergraph=share_supergraph,
-            batch_auctions=batch_auctions,
-            batch_execution=batch_execution,
-            fault_injection=fault_injection,
-            enable_recovery=enable_recovery,
-            max_repair_attempts=max_repair_attempts,
-            durability=durability,
-            durable_outputs=durable_outputs,
+            config=config,
         )
-        del host
     return community
 
 
@@ -251,7 +233,6 @@ def run_churn_trial(
     seed: int,
     network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
     initiator_index: int = 0,
-    solver: Solver | str | None = None,
     mobility_factory: Callable[[int], "MobilityModel | Point"] | None = None,
     drop_probability: float = 0.1,
     duplicate_probability: float = 0.02,
@@ -259,15 +240,17 @@ def run_churn_trial(
     num_crashes: int = 2,
     crash_window: tuple[float, float] = (10.0, 120.0),
     outage: float = 60.0,
-    max_repair_attempts: int = 6,
     max_sim_seconds: float = 3_600.0,
-    durability=None,
-    durable_outputs: bool = True,
     crashes: "tuple[HostCrash, ...] | None" = None,
+    config: HostConfig = HostConfig(
+        fault_injection=True, enable_recovery=True, max_repair_attempts=6
+    ),
+    **options: object,
 ) -> TrialResult:
     """Run one end-to-end trial on a hostile network and measure survival.
 
-    The community runs with ``fault_injection`` and recovery on, behind a
+    Every host runs ``config`` (by default with ``fault_injection`` and
+    recovery on), with ``options`` overriding its fields, behind a
     seeded :class:`~repro.net.faults.FaultPlane`: every link drops,
     duplicates, and delays messages per the given probabilities, and
     ``num_crashes`` non-initiator hosts fail-stop at times drawn from
@@ -296,13 +279,9 @@ def run_churn_trial(
         num_hosts,
         seed,
         network_factory=network_factory,
-        solver=solver,
         mobility_factory=mobility_factory,
-        fault_injection=True,
-        enable_recovery=True,
-        max_repair_attempts=max_repair_attempts,
-        durability=durability,
-        durable_outputs=durable_outputs,
+        config=config,
+        **options,
     )
     initiator = f"host-{initiator_index % num_hosts}"
     if crashes is None:
@@ -382,11 +361,12 @@ def plan_producer_crash(
     seed: int,
     network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
     initiator_index: int = 0,
-    solver: Solver | str | None = None,
     mobility_factory: Callable[[int], "MobilityModel | Point"] | None = None,
     lead: float = 1.0,
     outage: float = 25.0,
     max_sim_seconds: float = 3_600.0,
+    config: HostConfig = HostConfig(fault_injection=True, enable_recovery=True),
+    **options: object,
 ) -> tuple[HostCrash, ...]:
     """Derive a crash schedule that kills a mid-execution producer.
 
@@ -401,7 +381,9 @@ def plan_producer_crash(
     answers from its restored cache and the original revision completes;
     with it off the request goes unanswered and the initiator rides the
     repair ladder.  The probe changes nothing the real run observes before
-    the first crash, so the planned times line up exactly.
+    the first crash, so the planned times line up exactly.  Its hosts run
+    ``config`` (fault-hardened with recovery on) with ``options``
+    overriding its fields.
     """
 
     if outage <= 2.0 * lead:
@@ -411,10 +393,9 @@ def plan_producer_crash(
         num_hosts,
         seed,
         network_factory=network_factory,
-        solver=solver,
         mobility_factory=mobility_factory,
-        fault_injection=True,
-        enable_recovery=True,
+        config=config,
+        **options,
     )
     plane = FaultPlane(
         seed=derive_seed(seed, "faults", num_hosts),

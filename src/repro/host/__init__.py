@@ -1,6 +1,7 @@
 """Host-level middleware: hosts, communities, and the construction subsystem."""
 
 from .community import Community
+from .config import HostConfig
 from .host import Host
 from .initiator import ProblemForm, WorkflowInitiator
 from .workflow_manager import WorkflowManager
@@ -9,6 +10,7 @@ from .workspace import Workspace, WorkflowPhase, next_workflow_id
 __all__ = [
     "Community",
     "Host",
+    "HostConfig",
     "ProblemForm",
     "WorkflowInitiator",
     "WorkflowManager",

@@ -12,11 +12,11 @@ until allocation (and optionally execution) finishes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from dataclasses import replace
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..core.errors import OpenWorkflowError
 from ..core.fragments import WorkflowFragment
-from ..core.solver import Solver
 from ..core.specification import Specification
 from ..durability import HostDurability, make_backend, rebuild_state
 from ..execution.services import ServiceDescription
@@ -30,8 +30,19 @@ from ..net.transport import CommunicationsLayer
 from ..scheduling.preferences import ALWAYS_WILLING, ParticipantPreferences
 from ..sim.clock import SimulatedClock
 from ..sim.events import EventScheduler
+from .config import HostConfig
 from .host import Host
 from .workspace import Workspace, WorkflowPhase
+
+
+class _Recipe(NamedTuple):
+    """How a host was built: ``add_host``'s keyword arguments."""
+
+    fragments: tuple[WorkflowFragment, ...]
+    services: tuple[ServiceDescription, ...]
+    mobility: MobilityModel | Point | None
+    preferences: ParticipantPreferences
+    config: HostConfig
 
 
 class Community:
@@ -67,7 +78,7 @@ class Community:
         #: How each host was built, so ``restart_host`` can rebuild it after
         #: a crash with its durable state (the fragment database contents)
         #: but fresh volatile state and a new database epoch.
-        self._recipes: dict[str, dict[str, object]] = {}
+        self._recipes: dict[str, _Recipe] = {}
         #: Per-host durability backends (journal + snapshot storage).  Owned
         #: by the community, not the host, the way a flash chip is owned by
         #: the device rather than the operating system: a crash destroys the
@@ -88,75 +99,36 @@ class Community:
         services: Iterable[ServiceDescription] = (),
         mobility: MobilityModel | Point | None = None,
         preferences: ParticipantPreferences = ALWAYS_WILLING,
-        construction_mode: str = "batch",
-        capability_aware: bool = False,
-        enable_recovery: bool = False,
-        max_repair_attempts: int = 3,
-        solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
-        knowledge_refresh_interval: float = float("inf"),
-        batch_auctions: bool = True,
-        batch_execution: bool = True,
-        fault_injection: bool = False,
-        durability=None,
-        durable_outputs: bool = True,
+        config: HostConfig = HostConfig(),
+        **options: object,
     ) -> Host:
         """Create a host, attach it to the network, and join it to the community.
 
-        ``durability`` selects the host's durable state plane: ``None``
-        (off), ``"memory"``/``True`` (simulated flash), ``"file"`` (real
-        append-only files), ``"sqlite"`` (a WAL-mode database), or a
-        ``host_id -> backend`` factory.  The resolved backend is owned by
-        the community and survives crashes; :meth:`restart_host` replays it
-        so the new incarnation resumes mid-workflow instead of forcing
-        repair.  ``durable_outputs`` (only meaningful with durability on)
-        additionally journals every published label value so a restarted
-        producer can answer replay requests; turning it off reproduces the
-        tier-1 plane for comparison.
+        ``config`` holds the host's middleware options and ``options``
+        overrides individual fields of it (see
+        :class:`~repro.host.config.HostConfig`).  With ``config.durability``
+        on, the resolved backend is owned by the community and survives
+        crashes; :meth:`restart_host` replays it so the new incarnation
+        resumes mid-workflow instead of forcing repair.
         """
 
         if host_id in self._hosts:
             raise OpenWorkflowError(f"host {host_id!r} already exists in the community")
-        recipe: dict[str, object] = dict(
-            fragments=tuple(fragments),
-            services=tuple(services),
-            mobility=mobility,
-            preferences=preferences,
-            construction_mode=construction_mode,
-            capability_aware=capability_aware,
-            enable_recovery=enable_recovery,
-            max_repair_attempts=max_repair_attempts,
-            solver=solver,
-            share_supergraph=share_supergraph,
-            knowledge_refresh_interval=knowledge_refresh_interval,
-            batch_auctions=batch_auctions,
-            batch_execution=batch_execution,
-            fault_injection=fault_injection,
-            durability=durability,
-            durable_outputs=durable_outputs,
-        )
-        plane = self._durability_plane(host_id, durability, durable_outputs)
+        if options:
+            config = replace(config, **options)
+        recipe = _Recipe(tuple(fragments), tuple(services), mobility, preferences, config)
         host = Host(
             host_id,
             network=self.network,
             scheduler=self.scheduler,
-            fragments=recipe["fragments"],
-            services=recipe["services"],
+            fragments=recipe.fragments,
+            services=recipe.services,
             locations=self.locations,
             travel_model=self.travel_model,
             mobility=mobility,
             preferences=preferences,
-            construction_mode=construction_mode,
-            batch_auctions=batch_auctions,
-            batch_execution=batch_execution,
-            capability_aware=capability_aware,
-            enable_recovery=enable_recovery,
-            max_repair_attempts=max_repair_attempts,
-            solver=solver,
-            share_supergraph=share_supergraph,
-            knowledge_refresh_interval=knowledge_refresh_interval,
-            fault_injection=fault_injection,
-            durability=plane,
+            config=config,
+            durability=self._durability_plane(host_id, config),
         )
         self._hosts[host_id] = host
         self._recipes[host_id] = recipe
@@ -165,24 +137,24 @@ class Community:
         return host
 
     def _durability_plane(
-        self, host_id: str, durability, durable_outputs: bool = True
+        self, host_id: str, config: HostConfig
     ) -> HostDurability | None:
-        """Resolve the durability flag into a per-incarnation write facade.
+        """Resolve ``config.durability`` into a per-incarnation write facade.
 
         The *backend* (journal + snapshot storage) is created once per host
         id and kept across crashes; every incarnation gets a fresh
         :class:`~repro.durability.plane.HostDurability` wrapping it.
         """
 
-        if durability is None or durability is False:
+        if config.durability is None or config.durability is False:
             return None
         backend = self._durability_backends.get(host_id)
         if backend is None:
-            backend = make_backend(durability, host_id)
+            backend = make_backend(config.durability, host_id)
             if backend is None:
                 return None
             self._durability_backends[host_id] = backend
-        return HostDurability(backend, journal_outputs=durable_outputs)
+        return HostDurability(backend, journal_outputs=config.durable_outputs)
 
     def remove_host(self, host_id: str) -> None:
         """A participant leaves the community (powers off or walks away).
@@ -217,12 +189,8 @@ class Community:
             return None
         recipe = self._recipes.get(host_id)
         if recipe is not None:
-            # Defensive copy: mutating the stored recipe in place would alias
-            # state across incarnations — a second crash of the restarted
-            # host would overwrite the snapshot the first restart was built
-            # from while older references still point at the same dict.
-            self._recipes[host_id] = dict(
-                recipe, fragments=tuple(host.fragment_manager.all_fragments())
+            self._recipes[host_id] = recipe._replace(
+                fragments=tuple(host.fragment_manager.all_fragments())
             )
         host.crash()
         self.hosts_crashed += 1
@@ -263,13 +231,13 @@ class Community:
         self.hosts_restarted += 1
         backend = self._durability_backends.get(host_id)
         if backend is None:
-            return self.add_host(host_id, **recipe)  # type: ignore[arg-type]
+            return self.add_host(host_id, **recipe._asdict())
         state = rebuild_state(backend)
         # The journal is the authoritative flash image of the fragment
         # database; the recipe snapshot is only the fallback for the
         # durability-off path.
-        recipe = dict(recipe, fragments=tuple(state.fragments.values()))
-        host = self.add_host(host_id, **recipe)  # type: ignore[arg-type]
+        recipe = recipe._replace(fragments=tuple(state.fragments.values()))
+        host = self.add_host(host_id, **recipe._asdict())
         host.restore_durable_state(state)
         resumed = sum(
             1

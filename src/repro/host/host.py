@@ -19,12 +19,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..allocation.auction import AuctionManager
-from ..allocation.bids import DEFAULT_POLICY, BidSelectionPolicy
 from ..allocation.participation import AuctionParticipationManager
 from ..core.fragments import WorkflowFragment
-from ..core.solver import Solver
 from ..core.specification import Specification
 from ..discovery.knowhow import FragmentManager
+from ..durability.plane import HostDurability
 from ..execution.engine import ExecutionManager
 from ..execution.services import ServiceDescription, ServiceManager
 from ..mobility.geometry import Point
@@ -56,6 +55,7 @@ from ..net.transport import CommunicationsLayer
 from ..scheduling.preferences import ALWAYS_WILLING, ParticipantPreferences
 from ..scheduling.schedule import ScheduleManager
 from ..sim.events import EventScheduler, ScopedScheduler
+from .config import HostConfig
 from .initiator import WorkflowInitiator
 from .workflow_manager import WorkflowManager
 from .workspace import Workspace
@@ -79,37 +79,13 @@ class Host:
     locations / travel_model / mobility / preferences:
         Scheduling and mobility configuration; sensible defaults are used
         when omitted.
-    construction_mode:
-        Discovery strategy used when this host initiates workflows
-        (``"batch"`` or ``"incremental"``).
-    bid_policy:
-        Bid selection policy used when this host acts as auction manager.
-    batch_auctions:
-        When true (the default) this host's auction manager speaks the
-        batched O(participants)-message protocol (one combined
-        call-for-bids / bid / award message per participant); ``False``
-        restores the original per-(task, participant) exchange.
-    batch_execution:
-        When true (the default) this host's execution manager publishes
-        outputs as one combined label batch per destination host and
-        reports progress in combined per-burst reports; ``False`` restores
-        the original per-label / per-task execution protocol.
-    solver:
-        Construction strategy for this host's workflow manager (a
-        :class:`~repro.core.solver.Solver`, a registry name, or ``None``
-        for the default memoized solver).
-    share_supergraph / knowledge_refresh_interval:
-        Shared-knowledge-plane configuration, forwarded to the
-        :class:`~repro.host.workflow_manager.WorkflowManager`: one
-        supergraph (and solver cache) for all of this host's workspaces,
-        and how long a remote's full sync stays trusted.
-    fault_injection:
-        When true the host speaks the fault-hardened protocols: awards are
-        acknowledged, unanswered solicitations and awards are retried with
-        backoff, silent discovery remotes are written off, and an executing
-        workflow that stalls is transiently failed so repair re-auctions
-        it.  Off by default; a clean (fault-free) run with the flag off is
-        byte-identical to one without this feature.
+    config:
+        The middleware's options (see :class:`~repro.host.config.HostConfig`).
+    durability:
+        The durable state plane resolved from ``config.durability``: a
+        :class:`~repro.durability.plane.HostDurability` wrapping a backend
+        that outlives this incarnation, or ``None`` when durability is
+        off.  The community owns the backend and resolves it.
     """
 
     def __init__(
@@ -123,27 +99,14 @@ class Host:
         travel_model: TravelModel | None = None,
         mobility: MobilityModel | Point | None = None,
         preferences: ParticipantPreferences = ALWAYS_WILLING,
-        construction_mode: str = "batch",
-        bid_policy: BidSelectionPolicy = DEFAULT_POLICY,
-        batch_auctions: bool = True,
-        batch_execution: bool = True,
-        capability_aware: bool = False,
-        enable_recovery: bool = False,
-        max_repair_attempts: int = 3,
-        solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
-        knowledge_refresh_interval: float = float("inf"),
-        fault_injection: bool = False,
-        durability=None,
+        config: HostConfig = HostConfig(),
+        durability: HostDurability | None = None,
     ) -> None:
         self.host_id = host_id
         self.network = network
         self.scheduler = scheduler
-        self.fault_injection = fault_injection
-        #: The host's durable state plane (a
-        #: :class:`~repro.durability.plane.HostDurability` wrapping a backend
-        #: that outlives this incarnation), or ``None`` when durability is
-        #: off.  Every state-owning manager write-ahead-journals through it.
+        self.config = config
+        #: Every state-owning manager write-ahead-journals through this plane.
         self.durability = durability
         self.crashed = False
         #: Every timer this host's components arm goes through a scoped view
@@ -171,8 +134,8 @@ class Host:
             self.scope,
             self.service_manager,
             self._send,
-            batch_execution=batch_execution,
-            robust=fault_injection,
+            batch_execution=config.batch_execution,
+            robust=config.fault_injection,
             schedule=self.schedule_manager,
             durability=durability,
         )
@@ -189,9 +152,8 @@ class Host:
             host_id,
             self.scope,
             self._send,
-            policy=bid_policy,
-            batch_auctions=batch_auctions,
-            robust=fault_injection,
+            batch_auctions=config.batch_auctions,
+            robust=config.fault_injection,
             durability=durability,
         )
         self.workflow_manager = WorkflowManager(
@@ -200,15 +162,15 @@ class Host:
             self._send,
             fragments=self.fragment_manager,
             auction=self.auction_manager,
-            construction_mode=construction_mode,
-            capability_aware=capability_aware,
+            construction_mode=config.construction_mode,
+            capability_aware=config.capability_aware,
             local_services=self.service_manager,
-            enable_recovery=enable_recovery,
-            max_repair_attempts=max_repair_attempts,
-            solver=solver,
-            share_supergraph=share_supergraph,
-            knowledge_refresh_interval=knowledge_refresh_interval,
-            robust=fault_injection,
+            enable_recovery=config.enable_recovery,
+            max_repair_attempts=config.max_repair_attempts,
+            solver=config.solver,
+            share_supergraph=config.share_supergraph,
+            knowledge_refresh_interval=config.knowledge_refresh_interval,
+            robust=config.fault_injection,
             durability=durability,
         )
         self.initiator = WorkflowInitiator(host_id)
@@ -337,7 +299,7 @@ class Host:
             outcome = self.participation_manager.handle_award(message)
             if isinstance(outcome, AwardRejected):
                 self._send(outcome)
-            elif self.fault_injection and message.task is not None:
+            elif self.config.fault_injection and message.task is not None:
                 self._send(
                     AwardAck(
                         sender=self.host_id,
@@ -354,7 +316,7 @@ class Host:
                     self._send(outcome)
                 elif entry.task is not None:
                     accepted.append(entry.task.name)
-            if self.fault_injection and accepted:
+            if self.config.fault_injection and accepted:
                 self._send(
                     AwardAck(
                         sender=self.host_id,

@@ -54,14 +54,6 @@ class Route:
 
         return max(0, len(self.hops) - 1)
 
-    def uses_link(self, host_a: str, host_b: str) -> bool:
-        """True when the route traverses the (undirected) link a-b."""
-
-        for first, second in zip(self.hops, self.hops[1:]):
-            if {first, second} == {host_a, host_b}:
-                return True
-        return False
-
     def __repr__(self) -> str:
         return f"Route({' -> '.join(self.hops)})"
 
@@ -144,24 +136,6 @@ class AodvRouter:
         reverse = Route(destination, source, tuple(reversed(route.hops)))
         self._cache[(destination, source)] = _CacheEntry(reverse, generation)
         return route, False
-
-    def was_cached(self, source: str, destination: str) -> bool:
-        """True when a still-valid route for the pair is in the cache."""
-
-        entry = self._cache.get((source, destination))
-        return entry is not None and self._entry_valid(entry)
-
-    def invalidate(self, host_a: str, host_b: str) -> int:
-        """Drop every cached route using the (broken) link a-b; returns the count."""
-
-        broken = [
-            key
-            for key, entry in self._cache.items()
-            if entry.route.uses_link(host_a, host_b)
-        ]
-        for key in broken:
-            del self._cache[key]
-        return len(broken)
 
     def clear(self) -> None:
         """Drop the entire route cache (e.g. after large-scale movement)."""

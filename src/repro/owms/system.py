@@ -16,16 +16,16 @@ return a compact report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from ..core.fragments import WorkflowFragment
-from ..core.solver import Solver
 from ..core.specification import Specification
 from ..core.workflow import Workflow
 from ..execution.services import ServiceDescription
 from ..host.community import Community
+from ..host.config import HostConfig
 from ..host.host import Host
 from ..host.workspace import Workspace, WorkflowPhase
 from ..mobility.geometry import Point
@@ -69,52 +69,22 @@ class OpenWorkflowSystem:
     network_factory:
         Builds the community's communications layer (defaults to the
         zero-latency simulated network).
-    capability_aware:
-        Whether initiators learn community capabilities before construction.
-    solver:
-        Construction strategy installed on every deployed device: a
-        :class:`~repro.core.solver.Solver` instance (shared by all hosts —
-        safe, cache keys include the graph identity), a registry name such
-        as ``"coloring"`` or ``"memoized"``, or ``None`` for the default
-        memoized incremental engine.
-    batch_auctions:
-        Auction protocol installed on every deployed device: batched
-        O(participants) messaging (the default) or the original
-        per-(task, participant) exchange (``False``).
-    batch_execution:
-        Execution protocol installed on every deployed device: batched
-        label delivery and per-burst progress reports (the default) or the
-        original per-label / per-task messaging (``False``).
-    durability:
-        Durable state plane installed on every deployed device: ``None``
-        (off, the default), ``"memory"``/``True`` (simulated flash),
-        ``"file"`` (append-only files), ``"sqlite"`` (a WAL-mode database
-        file), or a ``host_id -> backend`` factory.  A restarted device
-        replays its journal and resumes mid-workflow instead of forcing
-        repair.
-    durable_outputs:
-        Whether the durable plane also journals every published label value
-        (the default), letting a restarted producer answer replay requests;
-        ``False`` restores the lifecycle-only tier-1 plane.
+    config:
+        The middleware options installed on every deployed device (see
+        :class:`~repro.host.config.HostConfig`); ``options`` overrides
+        individual fields of it.  Devices are capability-aware unless
+        told otherwise: initiators learn the community's capabilities
+        before construction.
     """
 
     def __init__(
         self,
         network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
-        capability_aware: bool = True,
-        solver: "Solver | str | None" = None,
-        batch_auctions: bool = True,
-        batch_execution: bool = True,
-        durability=None,
-        durable_outputs: bool = True,
+        config: HostConfig = HostConfig(capability_aware=True),
+        **options: object,
     ) -> None:
         self.community = Community(network_factory=network_factory)
-        self.capability_aware = capability_aware
-        self.solver = solver
-        self.batch_auctions = batch_auctions
-        self.batch_execution = batch_execution
-        self.durability = durability
-        self.durable_outputs = durable_outputs
+        self.config = replace(config, **options)
 
     # -- deployment ------------------------------------------------------------
     def add_device(
@@ -124,15 +94,13 @@ class OpenWorkflowSystem:
         services: Iterable[ServiceDescription] = (),
         position: Point | None = None,
         preferences: ParticipantPreferences | None = None,
-        construction_mode: str = "batch",
-        solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
-        knowledge_refresh_interval: float = float("inf"),
-        batch_auctions: bool | None = None,
-        batch_execution: bool | None = None,
-        durability=None,
+        **options: object,
     ) -> Host:
-        """Install the middleware on a new device and join it to the community."""
+        """Install the middleware on a new device and join it to the community.
+
+        The device runs the system's :attr:`config`, with ``options``
+        overriding individual fields of it.
+        """
 
         return self.community.add_host(
             device_id,
@@ -140,19 +108,8 @@ class OpenWorkflowSystem:
             services=services,
             mobility=position,
             preferences=preferences or ParticipantPreferences(),
-            construction_mode=construction_mode,
-            capability_aware=self.capability_aware,
-            solver=solver if solver is not None else self.solver,
-            share_supergraph=share_supergraph,
-            knowledge_refresh_interval=knowledge_refresh_interval,
-            batch_auctions=(
-                self.batch_auctions if batch_auctions is None else batch_auctions
-            ),
-            batch_execution=(
-                self.batch_execution if batch_execution is None else batch_execution
-            ),
-            durability=durability if durability is not None else self.durability,
-            durable_outputs=self.durable_outputs,
+            config=self.config,
+            **options,
         )
 
     def deploy_device_config(self, config: DeviceConfig) -> Host:

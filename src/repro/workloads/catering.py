@@ -20,12 +20,16 @@ examples and integration tests built on top of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..core.fragments import WorkflowFragment
 from ..core.specification import Specification
 from ..core.tasks import Task, TaskMode
 from ..execution.services import ServiceDescription
+
+if TYPE_CHECKING:
+    from ..host.config import HostConfig
 
 # -- labels (the ovals of Figure 1) -----------------------------------------------
 BREAKFAST_INGREDIENTS = "breakfast ingredients"
@@ -266,20 +270,25 @@ def doughnut_breakfast_specification() -> Specification:
 
 def build_catering_community(
     roles: tuple[CateringRole, ...] = ALL_ROLES,
-    construction_mode: str = "batch",
-    capability_aware: bool = True,
+    config: HostConfig | None = None,
+    **options: object,
 ):
     """Stand up a simulated community with one host per catering role.
 
-    Returns the :class:`~repro.host.community.Community`; hosts are named
-    after their roles.  Import is done lazily so that the pure-core parts of
-    this module stay usable without the middleware stack.
+    Every host runs ``config`` (by default a capability-aware
+    :class:`~repro.host.config.HostConfig`), with ``options`` overriding
+    its fields.  Returns the :class:`~repro.host.community.Community`;
+    hosts are named after their roles.  Import is done lazily so that the
+    pure-core parts of this module stay usable without the middleware
+    stack.
     """
 
     from ..host.community import Community
+    from ..host.config import HostConfig
     from ..mobility.geometry import Point
     from ..mobility.locations import Location
 
+    config = replace(config or HostConfig(capability_aware=True), **options)
     community = Community()
     community.locations.add(Location("kitchen", Point(0.0, 0.0)))
     community.locations.add(Location("dining room", Point(30.0, 0.0)))
@@ -292,7 +301,6 @@ def build_catering_community(
             fragments=role.fragments,
             services=role.services,
             mobility=Point(10.0 * index, 5.0),
-            construction_mode=construction_mode,
-            capability_aware=capability_aware,
+            config=config,
         )
     return community

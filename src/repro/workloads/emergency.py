@@ -20,12 +20,16 @@ context-sensitivity integration tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..core.fragments import WorkflowFragment
 from ..core.specification import Specification
 from ..core.tasks import Task
 from ..execution.services import ServiceDescription
+
+if TYPE_CHECKING:
+    from ..host.config import HostConfig
 
 # -- labels -----------------------------------------------------------------------
 SPILL_DISCOVERED = "mercury spill discovered"
@@ -204,15 +208,23 @@ def containment_only_specification() -> Specification:
 
 def build_site_community(
     roles: tuple[SiteRole, ...] = ALL_ROLES,
-    capability_aware: bool = True,
+    config: HostConfig | None = None,
+    **options: object,
 ):
-    """Stand up the construction-site community with one host per role."""
+    """Stand up the construction-site community with one host per role.
+
+    Every host runs ``config`` (by default a capability-aware
+    :class:`~repro.host.config.HostConfig`), with ``options`` overriding
+    its fields.
+    """
 
     from ..host.community import Community
+    from ..host.config import HostConfig
     from ..mobility.geometry import Point
     from ..mobility.locations import Location
     from ..mobility.locations import TravelModel
 
+    config = replace(config or HostConfig(capability_aware=True), **options)
     community = Community(travel_model=TravelModel(speed=1.4))
     community.locations.add(Location("sector-7", Point(0.0, 0.0)))
     community.locations.add(Location("site-office", Point(250.0, 100.0)))
@@ -230,6 +242,6 @@ def build_site_community(
             fragments=role.fragments,
             services=role.services,
             mobility=positions.get(role.name, Point(0.0, 0.0)),
-            capability_aware=capability_aware,
+            config=config,
         )
     return community

@@ -24,8 +24,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.runner import TrialTask, execute_trial
-from repro.experiments.trials import build_trial_community
+from repro.experiments.trials import build_trial_community, trial_result_from_workspace
 from repro.host.workspace import WorkflowPhase
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
@@ -102,24 +101,27 @@ def test_batched_and_unbatched_allocations_identical(
         )
 
 
+def sim_trial_result(batch_auctions: bool, path_length: int):
+    """One 30-task, 4-host trial's result with the wall-clock part zeroed."""
+
+    workload = RandomSupergraphWorkload(seed=SEED).generate(30)
+    rng = derive_rng(SEED, "sim-timing", path_length)
+    specification = workload.path_specification(path_length, rng)
+    assert specification is not None
+    community = build_trial_community(
+        workload, num_hosts=4, seed=SEED, batch_auctions=batch_auctions
+    )
+    workspace = community.submit_specification("host-1", specification)
+    community.run_until_allocated(workspace, max_sim_seconds=3_600.0)
+    return trial_result_from_workspace(community, workspace).deterministic_copy()
+
+
 def test_sim_timing_trial_results_byte_identical_across_flag():
     """`timing="sim"` trial results agree on everything but transport volume."""
 
     for path_length in (2, 4, 6):
-        results = {}
-        for batched in (True, False):
-            task = TrialTask(
-                series="equivalence",
-                x=path_length,
-                num_tasks=30,
-                num_hosts=4,
-                path_length=path_length,
-                seed=SEED,
-                batch_auctions=batched,
-            )
-            results[batched] = execute_trial(task, timing="sim").result
-        batched_result, unbatched_result = results[True], results[False]
-        assert batched_result is not None and unbatched_result is not None
+        batched_result = sim_trial_result(True, path_length)
+        unbatched_result = sim_trial_result(False, path_length)
         assert batched_result.succeeded and unbatched_result.succeeded
         # messages_sent / bytes_sent are the optimisation target; every
         # other field must agree exactly.

@@ -11,10 +11,7 @@ Two independent properties of the execution-phase substrate:
   :class:`~repro.scheduling.commitments.CommitmentOutcome`\\ s on every
   host — same tasks, same completion instants, same outputs, same failure
   reasons — and identical initiator-side completion tracking, while the
-  batched run never uses *more* execution-phase messages.  ``timing="sim"``
-  trial results must be byte-identical up to the transport counters
-  (``messages_sent`` / ``bytes_sent``), which are exactly what batching
-  improves.
+  batched run never uses *more* execution-phase messages.
 
 * **Generation soundness**: the network's topology generation keys the
   route cache and the router's BFS trees.  On mobile communities driven
@@ -26,11 +23,8 @@ Two independent properties of the execution-phase substrate:
   all of its links in range.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.runner import TrialTask, execute_trial
 from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
 from repro.mobility.geometry import Point, Rectangle
@@ -155,35 +149,6 @@ def test_execution_batching_cuts_messages_on_multi_task_workflow():
     assert results[True].kind_bytes(*EXECUTION_KINDS) < results[False].kind_bytes(
         *EXECUTION_KINDS
     )
-
-
-def test_sim_timing_trial_results_byte_identical_across_flag():
-    """``timing="sim"`` trial results agree on everything but transport volume."""
-
-    for path_length in (2, 4, 6):
-        results = {}
-        for batched in (True, False):
-            task = TrialTask(
-                series="equivalence",
-                x=path_length,
-                num_tasks=30,
-                num_hosts=4,
-                path_length=path_length,
-                seed=SEED,
-                batch_execution=batched,
-            )
-            results[batched] = execute_trial(task, timing="sim").result
-        batched_result, plain_result = results[True], results[False]
-        assert batched_result is not None and plain_result is not None
-        assert batched_result.succeeded and plain_result.succeeded
-        # messages_sent / bytes_sent are the optimisation target; every
-        # other field must agree exactly.
-        normalised = replace(
-            batched_result,
-            messages_sent=plain_result.messages_sent,
-            bytes_sent=plain_result.bytes_sent,
-        )
-        assert normalised == plain_result
 
 
 # ---------------------------------------------------------------------------

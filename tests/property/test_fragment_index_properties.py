@@ -1,9 +1,9 @@
 """Property: indexed fragment discovery ≡ the linear reference scan.
 
 The :class:`~repro.discovery.knowhow.FragmentManager` answers know-how
-queries from an inverted index (:class:`FragmentIndex`) by default, with the
-original one-pass-over-everything scan kept behind ``use_index=False``.  The
-two paths must agree *exactly* — same fragments, same order — for every
+queries from an inverted index (:class:`FragmentIndex`); the original
+one-pass-over-everything scan is the oracle in ``tests/reference/knowhow.py``.
+The two must agree *exactly* — same fragments, same order — for every
 combination of the query's narrowing fields (label sets, ``want_all``,
 exclusion list, delta floor), including after removals and re-additions,
 which is what these properties drive randomly.
@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 from repro.discovery.knowhow import FragmentManager
 from repro.net.messages import FragmentQuery
 
+from ..reference.knowhow import matching_linear
 from .strategies import LABELS, knowledge_sets
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
-def _managers(fragments):
-    indexed = FragmentManager("indexed", fragments, use_index=True)
-    linear = FragmentManager("linear", fragments, use_index=False)
-    return indexed, linear
+def _ids(fragments) -> list[str]:
+    return [fragment.fragment_id for fragment in fragments]
 
 
 @st.composite
@@ -61,12 +60,10 @@ def queries(draw, max_version: int = 12) -> FragmentQuery:
 @SETTINGS
 @given(fragments=knowledge_sets(max_fragments=12), query=queries())
 def test_indexed_matching_equals_linear_scan(fragments, query):
-    indexed, linear = _managers(fragments)
-    result_indexed = indexed.matching_fragments(query)
-    result_linear = linear.matching_fragments(query)
-    assert [f.fragment_id for f in result_indexed] == [
-        f.fragment_id for f in result_linear
-    ]
+    manager = FragmentManager("host", fragments)
+    assert _ids(manager.matching_fragments(query)) == _ids(
+        matching_linear(manager.knowledge, query)
+    )
 
 
 @SETTINGS
@@ -76,21 +73,21 @@ def test_indexed_matching_equals_linear_scan(fragments, query):
     data=st.data(),
 )
 def test_equivalence_survives_removal_and_readdition(fragments, query, data):
-    indexed, linear = _managers(fragments)
-    victim = data.draw(st.sampled_from(sorted(indexed.fragment_ids)))
-    assert indexed.remove_fragment(victim) == linear.remove_fragment(victim)
+    manager = FragmentManager("host", fragments)
+    version = manager.version
+    victim = data.draw(st.sampled_from(sorted(manager.fragment_ids)))
+    assert manager.remove_fragment(victim)
+    assert victim not in manager.fragment_ids
     readd = data.draw(st.booleans())
     if readd:
         fragment = next(f for f in fragments if f.fragment_id == victim)
-        indexed.add_fragment(fragment)
-        linear.add_fragment(fragment)
-        # Re-ingestion assigns a fresh sequence number on both sides.
-        assert indexed.version == linear.version
-    result_indexed = indexed.matching_fragments(query)
-    result_linear = linear.matching_fragments(query)
-    assert [f.fragment_id for f in result_indexed] == [
-        f.fragment_id for f in result_linear
-    ]
+        manager.add_fragment(fragment)
+        # Re-ingestion assigns a fresh sequence number.
+        assert manager.version == version + 1
+        assert manager.knowledge.sequence_of(victim) == manager.version
+    assert _ids(manager.matching_fragments(query)) == _ids(
+        matching_linear(manager.knowledge, query)
+    )
 
 
 @SETTINGS

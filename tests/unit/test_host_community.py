@@ -1,11 +1,15 @@
 """Unit tests for Host message dispatch and the Community container."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Task, WorkflowFragment
 from repro.core.errors import OpenWorkflowError
 from repro.execution import ServiceDescription
-from repro.host import Community, WorkflowPhase
+from repro.experiments.trials import build_trial_community
+from repro.host import Community, HostConfig, WorkflowPhase
+from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 from repro.net.messages import CapabilityQuery, FragmentQuery, Message
 
 
@@ -41,6 +45,58 @@ class TestCommunityMembership:
         assert community.total_fragments() == 2
         assert community.all_service_types() == {"t1", "t2"}
         assert community.all_labels() == {"x", "y", "z"}
+
+
+class TestHostConfig:
+    def test_every_manager_is_built_from_the_config(self):
+        config = HostConfig(
+            construction_mode="incremental",
+            capability_aware=True,
+            share_supergraph=False,
+            knowledge_refresh_interval=5.0,
+            batch_auctions=False,
+            batch_execution=False,
+            fault_injection=True,
+            enable_recovery=True,
+            max_repair_attempts=5,
+            durability="memory",
+            durable_outputs=False,
+        )
+        host = Community().add_host("a", config=config)
+        assert host.config is config
+        workflow = host.workflow_manager
+        assert workflow.construction_mode == "incremental"
+        assert workflow.capability_aware and not workflow.share_supergraph
+        assert workflow.knowledge_refresh_interval == 5.0
+        assert workflow.robust and workflow.enable_recovery
+        assert workflow.max_repair_attempts == 5
+        assert not host.auction_manager.batch_auctions and host.auction_manager.robust
+        assert not host.execution_manager.batch_execution
+        assert host.execution_manager.robust
+        assert host.durability is not None and not host.durability.journal_outputs
+
+    def test_options_override_fields_of_the_config(self):
+        base = HostConfig(fault_injection=True, max_repair_attempts=5)
+        host = Community().add_host("a", config=base, enable_recovery=True)
+        assert host.config == replace(base, enable_recovery=True)
+        with pytest.raises(TypeError):
+            Community().add_host("b", fault_injektion=True)
+
+    def test_restart_rebuilds_the_host_from_its_config(self):
+        community = Community()
+        config = HostConfig(construction_mode="incremental", fault_injection=True)
+        community.add_host("a", config=config)
+        community.crash_host("a")
+        assert community.restart_host("a").config is config
+
+    def test_trial_community_passes_the_config_to_every_host(self):
+        workload = RandomSupergraphWorkload(seed=3).generate(25)
+        config = HostConfig(fault_injection=True, enable_recovery=True)
+        community = build_trial_community(
+            workload, 4, seed=3, config=config, max_repair_attempts=6
+        )
+        expected = replace(config, max_repair_attempts=6)
+        assert [host.config for host in community] == [expected] * 4
 
 
 class TestHostDispatch:
@@ -167,7 +223,7 @@ class TestCrashRestart:
             assert host is not None
             # The snapshot taken at crash time must be a *new* tuple, not the
             # one the previous incarnation was built from.
-            assert community._recipes["a"]["fragments"] is not original_recipe_fragments
+            assert community._recipes["a"].fragments is not original_recipe_fragments
             restarted = community.restart_host("a")
             epochs.append(restarted.fragment_manager.epoch)
             assert [f.fragment_id for f in restarted.fragment_manager.all_fragments()] == ["f1"]

@@ -70,18 +70,6 @@ class TestDeltaQueries:
         )
         assert response.knowledge_version == manager.version == 1
 
-    def test_capability_and_task_index(self):
-        manager = FragmentManager("h", [fragment("t1", ["a"], ["b"], "f1")])
-        knowledge = manager.knowledge
-        assert [f.fragment_id for f in knowledge.fragments_with_task("t1")] == ["f1"]
-        # service_type defaults to the task name.
-        assert [
-            f.fragment_id for f in knowledge.fragments_with_capability("t1")
-        ] == ["f1"]
-        manager.remove_fragment("f1")
-        assert knowledge.fragments_with_task("t1") == []
-        assert knowledge.fragments_with_capability("t1") == []
-
 
 class TestBatchedIngestion:
     def test_batch_merge_bumps_version_once(self):

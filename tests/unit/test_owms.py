@@ -155,3 +155,22 @@ class TestOpenWorkflowSystem:
         report = system.solve("solo", ["a"], ["b"])
         assert report.succeeded
         assert report.workflow.task_names == {"t"}
+
+    def test_devices_run_the_system_config_with_overrides(self):
+        from repro.host import HostConfig
+
+        system = OpenWorkflowSystem(durability="memory")
+        assert system.config == HostConfig(capability_aware=True, durability="memory")
+        plain = system.add_device("plain")
+        hardened = system.add_device(
+            "hardened", fault_injection=True, construction_mode="incremental"
+        )
+        assert plain.config is system.config
+        assert hardened.config == HostConfig(
+            capability_aware=True,
+            durability="memory",
+            fault_injection=True,
+            construction_mode="incremental",
+        )
+        assert hardened.workflow_manager.robust
+        assert hardened.durability is not None

@@ -15,8 +15,8 @@ class TestRoute:
     def test_hop_count_and_links(self):
         route = Route("a", "c", ("a", "b", "c"))
         assert route.hop_count == 2
-        assert route.uses_link("a", "b") and route.uses_link("c", "b")
-        assert not route.uses_link("a", "c")
+        assert list(zip(route.hops, route.hops[1:])) == [("a", "b"), ("b", "c")]
+        assert Route("a", "a", ("a",)).hop_count == 0
 
 
 class TestAodvRouter:
@@ -42,12 +42,14 @@ class TestAodvRouter:
 
     def test_route_caching_and_reverse_install(self):
         router = self.make_router({"a": {"b"}, "b": {"a", "c"}, "c": {"b"}})
-        router.route("a", "c")
-        assert router.was_cached("a", "c")
-        assert router.was_cached("c", "a")
+        route, cached = router.lookup("a", "c")
+        assert not cached and route.hops == ("a", "b", "c")
+        assert router.lookup("a", "c") == (route, True)
+        # The reverse path is installed by the same discovery.
+        reverse, cached = router.lookup("c", "a")
+        assert cached and reverse.hops == ("c", "b", "a")
         assert router.discoveries == 1
-        router.route("a", "c")
-        assert router.cache_hits == 1
+        assert router.cache_hits == 2
 
     def test_route_not_found(self):
         router = self.make_router({"a": set(), "b": set()})
@@ -55,12 +57,24 @@ class TestAodvRouter:
             router.route("a", "b")
 
     def test_invalidation_on_link_break(self):
-        adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        adjacency = {
+            "a": {"b", "x"},
+            "b": {"a", "c"},
+            "c": {"b", "x"},
+            "x": {"a", "c"},
+        }
         router = self.make_router(adjacency)
-        router.route("a", "c")
-        dropped = router.invalidate("b", "c")
-        assert dropped == 2  # forward and reverse cached routes
-        assert not router.was_cached("a", "c")
+        assert router.route("a", "c").hops == ("a", "b", "c")
+        adjacency["b"].discard("c")
+        adjacency["c"].discard("b")
+        route, cached = router.lookup("a", "c")
+        assert not cached and route.hops == ("a", "x", "c")
+        assert router.discoveries == 2
+        # The new discovery replaced the broken reverse route too.
+        assert router.lookup("c", "a") == (
+            Route("c", "a", ("c", "x", "a")),
+            True,
+        )
 
     def test_stale_cache_detected_via_neighbour_callback(self):
         adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
@@ -68,7 +82,30 @@ class TestAodvRouter:
         router.route("a", "c")
         adjacency["b"].discard("c")
         adjacency["c"].discard("b")
-        assert not router.was_cached("a", "c")
+        # The cached route's links are re-walked, and no other path exists.
+        with pytest.raises(RouteNotFound):
+            router.lookup("a", "c")
+        assert router.cache_hits == 0
+
+    def test_generation_stamp_answers_without_walking_links(self):
+        adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        walked: list[str] = []
+
+        def neighbours_of(host: str) -> frozenset[str]:
+            walked.append(host)
+            return frozenset(adjacency[host])
+
+        generation = [1]
+        router = AodvRouter(neighbours_of, lambda hosts: generation[0])
+        router.route("a", "c")
+        walked.clear()
+        assert router.lookup("a", "c")[1]
+        assert walked == []
+        # A new generation re-walks the route's links; intact, it survives.
+        generation[0] = 2
+        assert router.lookup("a", "c")[1]
+        assert walked == ["a", "b"]
+        assert router.discoveries == 1
 
 
 def make_adhoc(**kwargs):

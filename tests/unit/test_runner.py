@@ -166,16 +166,6 @@ class TestSharedPool:
             runner.shutdown()
         assert runner.pools_created == 0  # sequential: no pool ever forked
 
-    def test_batch_auctions_flag_reduces_trial_traffic(self):
-        base = dict(series="flag", x=4, num_tasks=30, num_hosts=4, path_length=4)
-        batched = execute_trial(TrialTask(**base), timing="sim").result
-        unbatched = execute_trial(
-            TrialTask(**base, batch_auctions=False), timing="sim"
-        ).result
-        assert batched is not None and unbatched is not None
-        assert batched.succeeded and unbatched.succeeded
-        assert batched.messages_sent < unbatched.messages_sent
-
 
 class TestShutdownLifecycle:
     def test_run_after_shutdown_raises_clear_error(self):
