@@ -469,7 +469,9 @@ class AuctionManager:
                         self._expect_ack(
                             workflow_id, auction.task.name, auction.winner.bidder
                         )
-        callback = self._callbacks.get(workflow_id)
+        # Popped, not read: a fired callback refers back to the workflow
+        # manager that owns this auction manager.
+        callback = self._callbacks.pop(workflow_id, None)
         if callback is not None:
             callback(outcome)
 

@@ -45,9 +45,11 @@ Three implementations ship:
 from __future__ import annotations
 
 import os
+import shutil
 import sqlite3
 import struct
 import tempfile
+import weakref
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -86,8 +88,19 @@ class DurabilityBackend(ABC):
     def load_snapshot(self) -> bytes | None:
         """The current snapshot blob, or ``None`` when none was written."""
 
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release any resources (files) held by the backend."""
+    #: Set by :func:`make_backend` on a backend it gave a temporary
+    #: directory of its own: removes that directory, once.
+    _temporary: weakref.finalize | None = None
+
+    def close(self) -> None:
+        """Release any resources (files) held by the backend.
+
+        A backend that made its own temporary directory removes it here, or
+        when it is freed without being closed.
+        """
+
+        if self._temporary is not None:
+            self._temporary()
 
 
 class InMemoryJournal(DurabilityBackend):
@@ -457,12 +470,21 @@ class SQLiteJournal(DurabilityBackend):
 
     def close(self) -> None:
         self._conn.close()
+        super().close()
 
     def __repr__(self) -> str:
         return f"SQLiteJournal({str(self.db_path)!r})"
 
 
 BackendFactory = Callable[[str], DurabilityBackend]
+
+
+def _remove_temporary(directory: str, connection: sqlite3.Connection | None) -> None:
+    """Remove a backend's own temporary directory, closing its database first."""
+
+    if connection is not None:
+        connection.close()
+    shutil.rmtree(directory, ignore_errors=True)
 
 
 def make_backend(
@@ -477,6 +499,10 @@ def make_backend(
     :class:`FileJournal` under ``directory``.  ``"sqlite"`` — a
     :class:`SQLiteJournal` database under ``directory``.  A callable is
     treated as a factory ``host_id -> backend`` for custom backends.
+
+    Without a ``directory``, ``"file"`` and ``"sqlite"`` make a temporary
+    one that the backend removes when it is closed or freed; a directory
+    the caller passes in is never removed.
     """
 
     if spec is None or spec is False:
@@ -485,14 +511,17 @@ def make_backend(
         return spec(host_id)
     if spec is True or spec == "memory":
         return InMemoryJournal()
-    if spec == "file":
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="repro-durability-")
-        return FileJournal(directory, host_id)
-    if spec == "sqlite":
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="repro-durability-")
-        return SQLiteJournal(directory, host_id)
+    if spec in ("file", "sqlite"):
+        journal_class = FileJournal if spec == "file" else SQLiteJournal
+        if directory is not None:
+            return journal_class(directory, host_id)
+        directory = tempfile.mkdtemp(prefix="repro-durability-")
+        backend = journal_class(directory, host_id)
+        connection = backend._conn if spec == "sqlite" else None
+        backend._temporary = weakref.finalize(
+            backend, _remove_temporary, directory, connection
+        )
+        return backend
     raise ValueError(
         f"unknown durability spec {spec!r}: expected None, 'memory', 'file', "
         "'sqlite', or a factory callable"

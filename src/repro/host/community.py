@@ -12,6 +12,7 @@ until allocation (and optionally execution) finishes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -45,8 +46,27 @@ class _Recipe(NamedTuple):
     config: HostConfig
 
 
+def _release(scheduler: EventScheduler, network: CommunicationsLayer) -> None:
+    """Cut the cycles a freed community's scheduler and network still hold.
+
+    Pending events refer to the managers and the network that armed them,
+    and the network's handlers to the hosts, which refer to the network
+    and the scheduler; with the queue and the handler table emptied, the
+    whole community is freed by reference counting.
+    """
+
+    scheduler.clear()
+    network.detach_all()
+
+
 class Community:
     """A group of hosts sharing a scheduler and a communications layer.
+
+    Dropping the last reference to a community frees its scheduler,
+    network and hosts at once: its pending events (timers, in-flight
+    messages, scheduled crashes and restarts) are dropped and its network
+    registrations removed, so a scheduler or network kept past its
+    community delivers nothing.
 
     Parameters
     ----------
@@ -90,6 +110,7 @@ class Community:
         self.hosts_restarted = 0
         #: Workflows resumed from the durable journal instead of repaired.
         self.workflows_resumed = 0
+        weakref.finalize(self, _release, self.scheduler, self.network)
 
     # -- membership -------------------------------------------------------------
     def add_host(
@@ -259,16 +280,19 @@ class Community:
 
         self.fault_plane = plane
         self.network.install_fault_plane(plane)
+        # The events hold the community weakly: a pending crash must not
+        # keep a dropped community alive.
+        community = weakref.ref(self)
         for crash in plane.crashes:
             self.scheduler.schedule_at(
                 crash.crash_at,
-                lambda host_id=crash.host_id: self.crash_host(host_id),
+                lambda host_id=crash.host_id: community().crash_host(host_id),
                 description=f"crash {crash.host_id}",
             )
             if crash.restart_at is not None:
                 self.scheduler.schedule_at(
                     crash.restart_at,
-                    lambda host_id=crash.host_id: self.restart_host(host_id),
+                    lambda host_id=crash.host_id: community().restart_host(host_id),
                     description=f"restart {crash.host_id}",
                 )
 

@@ -51,7 +51,7 @@ from ..net.messages import (
     TaskFailed,
     WorkflowProgressReport,
 )
-from ..net.transport import CommunicationsLayer
+from ..net.transport import CommunicationsLayer, Outbox
 from ..scheduling.preferences import ALWAYS_WILLING, ParticipantPreferences
 from ..scheduling.schedule import ScheduleManager
 from ..sim.events import EventScheduler, ScopedScheduler
@@ -114,6 +114,11 @@ class Host:
         #: cancel all of them at once instead of leaving dead hosts' events
         #: to fire into the void.
         self.scope = ScopedScheduler(scheduler)
+        #: The managers send through the outbox rather than a bound method
+        #: of this host, so none of them refers back to it; ``crash()``
+        #: closes it.
+        self.outbox = Outbox(network)
+        self._send = self.outbox.send
 
         # Execution subsystem.
         self.fragment_manager = FragmentManager(
@@ -235,6 +240,7 @@ class Host:
         if self.crashed:
             return
         self.crashed = True
+        self.outbox.open = False
         self.scope.deactivate()
         self.network.unregister(self.host_id)
 
@@ -257,13 +263,6 @@ class Host:
         self.workflow_manager.restore_workspaces(state.workspaces.values())
 
     # -- message plumbing -------------------------------------------------------------
-    def _send(self, message: Message) -> None:
-        """Hand a message to the communications layer (best effort)."""
-
-        if self.crashed:
-            return
-        self.network.try_send(message)
-
     def on_message(self, message: Message) -> None:
         """Dispatch an incoming message to the component that owns it."""
 

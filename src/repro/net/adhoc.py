@@ -142,6 +142,12 @@ DEFAULT_ROUTE_DISCOVERY_COST = 0.004  # seconds per hop of RREQ/RREP exchange
 _HORIZON_SLACK = 2.0**-32
 
 
+def _no_links(host: str) -> frozenset[str]:
+    """The neighbours of every host on a detached network."""
+
+    return frozenset()
+
+
 class _Snapshot:
     """Everything the network knows about one simulated instant."""
 
@@ -297,6 +303,13 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def unregister(self, host_id: str) -> None:
         super().unregister(host_id)
         self._version += 1
+
+    def detach_all(self) -> None:
+        super().detach_all()
+        self._version += 1
+        # The router calls back into this network through bound methods;
+        # one that knows no links refers to nothing.
+        self._router = AodvRouter(_no_links)
 
     def place_host(self, host_id: str, mobility: MobilityModel | Point) -> None:
         """Attach a mobility model (or a fixed position) to a registered host."""

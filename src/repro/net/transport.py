@@ -128,6 +128,17 @@ class CommunicationsLayer(ABC):
 
         self._handlers.pop(host_id, None)
 
+    def detach_all(self) -> None:
+        """Drop every registration and anything else that refers back here.
+
+        A registered handler is a bound method of a host that holds this
+        layer, so the handler table is a reference cycle while hosts are
+        attached.  A community detaches its network when it is freed, and
+        the layer delivers nothing afterwards.
+        """
+
+        self._handlers.clear()
+
     @property
     def host_ids(self) -> frozenset[str]:
         """All hosts currently attached to the network."""
@@ -237,3 +248,25 @@ class CommunicationsLayer(ABC):
             if self.try_send(message):
                 count += 1
         return count
+
+
+class Outbox:
+    """One host's way onto a communications layer: best-effort sends.
+
+    A host hands :meth:`send` to its managers in place of a bound method of
+    its own, so the managers refer to the network and this flag, not back
+    to the host that owns them.  Closing the outbox (the host crashed or
+    left) silences every sender at once.
+    """
+
+    __slots__ = ("network", "open")
+
+    def __init__(self, network: CommunicationsLayer) -> None:
+        self.network = network
+        self.open = True
+
+    def send(self, message: Message) -> None:
+        """Hand ``message`` to the network while open; drop it otherwise."""
+
+        if self.open:
+            self.network.try_send(message)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,13 +26,22 @@ from .clock import SimulatedClock
 
 @dataclass(order=True)
 class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, sequence number)."""
+    """Internal heap entry: ordered by (time, sequence number).
+
+    ``action`` is dropped (set to ``None``) once the event fires or is
+    cancelled, so a handle kept after that point no longer holds what the
+    action captured (typically the component that armed it).
+    """
 
     time: float
     sequence: int
-    action: Callable[[], None] = field(compare=False)
+    action: Callable[[], None] | None = field(compare=False)
     description: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        self.action = None
 
 
 class EventHandle:
@@ -45,7 +55,7 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
 
-        self._event.cancelled = True
+        self._event.cancel()
 
     @property
     def time(self) -> float:
@@ -134,9 +144,24 @@ class EventScheduler:
                 continue
             self.clock.advance_to(event.time)
             self.processed_events += 1
-            event.action()
+            action = event.action
+            event.action = None
+            action()
             return True
         return False
+
+    def clear(self) -> None:
+        """Discard every pending event, dropping its action.
+
+        The queue is the only path from the scheduler to the components
+        whose timers and deliveries are pending, so after this call nothing
+        the scheduler holds refers back to them.  A community clears its
+        scheduler when it is freed.
+        """
+
+        for event in self._queue:
+            event.cancel()
+        self._queue.clear()
 
     def run(self, until: float | None = None) -> float:
         """Run events until the queue drains or simulated time passes ``until``.
@@ -181,15 +206,20 @@ class ScopedScheduler:
     start-windows, retry timers — instead of leaving them to fire against a
     detached object.  The wrapper is duck-type compatible with the scheduler
     API the components use (``schedule_at`` / ``schedule_in`` /
-    ``schedule_now`` / ``clock``), adds nothing to the event stream, and
-    keeps only live handles: an event unregisters itself when it fires, so
-    the tracking dict never outgrows the set of armed timers.
+    ``schedule_now`` / ``clock``) and adds nothing to the event stream: it
+    hands the action to the scheduler unwrapped.  It tracks its events
+    weakly, keyed by sequence number: the scheduler's queue keeps a pending
+    event alive, and an event that fired or was cancelled leaves the
+    tracking dict once nothing else (such as a handle a component kept)
+    refers to it.  The scope is therefore never part of a reference cycle
+    through its own events.
     """
 
     def __init__(self, scheduler: EventScheduler) -> None:
         self._scheduler = scheduler
-        self._live: dict[int, EventHandle] = {}
-        self._tokens = itertools.count()
+        self._live: weakref.WeakValueDictionary[int, _ScheduledEvent] = (
+            weakref.WeakValueDictionary()
+        )
         self.active = True
 
     @property
@@ -202,17 +232,11 @@ class ScopedScheduler:
         if not self.active:
             # A deactivated scope schedules nothing: return an already-
             # cancelled handle so callers need no special case.
-            event = _ScheduledEvent(timestamp, -1, action, description, cancelled=True)
+            event = _ScheduledEvent(timestamp, -1, None, description, cancelled=True)
             return EventHandle(event)
-        token = next(self._tokens)
-
-        def guarded() -> None:
-            self._live.pop(token, None)
-            if self.active:
-                action()
-
-        handle = self._scheduler.schedule_at(timestamp, guarded, description)
-        self._live[token] = handle
+        handle = self._scheduler.schedule_at(timestamp, action, description)
+        event = handle._event
+        self._live[event.sequence] = event
         return handle
 
     def schedule_in(
@@ -230,8 +254,9 @@ class ScopedScheduler:
     def cancel_all(self) -> None:
         """Cancel every timer still pending in this scope."""
 
-        for handle in self._live.values():
-            handle.cancel()
+        for event in list(self._live.values()):
+            if event.action is not None:
+                event.cancel()
         self._live.clear()
 
     def deactivate(self) -> None:
@@ -242,7 +267,9 @@ class ScopedScheduler:
 
     @property
     def pending(self) -> int:
-        return sum(1 for handle in self._live.values() if not handle.cancelled)
+        """Timers of this scope that have neither fired nor been cancelled."""
+
+        return sum(1 for event in list(self._live.values()) if event.action is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ScopedScheduler(active={self.active}, pending={self.pending})"

@@ -8,14 +8,19 @@ the repair ladder — with
 
 * the scheduler drained (no hung auctions, no immortal retry timers),
 * no pending invocations left on any live host,
-* no award still waiting for an acknowledgement, and
-* a repair chain no longer than ``max_repair_attempts``.
+* no award still waiting for an acknowledgement,
+* a repair chain no longer than ``max_repair_attempts``, and
+* nothing left for the cyclic collector: the dropped community's
+  scheduler, network and every host incarnation are freed at once.
 
 Hypothesis drives the schedule: drop/duplicate/delay probabilities, the
 number and timing of crash/restart cycles, and an optional mid-run
 partition are all drawn per example, then the whole trial is replayed
 deterministically from its seed.
 """
+
+import gc
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +29,8 @@ from repro.experiments.trials import build_trial_community, simulated_network_fa
 from repro.host.workspace import WorkflowPhase
 from repro.net.faults import FaultPlane, HostCrash, LinkFaultPolicy, NetworkPartition
 from repro.sim.randomness import derive_rng, derive_seed
+
+from ..lifetime import recording_incarnations
 
 SETTINGS = settings(max_examples=40, deadline=None)
 NUM_HOSTS = 10
@@ -103,7 +110,23 @@ def run_chaos_trial(schedule):
 @given(schedule=schedules)
 @SETTINGS
 def test_every_workflow_terminates_and_nothing_leaks(schedule):
-    community, workspace = run_chaos_trial(schedule)
+    with recording_incarnations() as incarnations:
+        community, workspace = run_chaos_trial(schedule)
+    assert_terminated_and_drained(community, workspace)
+
+    # Nothing outlives the community: dropped with the collector off, its
+    # scheduler, its network and every host incarnation, crashed ones
+    # included, are freed by reference counting alone.
+    parts = [weakref.ref(community.scheduler), weakref.ref(community.network)]
+    gc.disable()
+    try:
+        community = workspace = None
+        assert [ref for ref in parts + incarnations if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def assert_terminated_and_drained(community, workspace):
     manager = community.host("host-0").workflow_manager
 
     # Termination: the repair chain ends in a terminal phase, within the

@@ -1,5 +1,7 @@
 """Unit tests for bids, selection policies, and the Auction Manager."""
 
+import weakref
+
 import pytest
 
 from repro.allocation.auction import AllocationOutcome, AuctionManager
@@ -190,6 +192,24 @@ class TestAuctionManager:
         assert awards["t1"].output_destinations["b"] == ("x",)
         assert awards["t2"].input_sources == {"b": "x"}
         assert awards["t2"].output_destinations["c"] == ()
+
+    def test_completed_auction_keeps_no_callback(self):
+        manager, _, _ = make_auction()
+        outcomes: list[AllocationOutcome] = []
+
+        def on_complete(outcome: AllocationOutcome) -> None:
+            outcomes.append(outcome)
+
+        manager.start_auction("w", simple_workflow(), SPEC, ["x"], on_complete)
+        released = weakref.ref(on_complete)
+        on_complete = None
+        for task in ("t1", "t2"):
+            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
+                                          task_name=task, specialization=1))
+        assert [outcome.allocation for outcome in outcomes] == [{"t1": "x", "t2": "x"}]
+        # In a host the callback refers back to the workflow manager that
+        # owns this auction manager; once fired, it is not kept.
+        assert released() is None
 
     def test_task_metadata_orders_earliest_starts(self):
         manager, _, _ = make_auction()

@@ -344,6 +344,32 @@ class TestMakeBackend:
         assert isinstance(backend, SQLiteJournal)
         assert backend.db_path.parent == tmp_path
 
+    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    def test_own_temporary_directory_is_removed_on_close(self, spec):
+        backend = make_backend(spec, "h")
+        backend.append(b"record")
+        directory = backend.directory
+        assert directory.is_dir()
+        backend.close()
+        assert not directory.exists()
+        backend.close()  # a second close is harmless
+
+    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    def test_own_temporary_directory_is_removed_when_freed(self, spec):
+        backend = make_backend(spec, "h")
+        backend.append(b"record")
+        directory = backend.directory
+        backend = None
+        assert not directory.exists()
+
+    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    def test_explicit_directory_survives_close(self, spec, tmp_path):
+        backend = make_backend(spec, "h", directory=tmp_path)
+        backend.append(b"record")
+        backend.close()
+        backend = None
+        assert make_backend(spec, "h", directory=tmp_path).payloads() == [b"record"]
+
     def test_factory_callable(self):
         made = []
 

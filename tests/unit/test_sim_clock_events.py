@@ -1,9 +1,11 @@
 """Unit tests for the simulation kernel: clocks and the event scheduler."""
 
+import weakref
+
 import pytest
 
 from repro.sim.clock import SimulatedClock, WallClock
-from repro.sim.events import EventScheduler
+from repro.sim.events import EventScheduler, ScopedScheduler
 
 
 class TestSimulatedClock:
@@ -115,3 +117,83 @@ class TestEventScheduler:
         scheduler.schedule_in(5.0, lambda: None)
         scheduler.run_for(3.0)
         assert scheduler.clock.now() == 3.0
+
+    def test_clear_drops_pending_events_and_their_actions(self):
+        scheduler = EventScheduler()
+        owner = Owner()
+        released = weakref.ref(owner)
+        handle = scheduler.schedule_in(1.0, owner.act)
+        owner = None
+        scheduler.clear()
+        assert released() is None
+        assert handle.cancelled
+        assert scheduler.pending == 0
+        assert scheduler.step() is False
+
+
+class Owner:
+    """Stands for a component whose timer action is a bound method."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def act(self) -> None:
+        self.calls += 1
+
+
+class TestScopedScheduler:
+    def test_fires_through_the_shared_scheduler(self):
+        scheduler = EventScheduler()
+        scope = ScopedScheduler(scheduler)
+        fired: list[str] = []
+        scope.schedule_in(2.0, lambda: fired.append("scoped"))
+        scheduler.schedule_in(1.0, lambda: fired.append("shared"))
+        assert scope.pending == 1
+        scheduler.run()
+        assert fired == ["shared", "scoped"]
+        assert scope.pending == 0
+
+    def test_cancelled_timer_releases_its_action_once_passed(self):
+        scheduler = EventScheduler()
+        scope = ScopedScheduler(scheduler)
+        owner = Owner()
+        released = weakref.ref(owner)
+        handle = scope.schedule_in(5.0, owner.act)
+        owner = None
+        handle.cancel()
+        scheduler.run()
+        # Neither the kept handle nor the scope holds what the action
+        # captured.
+        assert released() is None
+        assert handle.cancelled
+        assert scope.pending == 0
+
+    def test_fired_timer_releases_its_action(self):
+        scheduler = EventScheduler()
+        scope = ScopedScheduler(scheduler)
+        owner = Owner()
+        released = weakref.ref(owner)
+        handle = scope.schedule_in(1.0, owner.act)
+        owner = None
+        scheduler.run()
+        assert released() is None
+        assert not handle.cancelled
+        assert scope.pending == 0
+
+    def test_deactivate_cancels_pending_timers_and_refuses_new_ones(self):
+        scheduler = EventScheduler()
+        scope = ScopedScheduler(scheduler)
+        owner = Owner()
+        released = weakref.ref(owner)
+        fired = scope.schedule_in(1.0, owner.act)
+        pending = scope.schedule_in(10.0, owner.act)
+        scheduler.run(until=5.0)
+        scope.deactivate()
+        refused = scope.schedule_in(1.0, owner.act)
+        assert (fired.cancelled, pending.cancelled, refused.cancelled) == (False, True, True)
+        calls, owner = owner.calls, None
+        assert released() is None
+        scheduler.run()
+        assert calls == 1
+        assert scope.pending == 0
+
