@@ -15,6 +15,9 @@ and prints the full figure tables.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.experiments.trials import (
@@ -92,6 +95,26 @@ def make_allocation_setup(
         return workspace
 
     return setup, target
+
+
+@contextmanager
+def quiesced_gc():
+    """Keep cyclic-collector pauses out of a timed region.
+
+    One full collection first, then the collector stays off until the
+    region ends: a generation-2 pass over the test session's live objects
+    frees nothing, but landing inside one series of a wall-clock
+    comparison it can cost more than the gap the comparison measures.
+    """
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run_pedantic(benchmark, setup, target, rounds: int = 5):

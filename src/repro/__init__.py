@@ -40,7 +40,7 @@ from .core import (
     make_solver,
     specification,
 )
-from .durability import DurabilityBackend, FileJournal, InMemoryJournal
+from .durability import DurabilityBackend, InMemoryJournal
 from .execution import CallableService, ManualService, ServiceDescription
 from .host import Community, Host, Workspace, WorkflowPhase
 from .owms import OpenWorkflowSystem, SolveReport
@@ -56,7 +56,6 @@ __all__ = [
     "Community",
     "ConstructionResult",
     "DurabilityBackend",
-    "FileJournal",
     "Host",
     "InMemoryJournal",
     "MemoizedColoringSolver",

@@ -39,10 +39,23 @@ from ..net.messages import (
     TaskCall,
 )
 from ..sim.events import EventHandle, EventScheduler
-from ..sim.randomness import derive_rng
+from ..sim.randomness import backoff_delay, derive_rng
 from .bids import DEFAULT_POLICY, Bid, BidSelectionPolicy, rank_bids
 
 SendFunction = Callable[[Message], None]
+
+#: Robust mode: simulated seconds a solicitation round waits for bids
+#: before re-soliciting the silent participants (grown by backoff).
+SOLICIT_TIMEOUT = 20.0
+#: Robust mode: solicitation rounds before silent participants count as
+#: declines.
+MAX_SOLICITATIONS = 3
+#: Robust mode: simulated seconds an award waits for its ``AwardAck``
+#: before it is resent (grown by backoff).
+AWARD_TIMEOUT = 10.0
+#: Robust mode: unacknowledged award rounds before the winner is struck
+#: and the task re-auctioned.
+MAX_AWARD_ATTEMPTS = 3
 
 
 @dataclass
@@ -142,12 +155,6 @@ class AuctionManager:
         policy: BidSelectionPolicy = DEFAULT_POLICY,
         batch_auctions: bool = True,
         robust: bool = False,
-        solicit_timeout: float = 20.0,
-        award_timeout: float = 10.0,
-        max_solicitations: int = 3,
-        max_award_attempts: int = 3,
-        retry_backoff: float = 2.0,
-        retry_jitter: float = 0.1,
         durability=None,
     ) -> None:
         self.host_id = host_id
@@ -157,23 +164,12 @@ class AuctionManager:
         self.batch_auctions = batch_auctions
         #: Fault hardening (``fault_injection``): bounded retry+backoff for
         #: unanswered solicitations (silent participants become implicit
-        #: declines after ``max_solicitations`` rounds), award acks with
+        #: declines after ``MAX_SOLICITATIONS`` rounds), award acks with
         #: resends, and re-auction when a winner never acknowledges.  Off by
         #: default: the clean protocol sends not a single extra message.
         self.robust = robust
-        self.solicit_timeout = solicit_timeout
-        self.award_timeout = award_timeout
-        self.max_solicitations = max_solicitations
-        self.max_award_attempts = max_award_attempts
-        self.retry_backoff = retry_backoff
-        #: Seeded jitter factor on retry backoffs: each armed retry timer is
-        #: stretched by up to ``retry_jitter`` of its base delay, drawn from
-        #: a per-host derived RNG stream.  De-synchronizes the retry storm
-        #: after a partition heals (every auctioneer would otherwise fire at
-        #: identical backoff multiples) while keeping replays a pure
-        #: function of the host id.  Robust-mode only — a clean run arms no
-        #: retry timers and stays byte-identical.
-        self.retry_jitter = retry_jitter
+        #: The stream of this host's retry jitter (robust mode only: a clean
+        #: run arms no retry timers and stays byte-identical).
         self._jitter_rng = (
             derive_rng(0, "retry-jitter", host_id, "auction") if robust else None
         )
@@ -482,16 +478,10 @@ class AuctionManager:
         if handle is not None:
             handle.cancel()
 
-    def _backoff_delay(self, base: float, attempt: int) -> float:
-        delay = base * (self.retry_backoff ** (attempt - 1))
-        if self._jitter_rng is not None and self.retry_jitter > 0.0:
-            delay *= 1.0 + self.retry_jitter * self._jitter_rng.random()
-        return delay
-
     def _arm_solicit_timer(self, workflow_id: str, attempt: int) -> None:
         self._cancel_timer(self._solicit_timers, workflow_id)
         self._solicit_timers[workflow_id] = self.scheduler.schedule_in(
-            self._backoff_delay(self.solicit_timeout, attempt),
+            backoff_delay(SOLICIT_TIMEOUT, attempt, self._jitter_rng),
             lambda: self._solicit_deadline(workflow_id, attempt),
             description=f"solicit-timeout {workflow_id}",
         )
@@ -499,7 +489,7 @@ class AuctionManager:
     def _solicit_deadline(self, workflow_id: str, attempt: int) -> None:
         """A solicitation round expired: re-solicit the silent, or give up.
 
-        Up to ``max_solicitations`` rounds, participants that have not
+        Up to ``MAX_SOLICITATIONS`` rounds, participants that have not
         answered every open task are re-solicited (with exponential
         backoff, in case the silence was congestion rather than death).
         After the final round the silent are treated as implicit declines —
@@ -523,7 +513,7 @@ class AuctionManager:
         )
         if not missing:
             return
-        if attempt >= self.max_solicitations:
+        if attempt >= MAX_SOLICITATIONS:
             for auction in list(open_auctions):
                 for participant in auction.expected_responders - auction.responders:
                     auction.declines.add(participant)
@@ -569,7 +559,7 @@ class AuctionManager:
     def _arm_award_timer(self, workflow_id: str, attempt: int) -> None:
         self._cancel_timer(self._award_timers, workflow_id)
         self._award_timers[workflow_id] = self.scheduler.schedule_in(
-            self._backoff_delay(self.award_timeout, attempt),
+            backoff_delay(AWARD_TIMEOUT, attempt, self._jitter_rng),
             lambda: self._award_deadline(workflow_id, attempt),
             description=f"award-ack-timeout {workflow_id}",
         )
@@ -596,7 +586,7 @@ class AuctionManager:
 
         Resends are per-task :class:`AwardMessage`\\ s (the same envelope the
         rejection re-award path uses, whatever the batch setting).  After
-        ``max_award_attempts`` silent rounds the winner's bids are struck
+        ``MAX_AWARD_ATTEMPTS`` silent rounds the winner's bids are struck
         and the task re-auctioned among the remaining bidders; the ack
         cycle restarts for the replacement winner.
         """
@@ -605,7 +595,7 @@ class AuctionManager:
         unacked = self._unacked.get(workflow_id)
         if not unacked:
             return
-        if attempt >= self.max_award_attempts:
+        if attempt >= MAX_AWARD_ATTEMPTS:
             for task_name, winner in sorted(unacked.items()):
                 self._clear_unacked(workflow_id, task_name, winner)
                 self.reauctions += 1

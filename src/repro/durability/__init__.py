@@ -13,14 +13,13 @@ instead of forcing the full repair ladder.
 The backend split follows RAFDA's argument for separating application
 logic from distribution/persistence *policy*: the managers call typed
 write-ahead hooks on :class:`~repro.durability.plane.HostDurability` and
-never know whether those records land in memory (simulated flash) or in an
-append-only file.
+never know whether those records land in memory (simulated flash) or in a
+SQLite database.
 """
 
 from .backend import (
     SQLITE_SCHEMA_VERSION,
     DurabilityBackend,
-    FileJournal,
     InMemoryJournal,
     SQLiteJournal,
     make_backend,
@@ -36,7 +35,6 @@ from .plane import (
 __all__ = [
     "DurabilityBackend",
     "DurableHostState",
-    "FileJournal",
     "HostDurability",
     "InMemoryJournal",
     "InvocationState",

@@ -12,7 +12,7 @@ to :mod:`repro.durability.plane`, storage policy (where the bytes survive)
 belongs here — the RAFDA-style split between application logic and
 persistence policy.
 
-Three implementations ship:
+Two implementations ship:
 
 :class:`InMemoryJournal`
     Keeps the bytes in process memory on the *community* side (the host
@@ -20,21 +20,12 @@ Three implementations ship:
     paper's mobile devices without touching the filesystem.  This is the
     backend churn trials use.
 
-:class:`FileJournal`
-    A real append-only file plus a snapshot file.  Every journal record is
-    framed as ``<u32 length><u32 crc32><payload>``; replay stops at the
-    first incomplete or corrupt frame, so a process killed mid-append
-    recovers to the last *complete* record, never to a corrupt state.
-    Snapshots are written to a temporary file and installed with an atomic
-    rename before the journal is truncated, so a crash during compaction
-    loses no state either (the old snapshot + full journal still replay).
-    The parent directory is fsynced after the rename and after the
-    truncation, so the compaction sequence survives a whole-machine crash
-    (power loss), not just a process kill.
-
 :class:`SQLiteJournal`
     A WAL-mode single-file SQLite database holding journal, snapshot, and
-    schema metadata in one place.  Appends are single-row transactions;
+    schema metadata in one place.  Every row carries a crc32, and replay
+    stops at the first row whose checksum disagrees, so a damaged
+    database recovers to the last intact record, never to a corrupt
+    state.  Appends are single-row transactions;
     snapshot installation and journal truncation are *one* transaction, so
     a crash mid-compaction observes either the old state or the new,
     never a snapshot without its truncation.  The schema is versioned and
@@ -47,15 +38,12 @@ from __future__ import annotations
 import os
 import shutil
 import sqlite3
-import struct
 import tempfile
 import weakref
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Iterator
-
-_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+from typing import Callable
 
 
 class DurabilityBackend(ABC):
@@ -143,138 +131,6 @@ class InMemoryJournal(DurabilityBackend):
         )
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory's entry table to stable storage.
-
-    An ``os.replace`` or truncation is durable only once the *directory*
-    holding the entry is synced; until then a power loss may roll the
-    rename back even though the file's own bytes were fsynced.  Platforms
-    whose directory handles reject fsync (some network filesystems) are
-    tolerated — the data fsyncs still give process-kill durability.
-    """
-
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _frame(payload: bytes) -> bytes:
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _iter_frames(data: bytes) -> Iterator[bytes]:
-    """Yield complete, checksummed payloads; stop at a truncated/corrupt tail."""
-
-    offset = 0
-    total = len(data)
-    while offset + _FRAME.size <= total:
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > total:
-            return  # torn tail: the final append never finished
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return  # corrupt frame: everything after it is untrustworthy
-        yield payload
-        offset = end
-
-
-class FileJournal(DurabilityBackend):
-    """Append-only journal file + snapshot file for one host.
-
-    Parameters
-    ----------
-    directory:
-        Where the two files live (created if missing).
-    name:
-        Base name of the files (``<name>.journal`` / ``<name>.snapshot``);
-        path separators are squashed so any host id is usable.
-    """
-
-    def __init__(self, directory: str | Path, name: str) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        safe = name.replace(os.sep, "_").replace("/", "_")
-        self.journal_path = self.directory / f"{safe}.journal"
-        self.snapshot_path = self.directory / f"{safe}.snapshot"
-        self.appends = 0
-        self.snapshots_written = 0
-        self._record_count: int | None = None
-
-    # -- journal ----------------------------------------------------------
-    def append(self, payload: bytes) -> None:
-        if self._record_count is None:
-            self._record_count = len(self.payloads())
-        with open(self.journal_path, "ab") as journal:
-            journal.write(_frame(payload))
-            journal.flush()
-            os.fsync(journal.fileno())
-        self._record_count += 1
-        self.appends += 1
-
-    def payloads(self) -> list[bytes]:
-        try:
-            data = self.journal_path.read_bytes()
-        except FileNotFoundError:
-            return []
-        return list(_iter_frames(data))
-
-    @property
-    def journal_length(self) -> int:
-        if self._record_count is None:
-            self._record_count = len(self.payloads())
-        return self._record_count
-
-    # -- snapshot ---------------------------------------------------------
-    def write_snapshot(self, blob: bytes) -> None:
-        # Install the snapshot first (atomic rename), truncate the journal
-        # second: a crash between the two steps leaves snapshot + stale
-        # journal, whose records are idempotent re-applications of state the
-        # snapshot already holds — replay stays correct either way.
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=self.snapshot_path.name, dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "wb") as tmp:
-                tmp.write(_frame(blob))
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_name, self.snapshot_path)
-            _fsync_dir(self.directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        with open(self.journal_path, "wb") as journal:
-            journal.flush()
-            os.fsync(journal.fileno())
-        _fsync_dir(self.directory)
-        self._record_count = 0
-        self.snapshots_written += 1
-
-    def load_snapshot(self) -> bytes | None:
-        try:
-            data = self.snapshot_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        for payload in _iter_frames(data):
-            return payload  # exactly one frame per snapshot file
-        return None  # torn or corrupt snapshot: treat as absent
-
-    def __repr__(self) -> str:
-        return f"FileJournal({str(self.journal_path)!r})"
-
-
 SQLITE_SCHEMA_VERSION = 2
 """Current on-disk schema of :class:`SQLiteJournal` databases.
 
@@ -282,8 +138,7 @@ Version history:
 
 * **v1** — ``journal(seq, payload)``, ``snapshot(id, blob)``, ``meta``.
 * **v2** — adds a ``crc`` column (crc32 of the payload/blob) to both
-  tables, giving the SQLite backend the same row-level corruption fence
-  the :class:`FileJournal` frames have: replay stops at the first record
+  tables, a row-level corruption fence: replay stops at the first record
   whose checksum disagrees, and a corrupt snapshot is treated as absent.
 """
 
@@ -479,11 +334,10 @@ class SQLiteJournal(DurabilityBackend):
 BackendFactory = Callable[[str], DurabilityBackend]
 
 
-def _remove_temporary(directory: str, connection: sqlite3.Connection | None) -> None:
+def _remove_temporary(directory: str, connection: sqlite3.Connection) -> None:
     """Remove a backend's own temporary directory, closing its database first."""
 
-    if connection is not None:
-        connection.close()
+    connection.close()
     shutil.rmtree(directory, ignore_errors=True)
 
 
@@ -495,14 +349,13 @@ def make_backend(
     """Resolve a ``durability=`` flag value into a backend (or ``None``).
 
     ``None``/``False`` — durability off.  ``True`` or ``"memory"`` — an
-    :class:`InMemoryJournal` (simulated flash).  ``"file"`` — a
-    :class:`FileJournal` under ``directory``.  ``"sqlite"`` — a
+    :class:`InMemoryJournal` (simulated flash).  ``"sqlite"`` — a
     :class:`SQLiteJournal` database under ``directory``.  A callable is
     treated as a factory ``host_id -> backend`` for custom backends.
 
-    Without a ``directory``, ``"file"`` and ``"sqlite"`` make a temporary
-    one that the backend removes when it is closed or freed; a directory
-    the caller passes in is never removed.
+    Without a ``directory``, ``"sqlite"`` makes a temporary one that the
+    backend removes when it is closed or freed; a directory the caller
+    passes in is never removed.
     """
 
     if spec is None or spec is False:
@@ -511,18 +364,16 @@ def make_backend(
         return spec(host_id)
     if spec is True or spec == "memory":
         return InMemoryJournal()
-    if spec in ("file", "sqlite"):
-        journal_class = FileJournal if spec == "file" else SQLiteJournal
+    if spec == "sqlite":
         if directory is not None:
-            return journal_class(directory, host_id)
+            return SQLiteJournal(directory, host_id)
         directory = tempfile.mkdtemp(prefix="repro-durability-")
-        backend = journal_class(directory, host_id)
-        connection = backend._conn if spec == "sqlite" else None
+        backend = SQLiteJournal(directory, host_id)
         backend._temporary = weakref.finalize(
-            backend, _remove_temporary, directory, connection
+            backend, _remove_temporary, directory, backend._conn
         )
         return backend
     raise ValueError(
-        f"unknown durability spec {spec!r}: expected None, 'memory', 'file', "
+        f"unknown durability spec {spec!r}: expected None, 'memory', "
         "'sqlite', or a factory callable"
     )

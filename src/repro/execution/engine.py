@@ -65,6 +65,10 @@ from .services import ServiceManager
 
 SendFunction = Callable[[Message], None]
 
+#: Robust mode: simulated seconds after its scheduled start an invocation
+#: still missing inputs is abandoned as a transient failure.
+INPUT_TIMEOUT = 60.0
+
 _PendingKey = tuple[str, str]
 
 
@@ -135,7 +139,6 @@ class ExecutionManager:
         send: SendFunction,
         batch_execution: bool = True,
         robust: bool = False,
-        input_timeout: float = 60.0,
         schedule=None,
         durability=None,
     ) -> None:
@@ -145,7 +148,7 @@ class ExecutionManager:
         self._send = send
         self.batch_execution = batch_execution
         #: Fault hardening (``fault_injection``): an invocation whose inputs
-        #: have not all arrived ``input_timeout`` seconds after its
+        #: have not all arrived ``INPUT_TIMEOUT`` seconds after its
         #: scheduled start is *abandoned* — its commitment is released from
         #: ``schedule`` (the host's :class:`~repro.scheduling.schedule.ScheduleManager`,
         #: when given) and the initiator is told via a transient failure, so
@@ -153,7 +156,6 @@ class ExecutionManager:
         #: an invocation pending forever.  Off by default: no timer survives
         #: long enough to change a clean run.
         self.robust = robust
-        self.input_timeout = input_timeout
         self.schedule = schedule
         self.durability = durability
         self.invocations_abandoned = 0
@@ -216,7 +218,7 @@ class ExecutionManager:
         )
         if self.robust:
             pending.expiry_event = self.scheduler.schedule_in(
-                delay + self.input_timeout,
+                delay + INPUT_TIMEOUT,
                 lambda: self._expire(key),
                 description=f"input-timeout {commitment.task.name}",
             )
@@ -437,7 +439,7 @@ class ExecutionManager:
         missing = ", ".join(sorted(pending.missing_inputs()))
         reason = (
             f"abandoned: inputs [{missing}] never arrived within "
-            f"{self.input_timeout:g}s of the scheduled start"
+            f"{INPUT_TIMEOUT:g}s of the scheduled start"
         )
         self.outcomes.append(
             CommitmentOutcome(

@@ -127,7 +127,6 @@ def adhoc_network_factory(
     radio_range: float = 150.0,
     jitter: float = 0.0005,
     multi_hop: bool = False,
-    incremental_grid: bool = True,
     vectorized: bool | None = None,
 ) -> Callable[[EventScheduler], CommunicationsLayer]:
     """An 802.11g-like ad hoc wireless network.
@@ -135,11 +134,9 @@ def adhoc_network_factory(
     The default (``multi_hop=False``) matches the paper's Figure 6 setup of
     a few laptops in mutual radio range; pass ``multi_hop=True`` for the
     scaled scenarios where hundreds of hosts relay for each other over
-    AODV-style routes.  ``incremental_grid=False`` restores the per-tick
-    snapshot rebuild (the event-driven-maintenance benchmark baseline),
-    and ``vectorized`` selects the batched NumPy geometry kernels
-    (``None``: automatic when NumPy is available; ``False``: the scalar
-    per-host loops, the kernel-equivalence baseline).
+    AODV-style routes.  ``vectorized`` selects the batched NumPy geometry
+    kernels (``None``: automatic when NumPy is available; ``False``: the
+    scalar per-host loops, the kernel-equivalence baseline).
     """
 
     def factory(scheduler: EventScheduler) -> CommunicationsLayer:
@@ -149,7 +146,6 @@ def adhoc_network_factory(
             jitter=jitter,
             multi_hop=multi_hop,
             seed=seed,
-            incremental_grid=incremental_grid,
             vectorized=vectorized,
         )
 

@@ -42,10 +42,6 @@ class HostConfig:
         many hosts; cache keys include the graph's identity), a registry
         name such as ``"coloring"`` or ``"memoized"``, or ``None`` for the
         default memoized solver.
-    share_supergraph:
-        One supergraph (and solver cache) for all of the host's
-        workspaces; ``False`` gives each workspace its own, the reference
-        the knowledge-plane equivalence tests compare against.
     knowledge_refresh_interval:
         Simulated seconds a remote's know-how sync stays trusted before
         the host queries it again: ``inf`` trusts it for the community's
@@ -79,8 +75,8 @@ class HostConfig:
         Repair revisions tried before a workflow is declared failed.
     durability:
         The durable state plane: ``None`` (off), ``"memory"`` or ``True``
-        (simulated flash), ``"file"`` (append-only files), ``"sqlite"`` (a
-        WAL-mode database) or a ``host_id -> backend`` factory.  The
+        (simulated flash), ``"sqlite"`` (a WAL-mode database) or a
+        ``host_id -> backend`` factory.  The
         community owns the backend, so it survives a crash and a
         restarted host replays it and resumes mid-workflow instead of
         forcing repair.
@@ -93,7 +89,6 @@ class HostConfig:
     construction_mode: str = "batch"
     capability_aware: bool = False
     solver: Solver | str | None = None
-    share_supergraph: bool = True
     knowledge_refresh_interval: float = math.inf
     batch_auctions: bool = True
     batch_execution: bool = True

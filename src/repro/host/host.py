@@ -173,7 +173,6 @@ class Host:
             enable_recovery=config.enable_recovery,
             max_repair_attempts=config.max_repair_attempts,
             solver=config.solver,
-            share_supergraph=config.share_supergraph,
             knowledge_refresh_interval=config.knowledge_refresh_interval,
             robust=config.fault_injection,
             durability=durability,

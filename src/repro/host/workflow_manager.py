@@ -33,13 +33,13 @@ manager keeps two high-water marks against that plane:
   queried at all.  Repeat workflows on a host therefore cost traffic and
   recolouring proportional to *new* knowledge, not community size.
 
-Pass ``share_supergraph=False`` to restore the original per-workspace
-graphs (used by the equivalence property tests), and
-``knowledge_refresh_interval=0.0`` to keep the shared graph but re-poll
-the community (with delta queries) on every submission.  One semantic
-difference of the shared plane is that knowledge, once learned, persists:
-fragments collected for an earlier workflow remain available even if the
-contributing host has since left the community.
+Pass ``knowledge_refresh_interval=0.0`` to re-poll the community (with
+delta queries) on every submission.  One semantic difference from a
+graph per workspace is that knowledge, once learned, persists: fragments
+collected for an earlier workflow remain available even if the
+contributing host has since left the community.  The equivalence
+property suite compares every workspace with a fresh supergraph of the
+same fragments.
 """
 
 from __future__ import annotations
@@ -67,11 +67,20 @@ from ..net.messages import (
     WorkflowProgressReport,
 )
 from ..sim.events import EventHandle, EventScheduler
-from ..sim.randomness import derive_rng
+from ..sim.randomness import backoff_delay, derive_rng
 from .workspace import Workspace, WorkflowPhase, next_workflow_id
 
 SendFunction = Callable[[Message], None]
 WorkspaceCallback = Callable[[Workspace], None]
+
+#: Robust mode: simulated seconds a discovery round waits for answers
+#: before re-querying the silent remotes (grown by backoff).
+DISCOVERY_TIMEOUT = 15.0
+#: Robust mode: discovery rounds before silent remotes are written off.
+MAX_DISCOVERY_ATTEMPTS = 3
+#: Robust mode: simulated seconds an executing workflow may go without
+#: progress before it fails transiently and repair takes over.
+LIVENESS_TIMEOUT = 120.0
 
 
 class WorkflowManager:
@@ -100,11 +109,6 @@ class WorkflowManager:
         of incremental discovery, and the final construction after
         discovery — reuse the cached green region and recolor only the
         fragments that arrived in between.
-    share_supergraph:
-        When true (the default) all workspaces of this manager accumulate
-        knowledge into one shared supergraph, so repeat workflows reuse
-        fragments and cached colourings across submissions.  ``False``
-        restores the original per-workspace graphs.
     knowledge_refresh_interval:
         Minimum simulated-seconds age of a remote's full sync before that
         remote is re-queried.  The default (``inf``) trusts a completed
@@ -126,14 +130,8 @@ class WorkflowManager:
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
         solver: Solver | str | None = None,
-        share_supergraph: bool = True,
         knowledge_refresh_interval: float = math.inf,
         robust: bool = False,
-        discovery_timeout: float = 15.0,
-        max_discovery_attempts: int = 3,
-        liveness_timeout: float = 120.0,
-        retry_backoff: float = 2.0,
-        retry_jitter: float = 0.1,
         durability=None,
     ) -> None:
         if construction_mode not in ("batch", "incremental"):
@@ -153,10 +151,9 @@ class WorkflowManager:
         self.solver = make_solver(
             solver, stop_exploration_early=stop_exploration_early
         )
-        self.share_supergraph = share_supergraph
         self.knowledge_refresh_interval = knowledge_refresh_interval
         #: The host's knowledge plane: one supergraph for every workspace.
-        self.supergraph: Supergraph | None = Supergraph() if share_supergraph else None
+        self.supergraph = Supergraph()
         self._seeded_local_version = 0
         #: remote host -> (version, sim time, database epoch) of its last
         #: full sync.  The epoch ties the version to one database instance;
@@ -166,23 +163,15 @@ class WorkflowManager:
         #: Fault hardening (``fault_injection``): discovery queries are
         #: retried with backoff and silent remotes eventually written off,
         #: and an executing workflow that makes no progress for
-        #: ``liveness_timeout`` simulated seconds is failed transiently so
+        #: ``LIVENESS_TIMEOUT`` simulated seconds is failed transiently so
         #: repair re-auctions its outstanding tasks (a silent executor death
         #: otherwise hangs the initiator forever).  Off by default; when on,
         #: a fault-free run's timers are all cancelled before they fire, so
         #: outcomes are unchanged.
         self.robust = robust
-        self.discovery_timeout = discovery_timeout
-        self.max_discovery_attempts = max_discovery_attempts
-        self.liveness_timeout = liveness_timeout
-        self.retry_backoff = retry_backoff
-        #: Seeded jitter factor on discovery-retry backoffs, mirroring the
-        #: auction manager's: stretches each armed timer by up to
-        #: ``retry_jitter`` of its base delay so re-query storms after a
-        #: healed partition de-synchronize across initiators.  Drawn from a
-        #: per-host derived stream, so replays stay deterministic; robust
-        #: mode only, so a clean run stays byte-identical.
-        self.retry_jitter = retry_jitter
+        #: The stream of this host's discovery-retry jitter, separate from
+        #: the auction manager's (robust mode only, so a clean run stays
+        #: byte-identical).
         self._jitter_rng = (
             derive_rng(0, "retry-jitter", host_id, "discovery") if robust else None
         )
@@ -206,7 +195,6 @@ class WorkflowManager:
         excluded_tasks: Iterable[str] = (),
         repair_of: str | None = None,
         repair_attempt: int = 0,
-        supergraph: Supergraph | None = None,
     ) -> Workspace:
         """Start working on a new problem; returns its workspace immediately.
 
@@ -215,10 +203,9 @@ class WorkflowManager:
         the optional callbacks and can always be inspected on the returned
         workspace.  ``excluded_tasks`` forbids specific tasks during
         construction — used by workflow repair to route around tasks whose
-        execution has already failed.  ``supergraph`` lets a caller reuse an
-        already-accumulated graph (repairs pass the failed workspace's graph
-        so the solver's cached colouring — and the community knowledge — is
-        reused instead of rediscovered).
+        execution has already failed.  Every workspace builds on the
+        manager's one supergraph, so a repair reuses the solver's cached
+        colouring and the community knowledge instead of rediscovering them.
         """
 
         participant_set = frozenset(participants) | {self.host_id}
@@ -238,10 +225,7 @@ class WorkflowManager:
                 repair_of,
                 repair_attempt,
             )
-        if supergraph is not None:
-            workspace.supergraph = supergraph
-        elif self.supergraph is not None:
-            workspace.supergraph = self.supergraph
+        workspace.supergraph = self.supergraph
         workspace.excluded_tasks = set(excluded_tasks)
         workspace.repair_of = repair_of
         workspace.repair_attempt = repair_attempt
@@ -253,19 +237,12 @@ class WorkflowManager:
             self._on_completed[workflow_id] = on_completed
 
         # The initiator's own know-how seeds the supergraph without any
-        # network traffic.  On the shared plane only fragments added since
-        # the previous submission are merged (one journaled batch).
-        workspace.fragments_reused = workspace.supergraph.fragment_count
-        if self._uses_shared_plane(workspace):
-            new_local = self.fragments.fragments_since(self._seeded_local_version)
-            workspace.fragments_collected += workspace.supergraph.add_fragments_batch(
-                new_local
-            )
-            self._seeded_local_version = self.fragments.version
-        else:
-            for fragment in self.fragments.all_fragments():
-                workspace.supergraph.add_fragment(fragment)
-                workspace.fragments_collected += 1
+        # network traffic: only fragments added since the previous
+        # submission are merged (one journaled batch).
+        workspace.fragments_reused = self.supergraph.fragment_count
+        new_local = self.fragments.fragments_since(self._seeded_local_version)
+        workspace.fragments_collected += self.supergraph.add_fragments_batch(new_local)
+        self._seeded_local_version = self.fragments.version
 
         self._start_discovery(workspace)
         return workspace
@@ -280,9 +257,6 @@ class WorkflowManager:
     def _remote_participants(self, workspace: Workspace) -> list[str]:
         return sorted(workspace.participants - {self.host_id})
 
-    def _uses_shared_plane(self, workspace: Workspace) -> bool:
-        return self.supergraph is not None and workspace.supergraph is self.supergraph
-
     def _is_freshly_synced(self, remote: str) -> bool:
         """True when ``remote``'s last full sync is young enough to trust."""
 
@@ -292,22 +266,18 @@ class WorkflowManager:
         age = self.scheduler.clock.now() - sync[1]
         return age < self.knowledge_refresh_interval
 
-    def _stale_remotes(self, workspace: Workspace, remotes: list[str]) -> list[str]:
+    def _stale_remotes(self, remotes: list[str]) -> list[str]:
         """The remotes whose knowledge the shared plane does not already hold."""
 
-        if not self._uses_shared_plane(workspace):
-            return remotes
         return [r for r in remotes if not self._is_freshly_synced(r)]
 
-    def _sync_floor(self, workspace: Workspace, remote: str) -> tuple[int, int]:
+    def _sync_floor(self, remote: str) -> tuple[int, int]:
         """(version, epoch) delta floor for a query to ``remote``.
 
         ``(0, -1)`` means "send everything".  The epoch lets the responder
         reject a floor recorded against a previous database instance.
         """
 
-        if not self._uses_shared_plane(workspace):
-            return 0, -1
         sync = self._synced_remotes.get(remote)
         return (sync[0], sync[2]) if sync is not None else (0, -1)
 
@@ -342,7 +312,7 @@ class WorkflowManager:
 
     def _query_all_fragments(self, workspace: Workspace, remotes: list[str]) -> None:
         workspace.did_full_discovery = True
-        stale = self._stale_remotes(workspace, remotes)
+        stale = self._stale_remotes(remotes)
         workspace.remotes_skipped += len(remotes) - len(stale)
         if not stale:
             # Every participant completed a full sync into the shared plane
@@ -358,7 +328,7 @@ class WorkflowManager:
         self._arm_discovery_timer(workspace, attempt=1)
 
     def _send_full_query(self, workspace: Workspace, remote: str) -> None:
-        floor_version, floor_epoch = self._sync_floor(workspace, remote)
+        floor_version, floor_epoch = self._sync_floor(remote)
         self._send(
             FragmentQuery(
                 sender=self.host_id,
@@ -376,7 +346,7 @@ class WorkflowManager:
         if result.succeeded:
             self._after_discovery(workspace)
             return
-        stale = self._stale_remotes(workspace, remotes)
+        stale = self._stale_remotes(remotes)
         if not stale:
             # The shared plane already holds everything the community knows;
             # asking again cannot change the verdict.
@@ -404,7 +374,7 @@ class WorkflowManager:
         workspace.remotes_skipped += len(remotes) - len(stale)
         workspace.awaiting_fragment_responses = set(stale)
         for remote in stale:
-            floor_version, floor_epoch = self._sync_floor(workspace, remote)
+            floor_version, floor_epoch = self._sync_floor(remote)
             self._send(
                 FragmentQuery(
                     sender=self.host_id,
@@ -429,11 +399,8 @@ class WorkflowManager:
             return
         workflow_id = workspace.workflow_id
         self._cancel_discovery_timer(workflow_id)
-        delay = self.discovery_timeout * (self.retry_backoff ** (attempt - 1))
-        if self._jitter_rng is not None and self.retry_jitter > 0.0:
-            delay *= 1.0 + self.retry_jitter * self._jitter_rng.random()
         self._discovery_timers[workflow_id] = self.scheduler.schedule_in(
-            delay,
+            backoff_delay(DISCOVERY_TIMEOUT, attempt, self._jitter_rng),
             lambda: self._discovery_deadline(workflow_id, attempt),
             description=f"discovery-timeout {workflow_id}",
         )
@@ -446,7 +413,7 @@ class WorkflowManager:
     def _discovery_deadline(self, workflow_id: str, attempt: int) -> None:
         """A discovery round expired: re-query the silent, or write them off.
 
-        Up to ``max_discovery_attempts`` rounds the missing remotes are
+        Up to ``MAX_DISCOVERY_ATTEMPTS`` rounds the missing remotes are
         re-queried (full queries — a superset of whatever the round asked,
         deduplicated on merge).  After that the silent remotes are treated
         as departed: discovery proceeds on the knowledge that did arrive,
@@ -461,7 +428,7 @@ class WorkflowManager:
         missing_capabilities = sorted(workspace.awaiting_capability_responses)
         if not missing_fragments and not missing_capabilities:
             return
-        if attempt < self.max_discovery_attempts:
+        if attempt < MAX_DISCOVERY_ATTEMPTS:
             self.discovery_retries += len(missing_fragments) + len(
                 missing_capabilities
             )
@@ -523,7 +490,7 @@ class WorkflowManager:
             # A full (want_all) answer means the plane now holds everything
             # the sender knew up to its reported version: record the
             # high-water mark for future delta queries.
-            if response.knowledge_version >= 0 and self._uses_shared_plane(workspace):
+            if response.knowledge_version >= 0:
                 self._synced_remotes[response.sender] = (
                     response.knowledge_version,
                     self.scheduler.clock.now(),
@@ -709,7 +676,7 @@ class WorkflowManager:
 
         Armed when execution starts and re-armed on every completion; an
         executing workflow whose watchdog fires made no progress for
-        ``liveness_timeout`` simulated seconds — some executor died holding
+        ``LIVENESS_TIMEOUT`` simulated seconds — some executor died holding
         an outstanding task.  The expiry converts that silence into a
         transient task failure so the normal repair path re-auctions it.
         """
@@ -719,7 +686,7 @@ class WorkflowManager:
         workflow_id = workspace.workflow_id
         self._cancel_liveness(workflow_id)
         self._liveness_timers[workflow_id] = self.scheduler.schedule_in(
-            self.liveness_timeout,
+            LIVENESS_TIMEOUT,
             lambda: self._liveness_deadline(workflow_id),
             description=f"liveness-timeout {workflow_id}",
         )
@@ -741,7 +708,7 @@ class WorkflowManager:
         self._record_failed(
             workspace,
             outstanding[0],
-            f"no progress for {self.liveness_timeout:g}s with "
+            f"no progress for {LIVENESS_TIMEOUT:g}s with "
             f"{len(outstanding)} task(s) outstanding (executor presumed dead)",
             transient=True,
         )
@@ -852,7 +819,6 @@ class WorkflowManager:
             excluded_tasks=excluded,
             repair_of=workspace.workflow_id,
             repair_attempt=workspace.repair_attempt + 1,
-            supergraph=workspace.supergraph,
         )
         workspace.repaired_by = repaired.workflow_id
         if self.durability is not None:
@@ -895,8 +861,7 @@ class WorkflowManager:
                 participants=frozenset(record.participants),
             )
             workspace.durability = self.durability
-            if self.supergraph is not None:
-                workspace.supergraph = self.supergraph
+            workspace.supergraph = self.supergraph
             workspace.excluded_tasks = set(record.excluded_tasks)
             workspace.repair_of = record.repair_of
             workspace.repair_attempt = record.repair_attempt
@@ -929,7 +894,7 @@ class WorkflowManager:
                 executing.append(workspace)
             elif phase not in (WorkflowPhase.COMPLETED, WorkflowPhase.FAILED):
                 resumable.append((workspace, record))
-        if resumable and self.supergraph is not None:
+        if resumable:
             # Seed the restored shared plane with local know-how, exactly as
             # submit() would have (the fragment manager was rebuilt from the
             # journal before this runs).
@@ -945,9 +910,6 @@ class WorkflowManager:
             else:
                 self._arm_liveness(workspace)
         for workspace, record in resumable:
-            if self.supergraph is None:
-                for fragment in self.fragments.all_fragments():
-                    workspace.supergraph.add_fragment(fragment)
             if record.discovered:
                 # Know-how already paid for over the network: replayed from
                 # the journal instead of re-queried.

@@ -33,18 +33,18 @@ lookup.  ``neighbours_of`` is an O(k) grid query, ``in_radio_range`` a
 memo lookup, ``is_connected`` one O(V+E) component sweep, and cached
 routes and BFS trees hold for as long as the topology generation does.
 
-Event-driven link maintenance (the default, ``incremental_grid=True``)
-makes the *tick boundary* cheap as well.  Instead of discarding the whole
-snapshot when the clock moves, the network keeps a heap of
-``(next-possible-move time, host)`` entries derived from the mobility
-models' current legs (``motion_at``: the instant itself while moving, the
-end of the current rest otherwise).  Advancing to a new instant pops only
-the hosts that may have moved, re-evaluates just those, relocates them in
-the grid (:meth:`~repro.net.spatial.SpatialGridIndex.move` rehashes only
-on a cell change), and compares each mover's radio disc before and after:
+Event-driven link maintenance makes the *tick boundary* cheap as well.
+Instead of discarding the whole snapshot when the clock moves, the
+network keeps a heap of ``(next-possible-move time, host)`` entries
+derived from the mobility models' current legs (``motion_at``: the
+instant itself while moving, the end of the current rest otherwise).
+Advancing to a new instant pops only the hosts that may have moved,
+re-evaluates just those, relocates them in the grid
+(:meth:`~repro.net.spatial.SpatialGridIndex.move` rehashes only on a
+cell change), and compares each mover's radio disc before and after:
 when no link changed — the overwhelmingly common tick under smooth
-mobility — every memoized neighbour set and component label survives,
-so the tick costs O(moved hosts) instead of an O(n) rebuild.  When links
+mobility — every memoized neighbour set and component label survives, so
+the tick costs O(moved hosts) instead of an O(n) rebuild.  When links
 did change, only the hosts touching a changed link have their memos
 dropped, and the topology generation advances.
 
@@ -81,8 +81,7 @@ margin is ``2**-32`` times that scale, thousands of times more, so a pair
 further than the margin from the range boundary cannot be misjudged at
 any instant of the horizon.  The horizon is computed only where the sweep
 already runs, so traffic that only advances (a fleet ticking without
-reachability queries) never pays for it; the rebuild path
-(``incremental_grid=False``) computes none.
+reachability queries) never pays for it.
 
 The *topology generation* keys the router's BFS trees and cached routes.
 It advances when a snapshot is built and wherever an advance drops the
@@ -93,24 +92,21 @@ advance never diffs the links of a host outside the grid, so
 :meth:`AdHocWirelessNetwork.generation_of` vouches for none of them.
 
 Vectorized geometry kernels (``vectorized=True``, automatic whenever
-NumPy is importable and the spatial index is on) move the remaining
-per-host Python loops into array code: the whole population's trajectory
-legs live in a contiguous :class:`~repro.net.kernels.LegTable`, snapshot
-builds and advances evaluate every requested position in one batched
-replay, and the grid is a :class:`~repro.net.kernels.VectorGridIndex`
-whose whole-population disc sweeps come from one vectorized gather.  The
-kernels run the exact float operation sequences of the scalar paths
-(boundary pairs re-checked with scalar ``math.hypot``), so every
-neighbour set, component verdict, and stability horizon is
-identical bit-for-bit — pinned by the kernel equivalence property suite.
-NumPy is optional: without it the flag auto-resolves to ``False`` and the
-scalar paths below run untouched.
+NumPy is importable) move the remaining per-host Python loops into array
+code: the whole population's trajectory legs live in a contiguous
+:class:`~repro.net.kernels.LegTable`, snapshot builds and advances
+evaluate every requested position in one batched replay, and the grid is
+a :class:`~repro.net.kernels.VectorGridIndex` whose whole-population
+disc sweeps come from one vectorized gather.  The kernels run the exact
+float operation sequences of the scalar paths (boundary pairs re-checked
+with scalar ``math.hypot``), so every neighbour set, component verdict,
+and stability horizon is identical bit-for-bit — pinned by the kernel
+equivalence property suite.  NumPy is optional: without it the flag
+auto-resolves to ``False`` and the scalar paths below run untouched.
 
-Pass ``use_spatial_index=False`` to fall back to the original brute-force
-scans, ``incremental_grid=False`` to keep the grid but rebuild it every
-tick (the PR-2 behaviour), or ``vectorized=False`` for the scalar loops;
-all reference paths are kept for the equivalence property suites and
-benchmark baselines.
+Every answer must equal what fresh ``position_at`` calls at the same
+instant imply; the property suites check that against the reference
+network in ``tests/reference/network.py``.
 """
 
 from __future__ import annotations
@@ -208,31 +204,14 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     multi_hop:
         When false (the paper's Figure 6 setup has all four laptops in
         mutual range), only direct neighbours can communicate.
-    use_spatial_index:
-        When true (the default), geometry queries go through the per-tick
-        grid snapshot; when false, the original brute-force O(n) scans and
-        all-pairs connectivity loop are used.  The flag exists for the
-        equivalence tests and the scaling benchmarks' baseline.
-    incremental_grid:
-        When true (the default, and only meaningful with the spatial
-        index), the snapshot is *advanced* across tick boundaries: only
-        hosts whose mobility model reports possible movement are
-        re-evaluated and re-indexed, and geometry memos survive wherever
-        no link changed.  Each whole-fleet sweep also certifies a
-        stability horizon (see the module docstring) before which no link
-        can change, and instants inside it skip the advance entirely.
-        ``False`` restores the full rebuild per tick (the reference path
-        for the incremental/rebuild equivalence property suite and the
-        maintenance benchmark baseline).
     vectorized:
         When true, geometry flows through the batched NumPy kernels
         (:mod:`repro.net.kernels`): snapshot builds/advances, disc
         comparisons, and component sweeps are evaluated over the whole
         population per call, with bit-identical results to the scalar
         loops.  ``None`` (the default) resolves to ``True`` exactly when
-        NumPy is importable and the spatial index is on; ``True`` without
-        NumPy (or without the spatial index) raises.  ``False`` keeps the
-        scalar per-host paths (the reference for the kernel equivalence
+        NumPy is importable; ``True`` without NumPy raises.  ``False``
+        keeps the scalar per-host paths (the reference for the kernel equivalence
         suite, and the only paths exercised when NumPy is absent).
     """
 
@@ -246,8 +225,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         jitter: float = 0.0,
         multi_hop: bool = True,
         seed: int = 0,
-        use_spatial_index: bool = True,
-        incremental_grid: bool = True,
         vectorized: bool | None = None,
     ) -> None:
         super().__init__(scheduler)
@@ -261,16 +238,9 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.route_discovery_cost = route_discovery_cost
         self.jitter = jitter
         self.multi_hop = multi_hop
-        self.use_spatial_index = use_spatial_index
-        self.incremental_grid = incremental_grid
         if vectorized is None:
-            vectorized = use_spatial_index and kernels.numpy_available()
+            vectorized = kernels.numpy_available()
         elif vectorized:
-            if not use_spatial_index:
-                raise ValueError(
-                    "vectorized geometry requires the spatial index "
-                    "(use_spatial_index=True)"
-                )
             kernels.require_numpy()
         self.vectorized = bool(vectorized)
         self._rng = rng_from_seed(seed)
@@ -331,14 +301,9 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if snapshot is not None and snapshot.version == self._version:
             if snapshot.time == now:
                 return snapshot
-            if (
-                self.incremental_grid
-                and self.use_spatial_index
-                and now > snapshot.time
-                # Geometry memos only carry across ticks while the radio
-                # range they were computed for still holds.
-                and snapshot.radius == self.radio_range
-            ):
+            # Geometry memos only carry across ticks while the radio range
+            # they were computed for still holds.
+            if now > snapshot.time and snapshot.radius == self.radio_range:
                 if now < snapshot.stable_until:
                     # Certified: no link changes before stable_until, so the
                     # memos answer for `now` and the grid may lag behind.
@@ -366,8 +331,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.snapshots_built += 1
         self.grid_rebuilds += 1
         self.topology_generation += 1
-        if self.incremental_grid and self.use_spatial_index:
-            self._rebuild_move_heap(now)
+        self._rebuild_move_heap(now)
         return snapshot
 
     # -- vectorized geometry ------------------------------------------------
@@ -483,7 +447,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             # disc would cost more than the lazy recomputation it tries to
             # save.  Apply the moves (still O(moved) grid work, no O(n)
             # rebuild) and drop the geometry memos wholesale — queries then
-            # recompute lazily, exactly as on the rebuild path.
+            # recompute lazily, exactly as after a snapshot build.
             for host, new in moved:
                 snapshot.positions[host] = new
                 grid.move(host, new)
@@ -661,32 +625,25 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def neighbours_of(self, host_id: str) -> frozenset[str]:
         """Hosts currently within direct radio range of ``host_id``.
 
-        O(k) in the local host density via the grid snapshot (O(n) brute
-        force when ``use_spatial_index`` is off); memoized per instant.
+        O(k) in the local host density via the grid snapshot; memoized per
+        instant.
         """
 
         snapshot = self._current_snapshot()
         cached = snapshot.neighbours.get(host_id)
         if cached is not None:
             return cached
-        if self.use_spatial_index:
-            if host_id not in snapshot.grid:
-                # Placed but not registered (e.g. a crashed relay on a cached
-                # route): neither the advance's link diff nor a stability
-                # horizon covers it, so answer from current coordinates and
-                # keep no memo.
-                self._settle(snapshot)
-                position = self._position_at(host_id, snapshot.time)
-                return snapshot.grid.near(position, self.radio_range) - {host_id}
-            # A grid lagging inside a stability horizon still gives the
-            # right answer: no registered host's link set has changed.
-            neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
-        else:
-            neighbours = frozenset(
-                other
-                for other in self.host_ids
-                if other != host_id and self.in_radio_range(host_id, other)
-            )
+        if host_id not in snapshot.grid:
+            # Placed but not registered (e.g. a crashed relay on a cached
+            # route): neither the advance's link diff nor a stability
+            # horizon covers it, so answer from current coordinates and
+            # keep no memo.
+            self._settle(snapshot)
+            position = self._position_at(host_id, snapshot.time)
+            return snapshot.grid.near(position, self.radio_range) - {host_id}
+        # A grid lagging inside a stability horizon still gives the right
+        # answer: no registered host's link set has changed.
+        neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
         snapshot.neighbours[host_id] = neighbours
         return neighbours
 
@@ -705,9 +662,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             # Components are only dropped by a rebuild or an uncertified
             # advance, and both leave the grid at the snapshot's instant.
             now = snapshot.time
-            # Only event-driven maintenance can use a horizon; the rebuild
-            # path re-sweeps every tick anyway.
-            motion = self._motion_bounds(now) if self.incremental_grid else None
+            motion = self._motion_bounds(now)
             speeds, margin = None, 0.0
             if motion is not None:
                 speeds, fastest, leg_end, extent = motion
@@ -760,32 +715,18 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             return True
         if not self.multi_hop:
             return False
-        if self.use_spatial_index:
-            labels = self._component_labels()
-            sender_label = labels.get(sender)
-            return sender_label is not None and sender_label == labels.get(recipient)
-        try:
-            self._router.route(sender, recipient)
-        except RouteNotFound:
-            return False
-        return True
+        labels = self._component_labels()
+        sender_label = labels.get(sender)
+        return sender_label is not None and sender_label == labels.get(recipient)
 
     def is_connected(self) -> bool:
         """True when every pair of attached hosts can currently communicate.
 
-        With the spatial index this is a single connected-components sweep
-        (multi-hop) or a neighbour-count check (single-hop, where "connected"
-        means every pair is in direct range); the brute-force flag keeps the
-        original all-pairs reachability loop for the equivalence tests.
+        A single connected-components sweep (multi-hop) or a neighbour-count
+        check (single-hop, where "connected" means every pair is in direct
+        range).
         """
 
-        if not self.use_spatial_index:
-            hosts = sorted(self.host_ids)
-            return all(
-                self.is_reachable(a, b)
-                for i, a in enumerate(hosts)
-                for b in hosts[i + 1 :]
-            )
         hosts = self.host_ids
         if len(hosts) <= 1:
             return True
@@ -831,20 +772,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         except RouteNotFound as exc:
             raise HostUnreachableError(str(exc)) from exc
         return route.hop_count, not cached
-
-    # -- maintenance ------------------------------------------------------------------
-    def invalidate_routes(self, flush: bool = False) -> None:
-        """Signal that hosts may have moved.
-
-        With topology-generation validation this is a no-op: a moved link
-        advances the generation, cached routes stamped with an older one
-        re-walk their links, and only routes whose own links broke are
-        dropped.  Pass ``flush=True`` to force the original
-        flush-everything behaviour.
-        """
-
-        if flush:
-            self._router.clear()
 
     @property
     def router(self) -> AodvRouter:

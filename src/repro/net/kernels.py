@@ -447,14 +447,6 @@ class VectorGridIndex:
         dy = self.ys[queries] - self.ys[candidates]
         return queries, candidates, dx, dy
 
-    def all_neighbour_pairs(self, radius: float):
-        """``(host, neighbour)`` index pairs over the whole population
-        (self-pairs removed) — one batched sweep for every disc at once."""
-
-        queries, candidates, dx, dy = self._block_pairs(radius)
-        inside = _within_radius(dx, dy, radius)
-        return queries[inside], candidates[inside]
-
     def _stability_horizon(self, queries, candidates, d2, radius, speeds, margin):
         """The sweep's stability horizon: the scalar
         :meth:`SpatialGridIndex.neighbour_sets_and_labels` bounds over the

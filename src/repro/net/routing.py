@@ -137,16 +137,6 @@ class AodvRouter:
         self._cache[(destination, source)] = _CacheEntry(reverse, generation)
         return route, False
 
-    def clear(self) -> None:
-        """Drop the entire route cache (e.g. after large-scale movement)."""
-
-        self._cache.clear()
-        self._trees.clear()
-
-    @property
-    def cached_route_count(self) -> int:
-        return len(self._cache)
-
     # -- internals ----------------------------------------------------------------
     def _entry_valid(self, entry: _CacheEntry) -> bool:
         generation = self._generation_of(entry.route.hops)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..core.errors import CommunicationError, HostUnreachableError
 from ..sim.events import EventScheduler
@@ -239,15 +239,6 @@ class CommunicationsLayer(ABC):
         for recipient in recipients:
             self.send(make_message(recipient))
         return recipients
-
-    def send_all(self, messages: Iterable[Message]) -> int:
-        """Send a batch of messages; returns how many were accepted."""
-
-        count = 0
-        for message in messages:
-            if self.try_send(message):
-                count += 1
-        return count
 
 
 class Outbox:

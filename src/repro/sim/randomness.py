@@ -77,6 +77,27 @@ def shuffled(rng: random.Random, items: Iterable[T]) -> list[T]:
     return result
 
 
+RETRY_BACKOFF = 2.0
+"""Growth factor of a fault-hardened protocol's retry delay per attempt."""
+
+RETRY_JITTER = 0.1
+"""Largest fraction of its base delay by which a retry delay is stretched."""
+
+
+def backoff_delay(base: float, attempt: int, rng: random.Random) -> float:
+    """The delay before retry round ``attempt`` (from 1) of a hardened protocol.
+
+    ``base`` grows by :data:`RETRY_BACKOFF` per earlier round and is
+    stretched by up to :data:`RETRY_JITTER` of itself, drawn from ``rng``.
+    Each manager passes its own per-host derived stream, so the retry storm
+    after a partition heals de-synchronizes across hosts (they would
+    otherwise fire at identical backoff multiples) while a replay stays a
+    pure function of the host id.
+    """
+
+    return base * RETRY_BACKOFF ** (attempt - 1) * (1.0 + RETRY_JITTER * rng.random())
+
+
 def exponential_jitter(rng: random.Random, mean: float) -> float:
     """An exponentially distributed delay with the given mean (0 when mean is 0)."""
 

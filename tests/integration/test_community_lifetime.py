@@ -188,8 +188,8 @@ def test_dropped_community_removes_its_temporary_journal_directories():
     gc.disable()
     try:
         community = Community()
-        for host_id, durability in (("a", "sqlite"), ("b", "file"), ("c", "sqlite")):
-            community.add_host(host_id, durability=durability)
+        for host_id in ("a", "b", "c"):
+            community.add_host(host_id, durability="sqlite")
         directories = {
             host.host_id: host.durability.backend.directory for host in community
         }

@@ -96,25 +96,8 @@ class TestDurableDeterminism:
         assert first.workflows_resumed == second.workflows_resumed
 
 
-class TestFileBackedDurability:
-    def test_file_journal_backend_matches_memory_backend(self, tmp_path):
-        from repro.durability import FileJournal
-
-        memory = timed_churn(
-            5, drop_probability=0.0, duplicate_probability=0.0, durability="memory"
-        )
-        file_backed = timed_churn(
-            5,
-            drop_probability=0.0,
-            duplicate_probability=0.0,
-            durability=lambda host_id: FileJournal(tmp_path, host_id),
-        )
-        assert memory.deterministic_copy() == file_backed.deterministic_copy()
-        assert memory.invocations_resumed == file_backed.invocations_resumed
-
-
 class TestSQLiteBackedDurability:
-    """The tier-2 backend must be a drop-in replacement for the other two."""
+    """The on-disk backend must be a drop-in replacement for the in-memory one."""
 
     def test_sqlite_journal_backend_matches_memory_backend(self, tmp_path):
         from repro.durability import SQLiteJournal

@@ -9,14 +9,24 @@ network layer learned to skip snapshot advances inside a stability
 horizon.
 
 Allocation ends before links change much, so one more scenario runs
-workflows to completion while hosts move: the 8-task fan-out workflow of
-``benchmarks/test_execution_scaling.py`` (rebuilt here, so an edit to the
-benchmark cannot change what the values pin), submitted 40 times on a
+workflows to completion while hosts move: an 8-task fan-out workflow (one
+hub task feeding six parallel stages and a join) submitted 40 times on a
 20-host community where every fifth host (and both specialists) wanders
 as a random waypoint.  Its phases, completed tasks, final simulated clock,
 route discoveries and execution traffic must equal values recorded while
 link epochs were still bumped ahead of time at predicted link breaks, on
-both ``vectorized`` paths.
+both ``vectorized`` paths, and the per-label execution protocol must
+complete the same workflows there with more messages.
+
+In the ``mobile`` trials every host moves, so each snapshot advance drops
+every memo at once.  A mostly-at-rest population takes the other branch:
+in a 150-host allocation trial where four of five hosts sit still and
+every fifth wanders, each advance diffs the movers' radio discs before and
+after and keeps every memo whose links held.  Its phase, simulated
+allocation time, snapshot counters, route discoveries, traffic and
+allocation must equal values recorded with the per-tick rebuild and
+brute-force reference paths still in the network, on both ``vectorized``
+paths.
 
 Any change that moves a route, a latency or a reachability verdict moves
 at least one of these values.  The hash-seed and determinism suites only
@@ -209,8 +219,11 @@ VECTORIZED = [
 ]
 
 
-@pytest.mark.parametrize("vectorized", VECTORIZED)
-def test_mobile_fanout_execution_matches_recorded_values(vectorized):
+def run_mobile_fanout(vectorized, batch_execution=True):
+    """Submit the fan-out workflow ``FANOUT_REPEATS`` times, each run to
+    its end; returns the phases, the completed-task count and the
+    community (kept alive, so its network can be read)."""
+
     community = Community(
         network_factory=adhoc_network_factory(
             FANOUT_SEED, multi_hop=True, vectorized=vectorized
@@ -223,6 +236,7 @@ def test_mobile_fanout_execution_matches_recorded_values(vectorized):
             fragments=fragments if index == 0 else (),
             services=services_of(index),
             mobility=mixed_mobility(index),
+            batch_execution=batch_execution,
         )
     specification = Specification(triggers=["go"], goals=["done"])
     phases = []
@@ -232,6 +246,12 @@ def test_mobile_fanout_execution_matches_recorded_values(vectorized):
         community.run_until_completed(workspace, max_sim_seconds=86_400.0)
         phases.append(workspace.phase.value)
         completed_tasks += len(workspace.completed_tasks)
+    return phases, completed_tasks, community
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+def test_mobile_fanout_execution_matches_recorded_values(vectorized):
+    phases, completed_tasks, community = run_mobile_fanout(vectorized)
     network = community.network
     assert phases == ["completed"] * FANOUT_REPEATS
     assert (
@@ -241,3 +261,95 @@ def test_mobile_fanout_execution_matches_recorded_values(vectorized):
         network.statistics.kind_count(*EXECUTION_KINDS),
         network.statistics.kind_bytes(*EXECUTION_KINDS),
     ) == FANOUT_GOLDEN
+
+
+def test_mobile_fanout_per_label_protocol_completes_the_same_workflows():
+    """Over the same moving community the per-label execution protocol
+    completes the same workflows and tasks as the batched one, with more
+    execution messages."""
+
+    phases, completed_tasks, batched = run_mobile_fanout(None)
+    plain_phases, plain_completed_tasks, plain = run_mobile_fanout(
+        None, batch_execution=False
+    )
+    assert plain_phases == phases
+    assert plain_completed_tasks == completed_tasks
+    assert batched.network.statistics.kind_count(
+        *EXECUTION_KINDS
+    ) < plain.network.statistics.kind_count(*EXECUTION_KINDS)
+
+
+# -- a mostly-at-rest population: the sparse disc-diff advance --------------
+
+MIXED_SEED = 20090514
+MIXED_HOSTS = 150
+MIXED_TASKS = 100
+
+#: (phase, simulated allocation seconds, snapshots built, grid rebuilds,
+#: hosts re-evaluated, hosts moved, advances skipped, topology generation,
+#: route discoveries, messages, bytes, allocation).
+MIXED_GOLDEN = (
+    "executing",
+    0.09469550387813122,
+    301,
+    1,
+    5280,
+    5280,
+    124,
+    1,
+    144,
+    602,
+    170648,
+    (
+        ("task-29", "host-36"),
+        ("task-32", "host-14"),
+        ("task-39", "host-50"),
+        ("task-78", "host-49"),
+    ),
+)
+
+
+def mostly_at_rest(index: int):
+    """Four of five hosts sit with their users; every fifth wanders."""
+
+    site = square_site(60.0 * math.sqrt(MIXED_HOSTS))
+    if index % 5 == 0:
+        return RandomWaypointMobility(
+            site, seed=derive_seed(MIXED_SEED, "bench-maint", index)
+        )
+    return site.random_point(derive_rng(MIXED_SEED, "bench-maint-scatter", index))
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+def test_mixed_mobility_trial_matches_recorded_values(vectorized):
+    workload = RandomSupergraphWorkload(seed=MIXED_SEED).generate(MIXED_TASKS)
+    specification = workload.path_specification(
+        4, derive_rng(MIXED_SEED, "bench-maint-spec", MIXED_HOSTS)
+    )
+    community = build_trial_community(
+        workload,
+        MIXED_HOSTS,
+        seed=MIXED_SEED,
+        network_factory=adhoc_network_factory(
+            MIXED_SEED, multi_hop=True, vectorized=vectorized
+        ),
+        mobility_factory=mostly_at_rest,
+    )
+    workspace = community.submit_specification("host-0", specification)
+    community.run_until_allocated(workspace, max_sim_seconds=3_600.0)
+    network = community.network
+    outcome = workspace.allocation_outcome
+    assert (
+        workspace.phase.value,
+        workspace.time_to_allocation()[0],
+        network.snapshots_built,
+        network.grid_rebuilds,
+        network.hosts_reevaluated,
+        network.hosts_moved,
+        network.advances_skipped,
+        network.topology_generation,
+        network.router.discoveries,
+        network.statistics.messages_sent,
+        network.statistics.bytes_sent,
+        tuple(sorted(outcome.allocation.items())) if outcome else (),
+    ) == MIXED_GOLDEN

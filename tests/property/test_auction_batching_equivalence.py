@@ -17,11 +17,13 @@ compare:
   exactly what the batched protocol improves;
 * the message counts themselves — batched must use strictly fewer
   messages (and fewer bytes) whenever the workflow has >1 task and the
-  community >1 participant.
+  community >1 participant, and at least 5x fewer for an 8-task workflow
+  among 8 or 12 participants.
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.trials import build_trial_community, trial_result_from_workspace
@@ -31,6 +33,10 @@ from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 
 SEED = 20090514
 SETTINGS = settings(max_examples=15, deadline=None)
+AUCTION_KINDS = (
+    "CallForBids", "BidMessage", "BidDeclined", "AwardMessage",
+    "CallForBidsBatch", "BidBatch", "AwardBatch",
+)
 
 
 def run_trial(batch_auctions: bool, num_tasks: int, num_hosts: int, path_length: int):
@@ -88,17 +94,27 @@ def test_batched_and_unbatched_allocations_identical(
 
     # The message saving is real whenever there was something to batch.
     tasks = len(batched_ws.workflow.task_names) if batched_ws.workflow else 0
-    auction_kinds = (
-        "CallForBids", "BidMessage", "BidDeclined", "AwardMessage",
-        "CallForBidsBatch", "BidBatch", "AwardBatch",
-    )
-    batched_messages = batched_stats.kind_count(*auction_kinds)
-    unbatched_messages = unbatched_stats.kind_count(*auction_kinds)
+    batched_messages = batched_stats.kind_count(*AUCTION_KINDS)
+    unbatched_messages = unbatched_stats.kind_count(*AUCTION_KINDS)
     if tasks > 1 and num_hosts > 1:
         assert batched_messages < unbatched_messages
-        assert batched_stats.kind_bytes(*auction_kinds) < unbatched_stats.kind_bytes(
-            *auction_kinds
+        assert batched_stats.kind_bytes(*AUCTION_KINDS) < unbatched_stats.kind_bytes(
+            *AUCTION_KINDS
         )
+
+
+@pytest.mark.parametrize("num_hosts", [8, 12])
+def test_batched_auction_cuts_messages_fivefold(num_hosts):
+    """O(participants) messages against O(tasks x participants): an 8-task
+    workflow auctioned among eight or more hosts takes at least 5x fewer
+    auction messages batched."""
+
+    batched_ws, batched_stats = run_trial(True, 100, num_hosts, 8)
+    _, unbatched_stats = run_trial(False, 100, num_hosts, 8)
+    assert len(batched_ws.workflow.task_names) == 8
+    assert 5 * batched_stats.kind_count(*AUCTION_KINDS) <= unbatched_stats.kind_count(
+        *AUCTION_KINDS
+    )
 
 
 def sim_trial_result(batch_auctions: bool, path_length: int):

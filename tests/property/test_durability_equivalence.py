@@ -13,7 +13,7 @@ Three contracts, per the PR's acceptance criteria:
     invocation instead of forcing the initiator to fail the revision and
     re-auction every task.
 
-(c) **Truncation-safe replay.**  A :class:`FileJournal` cut at *any*
+(c) **Truncation-safe replay.**  A :class:`SQLiteJournal` cut at *any*
     record boundary rebuilds exactly the state of the snapshot plus the
     surviving journal prefix — never more, never corrupt.
 """
@@ -22,7 +22,7 @@ import pickle
 
 import pytest
 
-from repro.durability import FileJournal, HostDurability, InMemoryJournal, rebuild_state
+from repro.durability import HostDurability, InMemoryJournal, SQLiteJournal, rebuild_state
 from repro.durability.plane import DurableHostState, _loads
 from repro.experiments.runner import workload_for
 from repro.experiments.trials import run_churn_trial, simulated_network_factory
@@ -148,8 +148,20 @@ class TestRecoveryBeatsRepair:
         assert first.invocations_resumed == second.invocations_resumed
 
 
+def _cut_copy(backend: SQLiteJournal, directory, keep: int) -> SQLiteJournal:
+    """A copy of ``backend``'s database (snapshot included) whose journal
+    lost every row after the first ``keep``: a crash at that boundary."""
+
+    cut = SQLiteJournal(directory, "host-0")
+    backend._conn.backup(cut._conn)
+    seqs = [seq for (seq,) in cut._conn.execute("SELECT seq FROM journal ORDER BY seq")]
+    if keep < len(seqs):
+        cut._conn.execute("DELETE FROM journal WHERE seq >= ?", (seqs[keep],))
+    return cut
+
+
 class TestTruncationSafeReplay:
-    """(c): FileJournal replay is exact at every record boundary."""
+    """(c): SQLiteJournal replay is exact at every record boundary."""
 
     @staticmethod
     def _journal_some_history(plane):
@@ -183,7 +195,7 @@ class TestTruncationSafeReplay:
         plane.commitment_released(commitment.commitment_id)
 
     def test_every_record_boundary_replays_exactly(self, tmp_path):
-        backend = FileJournal(tmp_path, "host-0")
+        backend = SQLiteJournal(tmp_path, "host-0")
         plane = HostDurability(backend, snapshot_every=10_000)
         # Install a snapshot first so every cut exercises snapshot + tail.
         plane.epoch_started(0)
@@ -191,47 +203,46 @@ class TestTruncationSafeReplay:
         self._journal_some_history(plane)
 
         payloads = backend.payloads()
-        data = backend.journal_path.read_bytes()
-        boundaries = [0]
-        for payload in payloads:
-            boundaries.append(boundaries[-1] + 8 + len(payload))
-        assert boundaries[-1] == len(data)
-
+        assert len(payloads) == backend.journal_length > 0
         snapshot_state = pickle.loads(backend.load_snapshot())
         assert isinstance(snapshot_state, DurableHostState)
 
-        for count, cut in enumerate(boundaries):
-            truncated_dir = tmp_path / "cut"
-            truncated = FileJournal(truncated_dir, "host-0")
-            truncated.snapshot_path.write_bytes(backend.snapshot_path.read_bytes())
-            truncated.journal_path.write_bytes(data[:cut])
-
+        for count in range(len(payloads) + 1):
+            truncated = _cut_copy(backend, tmp_path / f"cut-{count}", count)
+            assert truncated.payloads() == payloads[:count]
             expected = pickle.loads(pickle.dumps(snapshot_state))
             for payload in payloads[:count]:
                 expected.apply(_loads(payload))
             assert rebuild_state(truncated) == expected, f"cut after {count} records"
+            truncated.close()
 
     def test_mid_record_cuts_round_down_to_the_boundary(self, tmp_path):
-        backend = FileJournal(tmp_path, "host-0")
+        backend = SQLiteJournal(tmp_path, "host-0")
         plane = HostDurability(backend, snapshot_every=10_000)
         self._journal_some_history(plane)
         payloads = backend.payloads()
-        data = backend.journal_path.read_bytes()
 
-        # Cut in the middle of the fifth record: replay must see exactly
-        # four records — the torn fifth never partially applies.
-        boundary = sum(8 + len(p) for p in payloads[:4])
-        cut = boundary + (8 + len(payloads[4])) // 2
-        torn = FileJournal(tmp_path / "torn", "host-0")
-        torn.journal_path.write_bytes(data[:cut])
+        # Tear the fifth record in half (its checksum still describes the
+        # whole payload): replay must see exactly four records — the torn
+        # fifth never partially applies.
+        torn = _cut_copy(backend, tmp_path / "torn", len(payloads))
+        (seq,) = torn._conn.execute(
+            "SELECT seq FROM journal ORDER BY seq LIMIT 1 OFFSET 4"
+        ).fetchone()
+        torn._conn.execute(
+            "UPDATE journal SET payload = ? WHERE seq = ?",
+            (payloads[4][: len(payloads[4]) // 2], seq),
+        )
         reference = DurableHostState()
         for payload in payloads[:4]:
             reference.apply(_loads(payload))
         assert rebuild_state(torn) == reference
 
-    def test_in_memory_and_file_backends_agree(self, tmp_path):
+    def test_in_memory_and_sqlite_backends_agree(self, tmp_path):
         memory_plane = HostDurability(InMemoryJournal(), snapshot_every=10_000)
-        file_plane = HostDurability(FileJournal(tmp_path, "host-0"), snapshot_every=10_000)
+        sqlite_plane = HostDurability(
+            SQLiteJournal(tmp_path, "host-0"), snapshot_every=10_000
+        )
         self._journal_some_history(memory_plane)
-        self._journal_some_history(file_plane)
-        assert memory_plane.state() == file_plane.state()
+        self._journal_some_history(sqlite_plane)
+        assert memory_plane.state() == sqlite_plane.state()

@@ -25,7 +25,12 @@ Two independent properties of the execution-phase substrate:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.fragments import WorkflowFragment
+from repro.core.specification import Specification
+from repro.core.tasks import Task
+from repro.execution.services import ServiceDescription
 from repro.experiments.trials import build_trial_community
+from repro.host.community import Community
 from repro.host.workspace import WorkflowPhase
 from repro.mobility.geometry import Point, Rectangle
 from repro.core.errors import HostUnreachableError
@@ -149,6 +154,73 @@ def test_execution_batching_cuts_messages_on_multi_task_workflow():
     assert results[True].kind_bytes(*EXECUTION_KINDS) < results[False].kind_bytes(
         *EXECUTION_KINDS
     )
+
+
+FAN_OUT = 6  # parallel stage tasks between the hub and the join
+LABEL_KINDS = ("LabelDataMessage", "LabelBatch")
+COMPLETION_KINDS = ("TaskCompleted", "TaskFailed", "WorkflowProgressReport")
+
+
+def run_fanout(batch_execution: bool):
+    """The 8-task hub -> six parallel stages -> join workflow on three hosts.
+
+    ``host-0`` holds the know-how, ``host-1`` alone runs the hub and
+    ``host-2`` alone the stages and the join, so allocation is forced and
+    only the execution protocol differs between the two runs.
+    """
+
+    hub = Task(
+        "prepare", inputs=["go"], outputs=[f"part-{i}" for i in range(FAN_OUT)]
+    )
+    stages = [
+        Task(f"stage-{i}", inputs=[f"part-{i}"], outputs=[f"ready-{i}"])
+        for i in range(FAN_OUT)
+    ]
+    join = Task(
+        "assemble", inputs=[f"ready-{i}" for i in range(FAN_OUT)], outputs=["done"]
+    )
+    community = Community()
+    community.add_host(
+        "host-0",
+        fragments=[WorkflowFragment([task]) for task in (hub, *stages, join)],
+        batch_execution=batch_execution,
+    )
+    community.add_host(
+        "host-1",
+        services=[ServiceDescription("prepare", duration=60.0)],
+        batch_execution=batch_execution,
+    )
+    community.add_host(
+        "host-2",
+        services=[
+            ServiceDescription(task.name, duration=60.0) for task in (*stages, join)
+        ],
+        batch_execution=batch_execution,
+    )
+    workspace = community.submit_specification(
+        "host-0", Specification(triggers=["go"], goals=["done"])
+    )
+    community.run_until_completed(workspace)
+    assert workspace.phase is WorkflowPhase.COMPLETED
+    assert len(workspace.workflow.task_names) == FAN_OUT + 2
+    return community.network.statistics
+
+
+def test_fanout_workflow_batching_cuts_execution_messages_threefold():
+    """Fan-out is where per-label messaging hurts most: one message per label
+    and destination plus one completion per task, against one label batch
+    per firing and destination plus one report per completion burst."""
+
+    batched = run_fanout(True)
+    plain = run_fanout(False)
+    assert 3 * batched.kind_count(*EXECUTION_KINDS) <= plain.kind_count(
+        *EXECUTION_KINDS
+    )
+    assert batched.kind_count(*LABEL_KINDS) < plain.kind_count(*LABEL_KINDS)
+    assert batched.kind_count(*COMPLETION_KINDS) < plain.kind_count(
+        *COMPLETION_KINDS
+    )
+    assert batched.kind_bytes(*EXECUTION_KINDS) < plain.kind_bytes(*EXECUTION_KINDS)
 
 
 # ---------------------------------------------------------------------------

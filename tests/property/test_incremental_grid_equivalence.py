@@ -1,18 +1,18 @@
-"""Property: event-driven grid maintenance ≡ full per-tick rebuild.
+"""Property: event-driven grid maintenance ≡ geometry evaluated afresh.
 
-Two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the same
-placements and mobility schedules — one advancing its snapshot
-incrementally (``incremental_grid=True``, the default), one rebuilding it
-every tick (``incremental_grid=False``, the PR-2 reference path) — must
-agree on every position, neighbour set, radio-range verdict, route,
-reachability answer, and connectivity verdict at every sampled instant of
-an increasing time schedule, and every hop of every route must be in range
-by the hosts' positions.  Mixed populations (static hosts, scripted waypoint walkers,
-random-waypoint wanderers) exercise both the skip path (hosts provably at
-rest, and instants inside a sweep's stability horizon) and the move path
-(re-evaluation, grid relocation, memo invalidation).  Mobility models
-memoize internally, so each network gets its own instances built from the
-same declarative spec.
+An :class:`~repro.net.adhoc.AdHocWirelessNetwork`, which advances its
+snapshot across instants and skips advances inside a sweep's stability
+horizon, and the :class:`~tests.reference.network.ReferenceNetwork`, which
+evaluates every position afresh at every query, over the same placements
+and mobility schedules must agree on every position, neighbour set,
+radio-range verdict, route, reachability answer, and connectivity verdict
+at every sampled instant of an increasing time schedule, and every hop of
+every route must be in range by the hosts' positions.  Mixed populations
+(static hosts, scripted waypoint walkers, random-waypoint wanderers)
+exercise both the skip path (hosts provably at rest, and instants inside a
+sweep's stability horizon) and the move path (re-evaluation, grid
+relocation, memo invalidation).  Mobility models memoize internally, so
+each network gets its own instances built from the same declarative spec.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -26,7 +26,11 @@ from repro.mobility.models import (
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.sim.events import EventScheduler
 
-from ..reference.network import assert_same_links_and_routes
+from ..reference.network import (
+    ReferenceNetwork,
+    assert_same_geometry,
+    assert_same_links_and_routes,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -75,14 +79,9 @@ def make_model(spec):
     return RandomWaypointMobility(SITE, seed=seed, pause=pause)
 
 
-def build_network(specs, incremental=True, use_spatial_index=True):
+def build_network(specs, build=AdHocWirelessNetwork):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler,
-        radio_range=100.0,
-        incremental_grid=incremental,
-        use_spatial_index=use_spatial_index,
-    )
+    network = build(scheduler, radio_range=100.0)
     for index, spec in enumerate(specs):
         host = f"h{index}"
         network.register(host, lambda m: None)
@@ -93,45 +92,34 @@ def build_network(specs, incremental=True, use_spatial_index=True):
 @given(populations, schedules)
 @SETTINGS
 def test_incremental_maintenance_equivalent_to_rebuild(specs, deltas):
-    incremental, inc_scheduler = build_network(specs, incremental=True)
-    rebuilt, reb_scheduler = build_network(specs, incremental=False)
+    incremental, inc_scheduler = build_network(specs)
+    reference, ref_scheduler = build_network(specs, ReferenceNetwork)
 
-    hosts = sorted(incremental.host_ids)
     for delta in deltas:
         inc_scheduler.clock.advance(delta)
-        reb_scheduler.clock.advance(delta)
-        # A sweep first, so later instants can fall inside its horizon and
-        # every query below runs against a lagging grid.
-        assert incremental.is_connected() == rebuilt.is_connected()
-        for host in hosts:
-            assert incremental.position_of(host) == rebuilt.position_of(host), host
-        assert dict(incremental.positions()) == dict(rebuilt.positions())
-        for host in hosts:
-            assert incremental.neighbours_of(host) == rebuilt.neighbours_of(host), host
-        assert_same_links_and_routes(incremental, rebuilt, hosts)
-        for a in hosts:
-            for b in hosts:
-                assert incremental.is_reachable(a, b) == rebuilt.is_reachable(a, b)
-        assert incremental.is_connected() == rebuilt.is_connected()
-    # The incremental network may only have rebuilt its very first snapshot;
-    # the rebuild reference pays one rebuild per established snapshot.
-    if hosts:
+        ref_scheduler.clock.advance(delta)
+        # A sweep first (inside assert_same_geometry), so later instants can
+        # fall inside its horizon and every query runs against a lagging grid.
+        assert_same_geometry(incremental, reference)
+    # The network may only have rebuilt its very first snapshot.
+    if specs:
         assert incremental.grid_rebuilds <= 1
-        assert rebuilt.grid_rebuilds == rebuilt.snapshots_built
 
 
 @given(populations, schedules)
 @SETTINGS
 def test_incremental_maintenance_matches_brute_force(specs, deltas):
-    incremental, inc_scheduler = build_network(specs, incremental=True)
-    brute, brute_scheduler = build_network(specs, use_spatial_index=False)
+    """Links and routes first, the sweep last: each instant's first query
+    advances the snapshot instead of answering from a fresh sweep."""
+
+    incremental, inc_scheduler = build_network(specs)
+    brute, brute_scheduler = build_network(specs, ReferenceNetwork)
 
     hosts = sorted(incremental.host_ids)
     for delta in deltas:
         inc_scheduler.clock.advance(delta)
         brute_scheduler.clock.advance(delta)
-        assert incremental.is_connected() == brute.is_connected()
+        assert_same_links_and_routes(incremental, brute, hosts)
         for host in hosts:
             assert incremental.neighbours_of(host) == brute.neighbours_of(host), host
-        assert_same_links_and_routes(incremental, brute, hosts)
         assert incremental.is_connected() == brute.is_connected()

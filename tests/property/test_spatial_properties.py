@@ -1,10 +1,10 @@
 """Property tests: the grid-indexed network is exactly equivalent to brute force.
 
-Two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the same
-random placements — one with the spatial index, one with the original
-brute-force scans (``use_spatial_index=False``) — must agree on every
-neighbour set, every reachability answer, and connectivity, at every
-sampled instant of a random mobility schedule.  The raw
+An :class:`~repro.net.adhoc.AdHocWirelessNetwork` and the brute-force
+:class:`~tests.reference.network.ReferenceNetwork` (pairwise ``position_of``
+distances, a fresh search per query) over the same random placements must
+agree on every neighbour set, every reachability answer, and connectivity,
+at every sampled instant of a random mobility schedule.  The raw
 :class:`~repro.net.spatial.SpatialGridIndex` is additionally checked to be
 insensitive to the cell size chosen.
 """
@@ -17,6 +17,8 @@ from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.spatial import SpatialGridIndex
 from repro.sim.events import EventScheduler
 
+from ..reference.network import ReferenceNetwork
+
 SETTINGS = settings(max_examples=40, deadline=None)
 
 coordinates = st.floats(
@@ -28,21 +30,19 @@ placements = st.lists(points, min_size=0, max_size=14).map(
 )
 
 
-def build_pair(positions, radio_range, multi_hop):
-    """The same placement twice: grid-indexed and brute-force networks."""
+def build_pair(placements, radio_range, multi_hop):
+    """The same placements twice: the network and the brute-force reference.
+
+    ``placements`` maps each host to a function making its placement, so
+    each side gets its own (internally memoizing) mobility model."""
 
     networks = []
-    for use_spatial_index in (True, False):
+    for build in (AdHocWirelessNetwork, ReferenceNetwork):
         scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler,
-            radio_range=radio_range,
-            multi_hop=multi_hop,
-            use_spatial_index=use_spatial_index,
-        )
-        for host, position in positions.items():
+        network = build(scheduler, radio_range=radio_range, multi_hop=multi_hop)
+        for host, make in placements.items():
             network.register(host, lambda m: None)
-            network.place_host(host, position)
+            network.place_host(host, make())
         networks.append((network, scheduler))
     return networks
 
@@ -64,7 +64,8 @@ def assert_equivalent(indexed, brute):
     multi_hop=st.booleans(),
 )
 def test_static_placements_equivalent(positions, radio_range, multi_hop):
-    (indexed, _), (brute, _) = build_pair(positions, radio_range, multi_hop)
+    placements = {host: (lambda p=p: p) for host, p in positions.items()}
+    (indexed, _), (brute, _) = build_pair(placements, radio_range, multi_hop)
     assert_equivalent(indexed, brute)
 
 
@@ -86,21 +87,11 @@ def test_mobile_hosts_equivalent_at_every_sampled_instant(seeds, radio_range, st
         # exact same trajectories.
         return RandomWaypointMobility(area, seed=seed)
 
-    networks = []
-    for use_spatial_index in (True, False):
-        scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler,
-            radio_range=radio_range,
-            multi_hop=True,
-            use_spatial_index=use_spatial_index,
-        )
-        for index, seed in enumerate(seeds):
-            host = f"h{index}"
-            network.register(host, lambda m: None)
-            network.place_host(host, mobility_for(index, seed))
-        networks.append((network, scheduler))
-    (indexed, sched_a), (brute, sched_b) = networks
+    placements = {
+        f"h{index}": (lambda index=index, seed=seed: mobility_for(index, seed))
+        for index, seed in enumerate(seeds)
+    }
+    (indexed, sched_a), (brute, sched_b) = build_pair(placements, radio_range, True)
     assert_equivalent(indexed, brute)
     for delta in steps:
         sched_a.clock.advance(delta)

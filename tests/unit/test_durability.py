@@ -1,10 +1,9 @@
 """Unit tests for the durable state plane (journal, snapshots, replay).
 
-Covers the three shipped backends (:class:`InMemoryJournal`,
-:class:`FileJournal`, :class:`SQLiteJournal`), the kill-at-every-offset
-torture for the file framing and the WAL-truncation torture for the
-database (a torn tail must recover to a prefix of complete records, never
-to a corrupt state), the v1 -> v2 schema migration, compaction, the
+Covers the two shipped backends (:class:`InMemoryJournal`,
+:class:`SQLiteJournal`), the WAL-truncation torture for the database (a
+torn tail must recover to a prefix of complete records, never to a
+corrupt state), the v1 -> v2 schema migration, compaction, the
 ``make_backend`` flag resolution, and the typed :class:`HostDurability`
 hooks feeding :func:`rebuild_state`.
 """
@@ -23,7 +22,6 @@ from repro.durability import (
     SQLITE_SCHEMA_VERSION,
     DurabilityBackend,
     DurableHostState,
-    FileJournal,
     HostDurability,
     InMemoryJournal,
     SQLiteJournal,
@@ -42,12 +40,10 @@ PAYLOADS = [b"alpha", b"", b"b" * 300, pickle.dumps(("record", 3)), b"\x00\xff" 
 
 
 class TestBackendContract:
-    @pytest.fixture(params=["memory", "file", "sqlite"])
+    @pytest.fixture(params=["memory", "sqlite"])
     def backend(self, request, tmp_path):
         if request.param == "memory":
             return InMemoryJournal()
-        if request.param == "file":
-            return FileJournal(tmp_path, "host-0")
         return SQLiteJournal(tmp_path, "host-0")
 
     def test_append_and_replay_in_order(self, backend):
@@ -71,76 +67,6 @@ class TestBackendContract:
         assert backend.payloads() == []
         assert backend.load_snapshot() is None
         assert backend.journal_length == 0
-
-
-class TestFileJournal:
-    def test_files_survive_backend_object_loss(self, tmp_path):
-        first = FileJournal(tmp_path, "host-3")
-        first.append(b"one")
-        first.append(b"two")
-        first.write_snapshot(b"snap")
-        first.append(b"three")
-        # A brand-new backend over the same directory sees everything: the
-        # object is just a handle, the files are the durable state.
-        second = FileJournal(tmp_path, "host-3")
-        assert second.load_snapshot() == b"snap"
-        assert second.payloads() == [b"three"]
-
-    def test_host_id_with_path_separators_is_sanitised(self, tmp_path):
-        backend = FileJournal(tmp_path, "host/with/slashes")
-        backend.append(b"x")
-        assert backend.payloads() == [b"x"]
-        assert backend.journal_path.parent == tmp_path
-
-    def test_kill_at_every_offset_recovers_last_complete_record(self, tmp_path):
-        """Torture: truncate the journal at every byte offset and replay.
-
-        Whatever prefix of the file survives a crash, replay must return
-        exactly the records whose frames are complete — never a partial
-        payload, never an exception.
-        """
-
-        reference = FileJournal(tmp_path / "ref", "host-0")
-        for payload in PAYLOADS:
-            reference.append(payload)
-        data = reference.journal_path.read_bytes()
-
-        # Frame boundaries: offsets at which k complete records end.
-        boundaries = [0]
-        offset = 0
-        for payload in PAYLOADS:
-            offset += 8 + len(payload)  # <u32 len><u32 crc> + payload
-            boundaries.append(offset)
-        assert boundaries[-1] == len(data)
-
-        for cut in range(len(data) + 1):
-            victim_dir = tmp_path / "cut"
-            victim = FileJournal(victim_dir, "host-0")
-            victim.journal_path.write_bytes(data[:cut])
-            complete = sum(1 for b in boundaries[1:] if b <= cut)
-            assert victim.payloads() == PAYLOADS[:complete], f"cut at {cut}"
-            # And the journal stays appendable after the torn tail is
-            # (implicitly) ignored by replay.
-            del victim
-
-    def test_corrupt_frame_stops_replay(self, tmp_path):
-        backend = FileJournal(tmp_path, "host-0")
-        for payload in PAYLOADS:
-            backend.append(payload)
-        data = bytearray(backend.journal_path.read_bytes())
-        # Flip a bit inside the *third* record's payload: records 1-2 still
-        # replay, everything from the corrupt frame on is untrustworthy.
-        offset = (8 + len(PAYLOADS[0])) + (8 + len(PAYLOADS[1])) + 8 + 1
-        data[offset] ^= 0x40
-        backend.journal_path.write_bytes(bytes(data))
-        assert FileJournal(tmp_path, "host-0").payloads() == PAYLOADS[:2]
-
-    def test_torn_snapshot_treated_as_absent(self, tmp_path):
-        backend = FileJournal(tmp_path, "host-0")
-        backend.write_snapshot(b"full-snapshot")
-        blob = backend.snapshot_path.read_bytes()
-        backend.snapshot_path.write_bytes(blob[: len(blob) - 3])
-        assert FileJournal(tmp_path, "host-0").load_snapshot() is None
 
 
 def _copy_database(src: SQLiteJournal, dst_dir, name="host-0"):
@@ -335,16 +261,18 @@ class TestMakeBackend:
         assert isinstance(make_backend("memory", "h"), InMemoryJournal)
 
     def test_file_value(self, tmp_path):
-        backend = make_backend("file", "h", directory=tmp_path)
-        assert isinstance(backend, FileJournal)
-        assert backend.journal_path.parent == tmp_path
+        """SQLite is the one on-disk journal: ``"file"`` is an unknown spec
+        like any other."""
+
+        with pytest.raises(ValueError, match="unknown durability spec"):
+            make_backend("file", "h", directory=tmp_path)
 
     def test_sqlite_value(self, tmp_path):
         backend = make_backend("sqlite", "h", directory=tmp_path)
         assert isinstance(backend, SQLiteJournal)
         assert backend.db_path.parent == tmp_path
 
-    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    @pytest.mark.parametrize("spec", ["sqlite"])
     def test_own_temporary_directory_is_removed_on_close(self, spec):
         backend = make_backend(spec, "h")
         backend.append(b"record")
@@ -354,7 +282,7 @@ class TestMakeBackend:
         assert not directory.exists()
         backend.close()  # a second close is harmless
 
-    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    @pytest.mark.parametrize("spec", ["sqlite"])
     def test_own_temporary_directory_is_removed_when_freed(self, spec):
         backend = make_backend(spec, "h")
         backend.append(b"record")
@@ -362,7 +290,7 @@ class TestMakeBackend:
         backend = None
         assert not directory.exists()
 
-    @pytest.mark.parametrize("spec", ["file", "sqlite"])
+    @pytest.mark.parametrize("spec", ["sqlite"])
     def test_explicit_directory_survives_close(self, spec, tmp_path):
         backend = make_backend(spec, "h", directory=tmp_path)
         backend.append(b"record")

@@ -52,7 +52,6 @@ class TestHostConfig:
         config = HostConfig(
             construction_mode="incremental",
             capability_aware=True,
-            share_supergraph=False,
             knowledge_refresh_interval=5.0,
             batch_auctions=False,
             batch_execution=False,
@@ -66,7 +65,7 @@ class TestHostConfig:
         assert host.config is config
         workflow = host.workflow_manager
         assert workflow.construction_mode == "incremental"
-        assert workflow.capability_aware and not workflow.share_supergraph
+        assert workflow.capability_aware
         assert workflow.knowledge_refresh_interval == 5.0
         assert workflow.robust and workflow.enable_recovery
         assert workflow.max_repair_attempts == 5

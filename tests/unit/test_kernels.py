@@ -34,16 +34,6 @@ class TestFlagResolution:
         network = AdHocWirelessNetwork(EventScheduler())
         assert network.vectorized == kernels.numpy_available()
 
-    def test_auto_is_off_without_spatial_index(self):
-        network = AdHocWirelessNetwork(EventScheduler(), use_spatial_index=False)
-        assert not network.vectorized
-
-    def test_explicit_true_requires_spatial_index(self):
-        with pytest.raises(ValueError):
-            AdHocWirelessNetwork(
-                EventScheduler(), use_spatial_index=False, vectorized=True
-            )
-
     def test_numpy_absence_falls_back_and_rejects_explicit_true(self, monkeypatch):
         monkeypatch.setattr(kernels, "np", None)
         assert not kernels.numpy_available()

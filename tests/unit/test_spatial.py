@@ -16,7 +16,11 @@ from repro.net.messages import Message
 from repro.net.spatial import SpatialGridIndex
 from repro.sim.events import EventScheduler
 
-from ..reference.network import assert_same_links_and_routes, in_range_by_position
+from ..reference.network import (
+    ReferenceNetwork,
+    assert_same_geometry,
+    in_range_by_position,
+)
 
 
 class TestSpatialGridIndex:
@@ -79,9 +83,9 @@ class TestSpatialGridIndex:
             grid.near(Point(0, 0), -1.0)
 
 
-def make_network(**kwargs):
+def make_network(build=AdHocWirelessNetwork, **kwargs):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(scheduler, radio_range=100.0, **kwargs)
+    network = build(scheduler, radio_range=100.0, **kwargs)
     positions = {"a": Point(0, 0), "b": Point(80, 0), "c": Point(160, 0)}
     for host, position in positions.items():
         network.register(host, lambda m: None)
@@ -121,7 +125,7 @@ class TestSnapshotReuse:
 class TestGridBruteForceParity:
     def test_modes_agree_on_small_topology(self):
         indexed, _ = make_network(multi_hop=True)
-        brute, _ = make_network(multi_hop=True, use_spatial_index=False)
+        brute, _ = make_network(ReferenceNetwork, multi_hop=True)
         for host in ("a", "b", "c"):
             assert indexed.neighbours_of(host) == brute.neighbours_of(host)
         assert indexed.is_connected() == brute.is_connected()
@@ -130,7 +134,7 @@ class TestGridBruteForceParity:
     def test_single_hop_connected_means_complete_graph(self):
         network, _ = make_network(multi_hop=False)
         assert not network.is_connected()  # a-c not in direct range
-        brute, _ = make_network(multi_hop=False, use_spatial_index=False)
+        brute, _ = make_network(ReferenceNetwork, multi_hop=False)
         assert network.is_connected() == brute.is_connected()
 
     def test_rounded_boundary_distance_is_not_missed(self):
@@ -203,7 +207,6 @@ class TestLinkEpochs:
         assert network.router.discoveries == 1
         generation = network.generation_of(route.hops)
         scheduler.clock.advance(10.0)
-        network.invalidate_routes()  # soft: the generation revalidates lazily
         again = network.router.route("a", "c")
         assert again.hops == route.hops
         assert network.router.discoveries == 1  # no rediscovery
@@ -225,14 +228,6 @@ class TestLinkEpochs:
         assert network.router.route("a", "c").hop_count == 2
         scheduler.clock.advance(45.0)  # b walked away; the a-b-c chain broke
         assert not network.is_reachable("a", "c")
-
-    def test_flush_forces_rediscovery(self):
-        network, _ = make_network()
-        network.router.route("a", "c")
-        network.invalidate_routes(flush=True)
-        assert network.router.cached_route_count == 0
-        network.router.route("a", "c")
-        assert network.router.discoveries == 2
 
 
 class TestLoopbackJitter:
@@ -317,15 +312,6 @@ class TestIncrementalMaintenance:
         assert network.neighbours_of("b") == {"a", "c", "d"}
         assert network.grid_rebuilds == 2
 
-    def test_incremental_flag_off_rebuilds_every_tick(self):
-        network, scheduler = make_network(incremental_grid=False)
-        network.neighbours_of("a")
-        for _ in range(3):
-            scheduler.clock.advance(1.0)
-            network.neighbours_of("a")
-        assert network.grid_rebuilds == 4
-        assert network.snapshots_built == 4
-
     def test_epoch_bump_detected_across_incremental_advance(self):
         scheduler = EventScheduler()
         network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
@@ -374,12 +360,12 @@ VECTORIZED = [
 @pytest.mark.parametrize("vectorized", VECTORIZED)
 class TestStabilityHorizon:
     """Instants inside a sweep's certified horizon skip the snapshot advance
-    and must answer exactly as the per-tick rebuild does."""
+    and must answer exactly as fresh ``position_at`` calls imply."""
 
     @staticmethod
-    def build(placements, ghosts=(), **kwargs):
+    def build(placements, ghosts=(), build=AdHocWirelessNetwork, **kwargs):
         scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(scheduler, radio_range=100.0, **kwargs)
+        network = build(scheduler, radio_range=100.0, **kwargs)
         for host, make in placements.items():
             if host not in ghosts:
                 network.register(host, lambda m: None)
@@ -387,26 +373,20 @@ class TestStabilityHorizon:
         return network, scheduler
 
     def walk(self, placements, vectorized, until, step, ghosts=()):
-        """Sample the network and a rebuild-every-tick reference at every
-        ``step`` up to ``until``, comparing connectivity first (the sweep
-        that certifies a horizon), then every host's links and every
-        ordered pair's radio range and route."""
+        """Sample the network and the reference at every ``step`` up to
+        ``until``, comparing connectivity first (the sweep that certifies a
+        horizon), then every host's position, links, routes and
+        reachability."""
 
         network, clock = self.build(placements, ghosts, vectorized=vectorized)
         reference, reference_clock = self.build(
-            placements, ghosts, incremental_grid=False, vectorized=False
+            placements, ghosts, build=ReferenceNetwork
         )
         for tick in range(int(until / step) + 1):
             if tick:
                 clock.clock.advance(step)
                 reference_clock.clock.advance(step)
-            now = clock.clock.now()
-            assert network.is_connected() == reference.is_connected(), now
-            for host in sorted(placements):
-                assert network.neighbours_of(host) == reference.neighbours_of(
-                    host
-                ), (host, now)
-            assert_same_links_and_routes(network, reference, sorted(placements))
+            assert_same_geometry(network, reference, sorted(placements))
         return network
 
     def test_pair_in_non_adjacent_cells_closing_in(self, vectorized):
