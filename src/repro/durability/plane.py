@@ -239,10 +239,10 @@ class HostDurability:
         Journal-tail length that triggers compaction (snapshot + truncate).
     journal_outputs:
         When ``False``, :meth:`label_published` is a no-op: produced values
-        never reach the journal, restoring the tier-1 (PR-8) behaviour
-        where a crashed producer cannot answer replay requests.  Kept as a
-        toggle so benchmarks can measure exactly what output journaling
-        buys.
+        never reach the journal, so a crashed producer cannot answer replay
+        requests.  ``HostConfig.durable_outputs`` selects it; the
+        producer-crash tests run both settings to pin what output
+        journaling buys.
     """
 
     def __init__(

@@ -68,6 +68,10 @@ SendFunction = Callable[[Message], None]
 #: Robust mode: simulated seconds after its scheduled start an invocation
 #: still missing inputs is abandoned as a transient failure.
 INPUT_TIMEOUT = 60.0
+#: Robust mode: the fractions of ``INPUT_TIMEOUT`` after the scheduled start
+#: at which an invocation still missing inputs pulls them from their
+#: producers, before the timeout hands what is left to workflow repair.
+INPUT_PULLS = (0.25, 0.5, 0.75)
 
 _PendingKey = tuple[str, str]
 
@@ -83,10 +87,21 @@ class PendingInvocation:
     #: Robust mode only: the timer that abandons the invocation when its
     #: inputs never arrive (cancelled the moment execution starts).
     expiry_event: EventHandle | None = None
+    #: Robust mode only: the ``INPUT_PULLS`` timers that ask the producers
+    #: for inputs still missing (cancelled with ``expiry_event``).
+    pull_events: tuple[EventHandle, ...] = ()
 
     @property
     def task_name(self) -> str:
         return self.commitment.task.name
+
+    def cancel_timers(self) -> None:
+        """Cancel the robust-mode expiry and pull timers, if armed."""
+
+        for event in (self.expiry_event, *self.pull_events):
+            if event is not None:
+                event.cancel()
+        self.expiry_event, self.pull_events = None, ()
 
     def inputs_satisfied(self) -> bool:
         """Are the data prerequisites met?
@@ -147,12 +162,14 @@ class ExecutionManager:
         self.services = services
         self._send = send
         self.batch_execution = batch_execution
-        #: Fault hardening (``fault_injection``): an invocation whose inputs
-        #: have not all arrived ``INPUT_TIMEOUT`` seconds after its
-        #: scheduled start is *abandoned* — its commitment is released from
-        #: ``schedule`` (the host's :class:`~repro.scheduling.schedule.ScheduleManager`,
-        #: when given) and the initiator is told via a transient failure, so
-        #: a producer's death upstream turns into workflow repair instead of
+        #: Fault hardening (``fault_injection``): an invocation still missing
+        #: inputs at each of ``INPUT_PULLS`` after its scheduled start asks
+        #: their producers to replay them, and one whose inputs have not all
+        #: arrived ``INPUT_TIMEOUT`` seconds after its scheduled start is
+        #: *abandoned* — its commitment is released from ``schedule`` (the
+        #: host's :class:`~repro.scheduling.schedule.ScheduleManager`, when
+        #: given) and the initiator is told via a transient failure, so a
+        #: producer's death upstream turns into workflow repair instead of
         #: an invocation pending forever.  Off by default: no timer survives
         #: long enough to change a clean run.
         self.robust = robust
@@ -178,11 +195,11 @@ class ExecutionManager:
         self._running: dict[str, int] = {}
         #: Publication cache: every (workflow_id, label) this host produced,
         #: with its value.  Serves :class:`~repro.net.messages.LabelReplayRequest`
-        #: from restarted consumers whose copy died with the crashed
-        #: process.  With output journaling on, the cache itself is restored
-        #: after this host's own crash (:meth:`restore_publications`); with
-        #: it off, a crashed producer cannot replay and the requester falls
-        #: back to repair.
+        #: from consumers whose copy was lost in flight or died with their
+        #: crashed process.  With output journaling on, the cache itself is
+        #: restored after this host's own crash (:meth:`restore_publications`);
+        #: with it off, a crashed producer cannot replay and the requester
+        #: falls back to repair.
         self._published: dict[tuple[str, str], object] = {}
         #: Completions not yet reported to the initiator, per workflow.
         self._unsent_completions: dict[str, list[TaskCompletionRecord]] = {}
@@ -221,6 +238,14 @@ class ExecutionManager:
                 delay + INPUT_TIMEOUT,
                 lambda: self._expire(key),
                 description=f"input-timeout {commitment.task.name}",
+            )
+            pending.pull_events = tuple(
+                self.scheduler.schedule_in(
+                    delay + fraction * INPUT_TIMEOUT,
+                    lambda: self._request_missing_inputs(self._pending[key]),
+                    description=f"input-pull {commitment.task.name}",
+                )
+                for fraction in INPUT_PULLS
             )
         return pending
 
@@ -284,13 +309,14 @@ class ExecutionManager:
             self.publications_restored += 1
 
     def _request_missing_inputs(self, pending: PendingInvocation) -> None:
-        """Ask producers to re-send inputs lost while this host was down.
+        """Ask producers to re-send inputs that have not arrived.
 
-        A label delivered during the outage died with the crashed process
-        and will never arrive again on its own; the commitment records who
-        was supposed to deliver it, so the resumed invocation asks each
-        producer to replay from its publication cache rather than sitting
-        out the input window and falling into the repair ladder.
+        A label dropped in flight, or delivered while this host was down,
+        will never arrive again on its own; the commitment records who was
+        supposed to deliver it, so the invocation (resumed after a restart,
+        or at each of ``INPUT_PULLS`` in robust mode) asks each producer to
+        replay from its publication cache rather than sitting out the input
+        window and falling into the repair ladder.
         """
 
         if pending.started or pending.completed or pending.inputs_satisfied():
@@ -312,7 +338,7 @@ class ExecutionManager:
             )
 
     def handle_replay_request(self, message: LabelReplayRequest) -> None:
-        """Re-send previously published labels to a restarted consumer.
+        """Re-send previously published labels to a consumer that asks.
 
         Answers come from the publication cache (live, or restored from the
         journal after this host's own restart) through the ordinary
@@ -403,10 +429,9 @@ class ExecutionManager:
         pending.started = True
         if self.durability is not None:
             self.durability.invocation_fired(commitment.workflow_id, key[1])
-        if pending.expiry_event is not None:
-            # The conditions were met in time; the abandonment timer is moot.
-            pending.expiry_event.cancel()
-            pending.expiry_event = None
+        # The conditions were met in time; the abandonment and pull timers
+        # are moot.
+        pending.cancel_timers()
         self._running[commitment.workflow_id] = (
             self._running.get(commitment.workflow_id, 0) + 1
         )
@@ -434,7 +459,7 @@ class ExecutionManager:
             return
         commitment = pending.commitment
         pending.completed = True
-        pending.expiry_event = None
+        pending.cancel_timers()
         self.invocations_abandoned += 1
         missing = ", ".join(sorted(pending.missing_inputs()))
         reason = (

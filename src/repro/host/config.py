@@ -65,9 +65,11 @@ class HostConfig:
     fault_injection:
         Speak the fault-hardened protocols: awards are acknowledged,
         unanswered solicitations and awards are retried with backoff,
-        silent discovery remotes are written off, and an executing
-        workflow that stalls is failed so repair re-auctions it.  Off, a
-        fault-free run is byte-identical to one without the feature.
+        silent discovery remotes are written off, an invocation whose
+        inputs are late pulls them from their producers and is abandoned
+        if they still do not come, and an executing workflow that stalls
+        is failed so repair re-auctions it.  Off, a fault-free run is
+        byte-identical to one without the feature.
     enable_recovery:
         Repair a workflow whose task failed by constructing and
         auctioning a new revision.

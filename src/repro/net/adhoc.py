@@ -137,6 +137,9 @@ DEFAULT_ROUTE_DISCOVERY_COST = 0.004  # seconds per hop of RREQ/RREP exchange
 #: distances and times it guards (see "Stability horizons" above).
 _HORIZON_SLACK = 2.0**-32
 
+#: How a send reaches its recipient (``AdHocWirelessNetwork._link``).
+_LOOPBACK, _DIRECT, _ROUTED = range(3)
+
 
 def _no_links(host: str) -> frozenset[str]:
     """The neighbours of every host on a detached network."""
@@ -709,15 +712,21 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         return speeds, max(speeds.values(), default=0.0), leg_end, extent
 
     def is_reachable(self, sender: str, recipient: str) -> bool:
+        return self._link(sender, recipient) is not None
+
+    def _link(self, sender: str, recipient: str) -> int | None:
+        """Loopback, direct, routed (same component) or ``None``: unreachable."""
+
         if sender == recipient:
-            return True
+            return _LOOPBACK
         if self.in_radio_range(sender, recipient):
-            return True
+            return _DIRECT
         if not self.multi_hop:
-            return False
+            return None
         labels = self._component_labels()
         sender_label = labels.get(sender)
-        return sender_label is not None and sender_label == labels.get(recipient)
+        same = sender_label is not None and sender_label == labels.get(recipient)
+        return _ROUTED if same else None
 
     def is_connected(self) -> bool:
         """True when every pair of attached hosts can currently communicate.
@@ -743,13 +752,26 @@ class AdHocWirelessNetwork(CommunicationsLayer):
 
     # -- latency --------------------------------------------------------------------
     def latency_for(self, message: Message) -> float:
-        hops, fresh_route = self._hops_for(message.sender, message.recipient)
-        if hops == 0:
+        return self._latency(message, self._link(message.sender, message.recipient))
+
+    def _latency(self, message: Message, link: int | None) -> float:
+        if link is None:
+            raise HostUnreachableError(
+                f"{message.recipient!r} is not reachable from {message.sender!r}"
+            )
+        if link == _LOOPBACK:
             # Local delivery never touches the radio: free, and — just as
             # important for reproducibility — no draw from the seeded jitter
             # stream, so loopback traffic cannot perturb the latency
             # sequence observed by real transmissions.
             return 0.0
+        hops, fresh_route = 1, False
+        if link == _ROUTED:
+            try:
+                route, cached = self._router.lookup(message.sender, message.recipient)
+            except RouteNotFound as exc:
+                raise HostUnreachableError(str(exc)) from exc
+            hops, fresh_route = route.hop_count, not cached
         per_hop = self.per_hop_overhead + message.size_bytes() / self.bytes_per_second
         latency = hops * per_hop
         if fresh_route and hops > 1:
@@ -757,21 +779,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if self.jitter > 0:
             latency += self._rng.uniform(0.0, self.jitter)
         return latency
-
-    def _hops_for(self, sender: str, recipient: str) -> tuple[int, bool]:
-        if sender == recipient:
-            return 0, False
-        if self.in_radio_range(sender, recipient):
-            return 1, False
-        if not self.multi_hop:
-            raise HostUnreachableError(
-                f"{recipient!r} is outside radio range of {sender!r}"
-            )
-        try:
-            route, cached = self._router.lookup(sender, recipient)
-        except RouteNotFound as exc:
-            raise HostUnreachableError(str(exc)) from exc
-        return route.hop_count, not cached
 
     @property
     def router(self) -> AodvRouter:

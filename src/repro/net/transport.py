@@ -157,6 +157,16 @@ class CommunicationsLayer(ABC):
     def latency_for(self, message: Message) -> float:
         """Seconds the message spends in flight."""
 
+    def _link(self, sender: str, recipient: str) -> object:
+        """How ``sender`` reaches ``recipient`` now, or ``None`` if it cannot:
+        :meth:`send` decides it once, and only once the fault plane has let
+        the message through derives the latency (and any route) from it."""
+
+        return self.is_reachable(sender, recipient) or None
+
+    def _latency(self, message: Message, link: object) -> float:
+        return self.latency_for(message)
+
     def reachable_from(self, sender: str) -> frozenset[str]:
         """All hosts reachable from ``sender`` (excluding itself)."""
 
@@ -181,7 +191,8 @@ class CommunicationsLayer(ABC):
             raise HostUnreachableError(
                 f"host {message.recipient!r} is not attached to the network"
             )
-        if not self.is_reachable(message.sender, message.recipient):
+        link = self._link(message.sender, message.recipient)
+        if link is None:
             self.statistics.record_dropped(message)
             raise HostUnreachableError(
                 f"host {message.recipient!r} is not reachable from {message.sender!r}"
@@ -196,7 +207,7 @@ class CommunicationsLayer(ABC):
                 self.statistics.record_dropped(message)
                 return
             extra_delays = decision.extra_delays
-        latency = self.latency_for(message)
+        latency = self._latency(message, link)
 
         def deliver() -> None:
             # The recipient may have left the network (or crashed) while the

@@ -121,11 +121,14 @@ def multi_hop_waypoints():
 
 
 def durable_churn():
+    # host-6 dies while its invocation still waits for a dropped input,
+    # before its first pull (36.8 s) would fetch it, so the restarted
+    # incarnation resumes that invocation from the journal.
     community = churn_community(
         5,
         (
             HostCrash(host_id="host-3", crash_at=15.0, restart_at=75.0),
-            HostCrash(host_id="host-6", crash_at=40.0, restart_at=100.0),
+            HostCrash(host_id="host-6", crash_at=35.0, restart_at=95.0),
         ),
     )
     workspace = community.submit_specification(

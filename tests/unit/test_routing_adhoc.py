@@ -6,6 +6,7 @@ from repro.core.errors import HostUnreachableError
 from repro.mobility.geometry import Point
 from repro.mobility.models import WaypointMobility
 from repro.net.adhoc import AdHocWirelessNetwork
+from repro.net.faults import FaultPlane, LinkFaultPolicy
 from repro.net.messages import Message
 from repro.net.routing import AodvRouter, Route, RouteNotFound
 from repro.sim.events import EventScheduler
@@ -146,6 +147,28 @@ class TestAdHocNetwork:
         network.send(Message(sender="a", recipient="c"))
         scheduler.run()
         assert len(inboxes["c"]) == 1
+
+    @pytest.mark.parametrize("multi_hop", [False, True])
+    def test_latency_for_an_unreachable_pair_raises(self, multi_hop):
+        network, _, _ = make_adhoc(multi_hop=multi_hop)
+        network.place_host("c", Point(1000, 0))  # out of everyone's range
+        assert not network.is_reachable("a", "c")
+        with pytest.raises(HostUnreachableError):
+            network.latency_for(Message(sender="a", recipient="c"))
+
+    def test_a_dropped_message_looks_up_no_route(self):
+        network, scheduler, inboxes = make_adhoc(multi_hop=True)
+        network.install_fault_plane(
+            FaultPlane(default_policy=LinkFaultPolicy(drop_probability=1.0))
+        )
+        network.send(Message(sender="a", recipient="c"))
+        scheduler.run()
+        assert inboxes["c"] == [] and network.statistics.messages_dropped == 1
+        assert network.router.discoveries == 0
+        network.install_fault_plane(None)
+        network.send(Message(sender="a", recipient="c"))
+        scheduler.run()
+        assert len(inboxes["c"]) == 1 and network.router.discoveries == 1
 
     def test_latency_scales_with_message_size(self):
         network, _, _ = make_adhoc()

@@ -4,13 +4,15 @@ import pytest
 
 from repro.core.errors import ExecutionError, ServiceNotFoundError
 from repro.core.tasks import Task, TaskMode
-from repro.execution.engine import ExecutionManager
+from repro.durability import HostDurability, InMemoryJournal
+from repro.execution.engine import INPUT_PULLS, INPUT_TIMEOUT, ExecutionManager
 from repro.execution.services import (
     CallableService,
     ManualService,
     ServiceDescription,
     ServiceManager,
 )
+from repro.host.community import Community
 from repro.net.messages import (
     LabelBatch,
     LabelDataMessage,
@@ -85,7 +87,7 @@ class TestServiceManager:
         assert manager.invocations == 1
 
 
-def make_execution_manager(services=None, batch_execution=False):
+def make_execution_manager(services=None, batch_execution=False, robust=False):
     scheduler = EventScheduler()
     service_manager = ServiceManager("worker", services or [ServiceDescription("do", duration=5.0)])
     sent: list = []
@@ -95,6 +97,7 @@ def make_execution_manager(services=None, batch_execution=False):
         service_manager,
         sent.append,
         batch_execution=batch_execution,
+        robust=robust,
     )
     return manager, scheduler, sent
 
@@ -409,3 +412,154 @@ class TestLabelReplayProtocol:
         assert not any(isinstance(m, LabelReplayRequest) for m in sent)
         scheduler.run()
         assert manager.completed_count == 1
+
+
+def completion_reports(sent) -> list[tuple[str, str]]:
+    """(recipient, task) of every completion reported, in either protocol."""
+
+    reports = []
+    for message in sent:
+        if isinstance(message, TaskCompleted):
+            reports.append((message.recipient, message.task_name))
+        elif isinstance(message, WorkflowProgressReport):
+            reports += [(message.recipient, c.task_name) for c in message.completions]
+    return reports
+
+
+class TestInputPulls:
+    """Robust mode pulls a missing input from its producer at each of
+    ``INPUT_PULLS`` (fractions of ``INPUT_TIMEOUT`` after the scheduled
+    start) before the input timeout hands the invocation to repair."""
+
+    def test_pulls_ask_the_producer_until_the_input_timeout(self):
+        scheduler = EventScheduler()
+        sent: list = []
+        manager = ExecutionManager(
+            "worker",
+            scheduler,
+            ServiceManager("worker", [ServiceDescription("do", duration=5.0)]),
+            lambda message: sent.append((scheduler.clock.now(), message)),
+            robust=True,
+        )
+        manager.watch(make_commitment())  # starts at 10 s, input from alice
+        scheduler.run()
+        requests = [
+            (at, m.recipient, m.labels) for at, m in sent if isinstance(m, LabelReplayRequest)
+        ]
+        assert requests == [
+            (10.0 + fraction * INPUT_TIMEOUT, "alice", ("input",)) for fraction in INPUT_PULLS
+        ]
+        assert manager.invocations_abandoned == 1
+        assert scheduler.clock.now() == 10.0 + INPUT_TIMEOUT
+
+    @pytest.mark.parametrize("batch_execution", [False, True], ids=["per-label", "batched"])
+    @pytest.mark.parametrize("replay_first", [True, False], ids=["replay-first", "original-first"])
+    @pytest.mark.parametrize("late_while_running", [False, True], ids=["after", "during"])
+    def test_a_pulled_label_fires_the_task_once(
+        self, batch_execution, replay_first, late_while_running
+    ):
+        # The producer publishes the consumer's input; that delivery is still
+        # in flight when the consumer's first pull reaches the producer.
+        producer_scheduler = EventScheduler()
+        published: list = []
+        producer = ExecutionManager(
+            "alice",
+            producer_scheduler,
+            ServiceManager("alice", [ServiceDescription("make")]),
+            published.append,
+            batch_execution=batch_execution,
+        )
+        producer.watch(
+            make_commitment(
+                task=Task("make", ["seed"], ["input"]),
+                start=0.0,
+                trigger_labels=frozenset({"seed"}),
+                input_sources={},
+                output_destinations={"input": ("worker",)},
+                initiator="",
+            )
+        )
+        producer_scheduler.run()
+        [original] = published
+
+        manager, scheduler, sent = make_execution_manager(
+            batch_execution=batch_execution, robust=True
+        )
+        manager.durability = HostDurability(InMemoryJournal())
+        manager.watch(make_commitment())
+        scheduler.run(until=10.0 + INPUT_PULLS[0] * INPUT_TIMEOUT)
+        [request] = [m for m in sent if isinstance(m, LabelReplayRequest)]
+        producer.handle_replay_request(request)
+        [replay] = published[1:]
+        assert isinstance(replay, LabelDataMessage)
+
+        deliver = {
+            LabelBatch: manager.handle_label_batch,
+            LabelDataMessage: manager.deliver_label,
+        }
+        first, late = (replay, original) if replay_first else (original, replay)
+        deliver[type(first)](first)
+        # The late copy lands while the task executes, or after it completed.
+        scheduler.run(until=scheduler.clock.now() + (1.0 if late_while_running else 10.0))
+        assert manager.completed_count == (0 if late_while_running else 1)
+        deliver[type(late)](late)
+        scheduler.run()
+
+        records = manager.durability.records()
+        assert [r for r in records if r[0] == "inv-fired"] == [("inv-fired", "w1", "do")]
+        # A copy that finds the invocation still open is an ordinary input;
+        # one that comes after the completion is unexpected.
+        assert [r[:4] for r in records if r[0] == "inv-input"] == [
+            ("inv-input", "w1", "do", "input")
+        ] * (2 if late_while_running else 1)
+        assert completion_reports(sent) == [("alice", "do")]
+        assert manager.unexpected_labels == (0 if late_while_running else 1)
+        # No pull outlived the firing.
+        assert [m for m in sent if isinstance(m, LabelReplayRequest)] == [request]
+
+    def test_pull_timers_die_with_their_invocation(self):
+        community = Community()
+        community.add_host("alice")
+        host = community.add_host(
+            "worker", services=[ServiceDescription("do", duration=5.0)], fault_injection=True
+        )
+        manager, scope = host.execution_manager, host.scope
+
+        def replay_requests() -> int:
+            return community.network.statistics.by_kind.get("LabelReplayRequest", 0)
+
+        # Start, then completion: the input arrives before the start window.
+        started = manager.watch(make_commitment(workflow_id="w-start"))
+        pulls = started.pull_events
+        assert len(pulls) == len(INPUT_PULLS)
+        assert scope.pending == 2 + len(INPUT_PULLS)  # start window, expiry, pulls
+        manager.deliver_label(
+            LabelDataMessage(
+                sender="alice", recipient="worker", workflow_id="w-start", label="input", value=1
+            )
+        )
+        community.scheduler.run(until=10.0)
+        assert started.started and started.pull_events == ()
+        assert all(handle.cancelled for handle in pulls)
+        assert scope.pending == 1  # the execution only
+        community.scheduler.run()
+        assert started.completed and scope.pending == 0
+        assert replay_requests() == 0
+
+        # Expiry: every pull fires and asks, then the timeout gives up.
+        expiring = manager.watch(make_commitment(workflow_id="w-expire", start=20.0))
+        community.scheduler.run()
+        assert manager.invocations_abandoned == 1
+        assert expiring.pull_events == () and scope.pending == 0
+        assert replay_requests() == len(INPUT_PULLS)
+
+        # Crash: the scope cancels the pulls with everything else.
+        waiting = manager.watch(
+            make_commitment(workflow_id="w-crash", start=community.clock.now() + 10.0)
+        )
+        pulls = waiting.pull_events
+        host.crash()
+        assert scope.pending == 0
+        assert all(handle.cancelled for handle in pulls)
+        community.scheduler.run()
+        assert replay_requests() == len(INPUT_PULLS)
