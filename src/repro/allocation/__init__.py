@@ -12,7 +12,7 @@ from .bids import (
     rank_bids,
     select_best,
 )
-from .participation import AuctionParticipationManager, ParticipationStatistics
+from .participation import AuctionParticipationManager
 
 __all__ = [
     "AllocationOutcome",
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "EarliestStartPolicy",
     "LeastTravelPolicy",
-    "ParticipationStatistics",
     "RandomPolicy",
     "SpecializationPolicy",
     "TaskAuction",

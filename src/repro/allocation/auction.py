@@ -19,7 +19,7 @@ input comes from, where every output must go) and sends the awards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from ..core.specification import Specification
 from ..core.tasks import Task
@@ -27,12 +27,8 @@ from ..core.workflow import Workflow
 from ..net.messages import (
     AwardAck,
     AwardBatch,
-    AwardMessage,
     AwardRejected,
     BidBatch,
-    BidDeclined,
-    BidMessage,
-    CallForBids,
     CallForBidsBatch,
     Message,
     TaskAward,
@@ -104,9 +100,6 @@ class AllocationOutcome:
         # trivially; failure means at least one task found no host.
         return not self.unallocated
 
-    def host_for(self, task_name: str) -> str | None:
-        return self.allocation.get(task_name)
-
     def as_dict(self) -> dict[str, object]:
         return {
             "workflow_id": self.workflow_id,
@@ -122,6 +115,12 @@ class AllocationOutcome:
 class AuctionManager:
     """Runs task auctions for the workflows constructed on one host.
 
+    Everything the manager says to one participant about a workflow travels
+    in one message: a :class:`~repro.net.messages.CallForBidsBatch` with
+    every task, answered by one :class:`~repro.net.messages.BidBatch`, and
+    one :class:`~repro.net.messages.AwardBatch` per winning host, so a
+    workflow costs O(participants) messages.
+
     Parameters
     ----------
     host_id:
@@ -133,18 +132,6 @@ class AuctionManager:
     policy:
         Bid selection policy; defaults to the paper's specialization-first
         rule.
-    batch_auctions:
-        When true (the default) the manager speaks the batched protocol:
-        one :class:`~repro.net.messages.CallForBidsBatch` per participant
-        carrying every task, one :class:`~repro.net.messages.BidBatch`
-        reply, and one :class:`~repro.net.messages.AwardBatch` per winning
-        host — O(participants) messages per workflow instead of
-        O(tasks x participants).  ``False`` restores the original per-task
-        message exchange.  Both protocols record identical bids, pick
-        identical winners, and produce identical
-        :class:`AllocationOutcome`\\ s (pinned by
-        ``tests/property/test_auction_batching_equivalence.py``); only the
-        number and size of messages differ.
     """
 
     def __init__(
@@ -153,7 +140,6 @@ class AuctionManager:
         scheduler: EventScheduler,
         send: SendFunction,
         policy: BidSelectionPolicy = DEFAULT_POLICY,
-        batch_auctions: bool = True,
         robust: bool = False,
         durability=None,
     ) -> None:
@@ -161,7 +147,6 @@ class AuctionManager:
         self.scheduler = scheduler
         self._send = send
         self.policy = policy
-        self.batch_auctions = batch_auctions
         #: Fault hardening (``fault_injection``): bounded retry+backoff for
         #: unanswered solicitations (silent participants become implicit
         #: declines after ``MAX_SOLICITATIONS`` rounds), award acks with
@@ -227,34 +212,26 @@ class AuctionManager:
             self._complete(workflow_id)
             return
 
-        if self.batch_auctions:
-            calls = tuple(
-                TaskCall(task=auction.task, earliest_start=auction.earliest_start)
-                for auction in auctions.values()
-            )
-            for participant in sorted(participant_set):
-                self._send(
-                    CallForBidsBatch(
-                        sender=self.host_id,
-                        recipient=participant,
-                        workflow_id=workflow_id,
-                        calls=calls,
-                    )
-                )
-        else:
-            for task_name, auction in auctions.items():
-                for participant in sorted(participant_set):
-                    self._send(
-                        CallForBids(
-                            sender=self.host_id,
-                            recipient=participant,
-                            workflow_id=workflow_id,
-                            task=auction.task,
-                            earliest_start=auction.earliest_start,
-                        )
-                    )
+        self._call_for_bids(workflow_id, sorted(participant_set))
         if self.robust:
             self._arm_solicit_timer(workflow_id, attempt=1)
+
+    def _call_for_bids(self, workflow_id: str, participants: Iterable[str]) -> None:
+        """Solicit every task of the workflow from each participant."""
+
+        calls = tuple(
+            TaskCall(task=auction.task, earliest_start=auction.earliest_start)
+            for auction in self._auctions[workflow_id].values()
+        )
+        for participant in participants:
+            self._send(
+                CallForBidsBatch(
+                    sender=self.host_id,
+                    recipient=participant,
+                    workflow_id=workflow_id,
+                    calls=calls,
+                )
+            )
 
     def compute_task_metadata(
         self, workflow: Workflow, specification: Specification
@@ -282,24 +259,11 @@ class AuctionManager:
         return earliest
 
     # -- incoming auction traffic ----------------------------------------------------
-    def handle_bid(self, message: BidMessage) -> None:
-        """Record a firm bid and re-evaluate the tentative allocation."""
-
-        self._apply_bid(message.workflow_id, Bid.from_message(message))
-
-    def handle_decline(self, message: BidDeclined) -> None:
-        """Record an explicit decline; may complete the auction for the task."""
-
-        self._apply_decline(message.workflow_id, message.task_name, message.sender)
-
     def handle_bid_batch(self, message: BidBatch) -> None:
-        """Unpack a participant's combined answer into per-task bids/declines.
+        """Record a participant's answer: its firm bids, then its declines.
 
-        Each entry goes through the same recording path as an individual
-        :class:`~repro.net.messages.BidMessage` /
-        :class:`~repro.net.messages.BidDeclined`, in batch order, so the
-        auction state evolves exactly as if the messages had arrived
-        back-to-back.
+        Each bid re-evaluates its task's tentative allocation, and a task
+        whose every participant has answered is finalized on the spot.
         """
 
         for offer in message.bids:
@@ -393,7 +357,7 @@ class AuctionManager:
                 # Write-ahead again: the re-award supersedes the journaled
                 # outcome before the replacement winner hears about it.
                 self.durability.allocation_updated(workflow_id, outcome.allocation)
-            self._send_award(workflow_id, auction)
+            self._send_awards(workflow_id, (auction,))
             if self.robust:
                 self._expect_ack(workflow_id, task_name, auction.winner.bidder)
         else:
@@ -453,12 +417,7 @@ class AuctionManager:
                 workflow_id, outcome.allocation, tuple(sorted(outcome.unallocated))
             )
         if outcome.succeeded or outcome.allocation:
-            if self.batch_auctions:
-                self._send_award_batches(workflow_id, auctions)
-            else:
-                for auction in auctions.values():
-                    if auction.winner is not None:
-                        self._send_award(workflow_id, auction)
+            self._send_awards(workflow_id, auctions.values())
             if self.robust:
                 for auction in auctions.values():
                     if auction.winner is not None:
@@ -521,34 +480,7 @@ class AuctionManager:
                     self._finalize(workflow_id, auction)
             return
         self.retries += len(missing)
-        if self.batch_auctions:
-            calls = tuple(
-                TaskCall(task=a.task, earliest_start=a.earliest_start)
-                for a in auctions.values()
-            )
-            for participant in missing:
-                self._send(
-                    CallForBidsBatch(
-                        sender=self.host_id,
-                        recipient=participant,
-                        workflow_id=workflow_id,
-                        calls=calls,
-                    )
-                )
-        else:
-            for auction in open_auctions:
-                for participant in sorted(
-                    auction.expected_responders - auction.responders
-                ):
-                    self._send(
-                        CallForBids(
-                            sender=self.host_id,
-                            recipient=participant,
-                            workflow_id=workflow_id,
-                            task=auction.task,
-                            earliest_start=auction.earliest_start,
-                        )
-                    )
+        self._call_for_bids(workflow_id, missing)
         self._arm_solicit_timer(workflow_id, attempt + 1)
 
     def _expect_ack(self, workflow_id: str, task_name: str, winner: str) -> None:
@@ -584,11 +516,12 @@ class AuctionManager:
     def _award_deadline(self, workflow_id: str, attempt: int) -> None:
         """Unacknowledged awards: resend, then presume the winner dead.
 
-        Resends are per-task :class:`AwardMessage`\\ s (the same envelope the
-        rejection re-award path uses, whatever the batch setting).  After
-        ``MAX_AWARD_ATTEMPTS`` silent rounds the winner's bids are struck
-        and the task re-auctioned among the remaining bidders; the ack
-        cycle restarts for the replacement winner.
+        Each unacknowledged task is resent on its own, as a one-entry
+        :class:`~repro.net.messages.AwardBatch` (the message a re-award
+        after a rejection sends).  After ``MAX_AWARD_ATTEMPTS`` silent
+        rounds the winner's bids are struck and the task re-auctioned among
+        the remaining bidders; the ack cycle restarts for the replacement
+        winner.
         """
 
         self._award_timers.pop(workflow_id, None)
@@ -613,23 +546,21 @@ class AuctionManager:
             if auction is None or auction.winner is None:
                 continue
             self.retries += 1
-            self._send_award(workflow_id, auction)
+            self._send_awards(workflow_id, (auction,))
         self._arm_award_timer(workflow_id, attempt + 1)
 
-    def _send_award_batches(
-        self, workflow_id: str, auctions: Mapping[str, TaskAuction]
+    def _send_awards(
+        self, workflow_id: str, auctions: Iterable[TaskAuction]
     ) -> None:
-        """One combined award message per winning host.
+        """One award message per winning host, its tasks in ``auctions`` order.
 
-        Awards are grouped in task order, so each participant converts its
-        wins into commitments in exactly the order it would have processed
-        the individual :class:`~repro.net.messages.AwardMessage`\\ s —
-        schedule-conflict resolution is therefore identical across the two
-        protocols.
+        A completed auction passes every task in task order, so each winner
+        converts its wins into commitments in task order; a re-award or a
+        resend passes the one task concerned.
         """
 
         grouped: dict[str, list[TaskAward]] = {}
-        for auction in auctions.values():
+        for auction in auctions:
             if auction.winner is None:
                 continue
             grouped.setdefault(auction.winner.bidder, []).append(
@@ -661,24 +592,6 @@ class AuctionManager:
             input_sources=input_sources,
             output_destinations=self._output_routing(workflow, outcome, task),
             trigger_labels=trigger_labels,
-        )
-
-    def _send_award(self, workflow_id: str, auction: TaskAuction) -> None:
-        winner = auction.winner
-        if winner is None:
-            return
-        entry = self._award_entry(workflow_id, auction)
-        self._send(
-            AwardMessage(
-                sender=self.host_id,
-                recipient=winner.bidder,
-                workflow_id=workflow_id,
-                task=entry.task,
-                scheduled_start=entry.scheduled_start,
-                input_sources=entry.input_sources,
-                output_destinations=entry.output_destinations,
-                trigger_labels=entry.trigger_labels,
-            )
         )
 
     def _input_routing(
@@ -714,13 +627,6 @@ class AuctionManager:
         return destinations
 
     # -- queries -------------------------------------------------------------------------
-    def outcome_for(self, workflow_id: str) -> AllocationOutcome | None:
-        return self._outcomes.get(workflow_id)
-
-    def is_complete(self, workflow_id: str) -> bool:
-        auctions = self._auctions.get(workflow_id)
-        return auctions is not None and all(a.finalized for a in auctions.values())
-
     def _find_auction(self, workflow_id: str, task_name: str) -> TaskAuction | None:
         return self._auctions.get(workflow_id, {}).get(task_name)
 

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from ..net.messages import BidMessage
-
 
 @dataclass(frozen=True)
 class Bid:
@@ -49,19 +47,6 @@ class Bid:
     proposed_start: float
     travel_time: float = 0.0
     response_deadline: float = float("inf")
-
-    @staticmethod
-    def from_message(message: BidMessage) -> "Bid":
-        """Convert the wire representation into the auction's internal record."""
-
-        return Bid(
-            bidder=message.sender,
-            task_name=message.task_name,
-            specialization=message.specialization,
-            proposed_start=message.proposed_start,
-            travel_time=message.travel_time,
-            response_deadline=message.response_deadline,
-        )
 
     def __repr__(self) -> str:
         return (

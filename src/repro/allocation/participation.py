@@ -22,49 +22,24 @@ to monitor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..core.errors import ScheduleConflictError
+from ..core.tasks import Task
 from ..execution.engine import ExecutionManager
 from ..execution.services import ServiceManager
-from typing import Mapping
-
-from ..core.tasks import Task
 from ..net.messages import (
     AwardBatch,
-    AwardMessage,
     AwardRejected,
     BidBatch,
-    BidDeclined,
-    BidMessage,
-    CallForBids,
     CallForBidsBatch,
+    TaskAward,
     TaskBidOffer,
     TaskDecline,
 )
 from ..scheduling.commitments import Commitment
 from ..scheduling.schedule import ScheduleManager
 from ..sim.clock import Clock
-
-
-@dataclass
-class ParticipationStatistics:
-    """Counters for one host's auction participation."""
-
-    calls_received: int = 0
-    bids_submitted: int = 0
-    declines_sent: int = 0
-    awards_accepted: int = 0
-    awards_rejected: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "calls_received": self.calls_received,
-            "bids_submitted": self.bids_submitted,
-            "declines_sent": self.declines_sent,
-            "awards_accepted": self.awards_accepted,
-            "awards_rejected": self.awards_rejected,
-        }
 
 
 class AuctionParticipationManager:
@@ -83,7 +58,6 @@ class AuctionParticipationManager:
         self.services = services
         self.schedule = schedule
         self.execution = execution
-        self.statistics = ParticipationStatistics()
         #: Awards already converted to commitments, keyed by
         #: ``(workflow_id, task_name)``.  A re-delivered award (fault-plane
         #: duplication, or the auction manager re-sending after a lost ack)
@@ -93,24 +67,17 @@ class AuctionParticipationManager:
 
     # -- bidding ----------------------------------------------------------------
     def _evaluate_task(
-        self, task: Task | None, earliest_start: float, deadline: float
+        self, task: Task, earliest_start: float, deadline: float
     ) -> TaskBidOffer | TaskDecline:
         """Apply the paper's service-availability conditions to one task.
 
-        Shared by the per-task and batched protocols: the answer (and the
-        participation statistics, which count per *task*, not per message)
-        is identical however the solicitation arrived.
+        Bids reserve no schedule slot, so each task of a call is judged on
+        its own, against the schedule as it stands.
         """
-
-        self.statistics.calls_received += 1
-        if task is None:
-            return self._decline_task("", "call carried no task definition")
 
         # Condition 1: capability.
         if not self.services.provides(task.service_type):
-            return self._decline_task(
-                task.name, f"no service of type {task.service_type!r}"
-            )
+            return TaskDecline(task.name, f"no service of type {task.service_type!r}")
 
         # Conditions 2, 3, and 5: time, travel, willingness.  Use the service's
         # duration estimate when the task itself does not declare one.
@@ -124,9 +91,8 @@ class AuctionParticipationManager:
             deadline=deadline,
         )
         if slot is None:
-            return self._decline_task(task.name, reason)
+            return TaskDecline(task.name, reason)
 
-        self.statistics.bids_submitted += 1
         validity = self.schedule.preferences.bid_validity
         response_deadline = (
             float("inf") if validity == float("inf") else self.clock.now() + validity
@@ -139,40 +105,8 @@ class AuctionParticipationManager:
             response_deadline=response_deadline,
         )
 
-    def _decline_task(self, task_name: str, reason: str) -> TaskDecline:
-        self.statistics.declines_sent += 1
-        return TaskDecline(task_name=task_name, reason=reason)
-
-    def handle_call_for_bids(self, call: CallForBids) -> BidMessage | BidDeclined:
-        """Evaluate a call for bids and produce the host's answer."""
-
-        answer = self._evaluate_task(call.task, call.earliest_start, call.deadline)
-        if isinstance(answer, TaskDecline):
-            return BidDeclined(
-                sender=self.host_id,
-                recipient=call.sender,
-                workflow_id=call.workflow_id,
-                task_name=answer.task_name,
-                reason=answer.reason,
-            )
-        return BidMessage(
-            sender=self.host_id,
-            recipient=call.sender,
-            workflow_id=call.workflow_id,
-            task_name=answer.task_name,
-            specialization=answer.specialization,
-            proposed_start=answer.proposed_start,
-            travel_time=answer.travel_time,
-            response_deadline=answer.response_deadline,
-        )
-
     def handle_call_for_bids_batch(self, batch: CallForBidsBatch) -> BidBatch:
-        """Evaluate every solicited task and answer with one combined message.
-
-        Bids do not reserve schedule slots (only awards do), so the tasks
-        are evaluated independently and the combined answer matches what
-        per-task calls would have produced.
-        """
+        """Evaluate every solicited task and answer with one message."""
 
         bids: list[TaskBidOffer] = []
         declines: list[TaskDecline] = []
@@ -191,79 +125,42 @@ class AuctionParticipationManager:
         )
 
     # -- award handling -------------------------------------------------------------
-    def handle_award(self, award: AwardMessage) -> AwardRejected | Commitment:
-        """Turn an award into a commitment (or reject it when no longer feasible)."""
-
-        return self._accept_award(
-            workflow_id=award.workflow_id,
-            initiator=award.sender,
-            task=award.task,
-            scheduled_start=award.scheduled_start,
-            input_sources=award.input_sources,
-            output_destinations=award.output_destinations,
-            trigger_labels=award.trigger_labels,
-        )
-
     def handle_award_batch(
         self, batch: AwardBatch
     ) -> list[AwardRejected | Commitment]:
         """Accept every award in the batch, in batch (= task) order.
 
-        Each entry goes through the same commitment logic as an individual
-        :class:`~repro.net.messages.AwardMessage`; rejections come back as
-        :class:`~repro.net.messages.AwardRejected` messages the caller must
-        send, exactly as for single awards.
+        Rejections come back as :class:`~repro.net.messages.AwardRejected`
+        messages the caller must send.
         """
 
-        return [
-            self._accept_award(
-                workflow_id=batch.workflow_id,
-                initiator=batch.sender,
-                task=entry.task,
-                scheduled_start=entry.scheduled_start,
-                input_sources=entry.input_sources,
-                output_destinations=entry.output_destinations,
-                trigger_labels=entry.trigger_labels,
-            )
-            for entry in batch.awards
-        ]
+        return [self._accept_award(batch, award) for award in batch.awards]
 
     def _accept_award(
-        self,
-        workflow_id: str,
-        initiator: str,
-        task: Task | None,
-        scheduled_start: float,
-        input_sources: Mapping[str, str],
-        output_destinations: Mapping[str, tuple[str, ...]],
-        trigger_labels: frozenset[str],
+        self, batch: AwardBatch, award: TaskAward
     ) -> AwardRejected | Commitment:
-        if task is None:
-            self.statistics.awards_rejected += 1
-            return AwardRejected(
-                sender=self.host_id,
-                recipient=initiator,
-                workflow_id=workflow_id,
-                task_name="",
-                reason="award carried no task definition",
-            )
+        """Turn one award into a commitment, or reject it when no slot is left."""
 
+        workflow_id = batch.workflow_id
+        initiator = batch.sender
+        task = award.task
         existing = self._accepted.get((workflow_id, task.name))
         if existing is not None and existing.task == task:
             return existing
 
-        start = max(scheduled_start, self.clock.now())
+        start = max(award.scheduled_start, self.clock.now())
         travel = self.schedule.travel_time_to(task.location, at_time=start)
         commitment = Commitment(
             task=task,
             workflow_id=workflow_id,
             start=start,
             travel_time=min(travel, start),
-            input_sources=dict(input_sources),
+            input_sources=dict(award.input_sources),
             output_destinations={
-                label: tuple(hosts) for label, hosts in output_destinations.items()
+                label: tuple(hosts)
+                for label, hosts in award.output_destinations.items()
             },
-            trigger_labels=frozenset(trigger_labels),
+            trigger_labels=frozenset(award.trigger_labels),
             initiator=initiator,
         )
         try:
@@ -274,7 +171,6 @@ class AuctionParticipationManager:
             # award in the next free slot; reject only if none exists.
             slot = self.schedule.find_slot(task, earliest_start=start)
             if slot is None:
-                self.statistics.awards_rejected += 1
                 return AwardRejected(
                     sender=self.host_id,
                     recipient=initiator,
@@ -289,7 +185,6 @@ class AuctionParticipationManager:
             )
             self.schedule.add_commitment(commitment)
 
-        self.statistics.awards_accepted += 1
         self._accepted[(workflow_id, task.name)] = commitment
         self.execution.watch(commitment)
         return commitment
@@ -297,5 +192,5 @@ class AuctionParticipationManager:
     def __repr__(self) -> str:
         return (
             f"AuctionParticipationManager(host={self.host_id!r}, "
-            f"bids={self.statistics.bids_submitted})"
+            f"awards={len(self._accepted)})"
         )

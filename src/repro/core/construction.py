@@ -580,15 +580,13 @@ class WorkflowConstructor:
 def construct_workflow(
     knowledge: KnowledgeSet | Iterable[WorkflowFragment],
     specification: Specification,
-    stop_exploration_early: bool = True,
 ) -> ConstructionResult:
     """Convenience wrapper: build the supergraph from ``knowledge`` and run Algorithm 1."""
 
     if not isinstance(knowledge, KnowledgeSet):
         knowledge = KnowledgeSet(knowledge)
     supergraph = Supergraph(knowledge)
-    constructor = WorkflowConstructor(stop_exploration_early=stop_exploration_early)
-    return constructor.construct(supergraph, specification)
+    return WorkflowConstructor().construct(supergraph, specification)
 
 
 def is_feasible(

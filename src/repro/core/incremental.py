@@ -192,15 +192,12 @@ class IncrementalConstructor:
         source: FragmentSource,
         seed_with_goal_producers: bool = True,
         max_rounds: int = 10_000,
-        stop_exploration_early: bool = True,
         solver: Solver | str | None = None,
     ) -> None:
         self._source = source
         self._seed_with_goal_producers = seed_with_goal_producers
         self._max_rounds = max_rounds
-        self._solver = make_solver(
-            solver, stop_exploration_early=stop_exploration_early
-        )
+        self._solver = make_solver(solver)
 
     def construct(
         self,

@@ -155,12 +155,9 @@ class ColoringSolver(Solver):
 
     name = "coloring"
 
-    def __init__(self, stop_exploration_early: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.stop_exploration_early = stop_exploration_early
-        self._constructor = WorkflowConstructor(
-            stop_exploration_early=stop_exploration_early
-        )
+        self._constructor = WorkflowConstructor()
 
     def solve(
         self,
@@ -219,13 +216,8 @@ class MemoizedColoringSolver(ColoringSolver):
 
     name = "memoized"
 
-    def __init__(
-        self,
-        stop_exploration_early: bool = True,
-        max_entries: int = 256,
-        popular_hit_threshold: int = 4,
-    ) -> None:
-        super().__init__(stop_exploration_early=stop_exploration_early)
+    def __init__(self, max_entries: int = 256, popular_hit_threshold: int = 4) -> None:
+        super().__init__()
         if max_entries < 1:
             raise ConfigurationError("max_entries must be at least 1")
         if popular_hit_threshold < 1:
@@ -388,10 +380,7 @@ SOLVER_REGISTRY: dict[str, Callable[..., Solver]] = {
 DEFAULT_SOLVER = "memoized"
 
 
-def make_solver(
-    solver: Solver | str | None = None,
-    stop_exploration_early: bool = True,
-) -> Solver:
+def make_solver(solver: Solver | str | None = None) -> Solver:
     """Resolve a ``solver=`` configuration value into a :class:`Solver`.
 
     Accepts an existing instance (returned as-is), a registry name
@@ -409,7 +398,7 @@ def make_solver(
             raise ConfigurationError(
                 f"unknown solver {solver!r}; known: {sorted(SOLVER_REGISTRY)}"
             )
-        return factory(stop_exploration_early=stop_exploration_early)
+        return factory()
     raise ConfigurationError(
         f"solver must be a Solver instance, a name, or None; got {solver!r}"
     )

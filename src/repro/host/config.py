@@ -50,11 +50,6 @@ class HostConfig:
 
     Protocols:
 
-    batch_auctions:
-        Speak the batched auction protocol, one combined call-for-bids,
-        bid and award message per participant; ``False`` restores the
-        per-(task, participant) exchange.  Same allocations, more
-        messages.
     batch_execution:
         Publish outputs as one label batch per destination host and
         report progress in per-burst reports; ``False`` restores the
@@ -92,7 +87,6 @@ class HostConfig:
     capability_aware: bool = False
     solver: Solver | str | None = None
     knowledge_refresh_interval: float = math.inf
-    batch_auctions: bool = True
     batch_execution: bool = True
     fault_injection: bool = False
     enable_recovery: bool = False

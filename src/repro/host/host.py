@@ -32,12 +32,8 @@ from ..mobility.models import MobilityModel
 from ..net.messages import (
     AwardAck,
     AwardBatch,
-    AwardMessage,
     AwardRejected,
     BidBatch,
-    BidDeclined,
-    BidMessage,
-    CallForBids,
     CallForBidsBatch,
     CapabilityQuery,
     CapabilityResponse,
@@ -157,7 +153,6 @@ class Host:
             host_id,
             self.scope,
             self._send,
-            batch_auctions=config.batch_auctions,
             robust=config.fault_injection,
             durability=durability,
         )
@@ -283,36 +278,17 @@ class Host:
             )
         elif isinstance(message, CapabilityResponse):
             self.workflow_manager.handle_capability_response(message)
-        elif isinstance(message, CallForBids):
-            self._send(self.participation_manager.handle_call_for_bids(message))
         elif isinstance(message, CallForBidsBatch):
             self._send(self.participation_manager.handle_call_for_bids_batch(message))
-        elif isinstance(message, BidMessage):
-            self.auction_manager.handle_bid(message)
         elif isinstance(message, BidBatch):
             self.auction_manager.handle_bid_batch(message)
-        elif isinstance(message, BidDeclined):
-            self.auction_manager.handle_decline(message)
-        elif isinstance(message, AwardMessage):
-            outcome = self.participation_manager.handle_award(message)
-            if isinstance(outcome, AwardRejected):
-                self._send(outcome)
-            elif self.config.fault_injection and message.task is not None:
-                self._send(
-                    AwardAck(
-                        sender=self.host_id,
-                        recipient=message.sender,
-                        workflow_id=message.workflow_id,
-                        task_names=(message.task.name,),
-                    )
-                )
         elif isinstance(message, AwardBatch):
             outcomes = self.participation_manager.handle_award_batch(message)
             accepted: list[str] = []
             for entry, outcome in zip(message.awards, outcomes):
                 if isinstance(outcome, AwardRejected):
                     self._send(outcome)
-                elif entry.task is not None:
+                else:
                     accepted.append(entry.task.name)
             if self.config.fault_injection and accepted:
                 self._send(

@@ -124,7 +124,6 @@ class WorkflowManager:
         fragments: FragmentManager,
         auction: AuctionManager,
         construction_mode: str = "batch",
-        stop_exploration_early: bool = True,
         capability_aware: bool = False,
         local_services: ServiceManager | None = None,
         enable_recovery: bool = False,
@@ -148,9 +147,7 @@ class WorkflowManager:
         self.max_repair_attempts = max_repair_attempts
         self.durability = durability
         self.capabilities = CapabilityDirectory()
-        self.solver = make_solver(
-            solver, stop_exploration_early=stop_exploration_early
-        )
+        self.solver = make_solver(solver)
         self.knowledge_refresh_interval = knowledge_refresh_interval
         #: The host's knowledge plane: one supergraph for every workspace.
         self.supergraph = Supergraph()

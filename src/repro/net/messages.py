@@ -184,31 +184,34 @@ class CapabilityResponse(Message):
 # ---------------------------------------------------------------------------
 # Auction (allocation) messages
 # ---------------------------------------------------------------------------
+#
+# Everything the auction manager says to one participant travels in one
+# message: one :class:`CallForBidsBatch` carrying every task of the workflow,
+# and later one :class:`AwardBatch` carrying every task that participant
+# won.  The participant answers the call with one :class:`BidBatch` holding
+# a firm bid or an explicit decline for each task, so a workflow costs
+# O(participants) messages.  The payload entries below are plain frozen
+# records, not messages: only the enclosing batch crosses the
+# communications layer.
 
 
-@dataclass(frozen=True, repr=False)
-class CallForBids(Message):
-    """The auction manager solicits bids for one task of a workflow.
+@dataclass(frozen=True)
+class TaskCall:
+    """One task's solicitation inside a :class:`CallForBidsBatch`.
 
     ``task`` carries the full task definition so the participant can check
     its own capabilities; ``earliest_start`` and ``deadline`` describe the
-    window within which the task must run; ``metadata`` carries any extra
-    scheduling hints computed by the auction manager.
+    window within which the task must run.
     """
 
-    workflow_id: str = ""
-    task: Task | None = None
+    task: Task
     earliest_start: float = 0.0
     deadline: float = float("inf")
-    metadata: Mapping[str, object] = field(default_factory=dict)
-
-    def _payload_bytes(self) -> int:
-        return estimate_task_bytes(self.task) if self.task is not None else 0
 
 
-@dataclass(frozen=True, repr=False)
-class BidMessage(Message):
-    """A firm bid on a task.
+@dataclass(frozen=True)
+class TaskBidOffer:
+    """One task's firm bid inside a :class:`BidBatch`.
 
     ``specialization`` counts how many services the bidder offers overall —
     the auction manager prefers participants with *fewer* services (paper,
@@ -217,51 +220,86 @@ class BidMessage(Message):
     auction manager's decision.
     """
 
-    workflow_id: str = ""
-    task_name: str = ""
+    task_name: str
     specialization: int = 0
     proposed_start: float = 0.0
     travel_time: float = 0.0
     response_deadline: float = float("inf")
 
-    def _payload_bytes(self) -> int:
-        return _BID_BYTES
 
+@dataclass(frozen=True)
+class TaskDecline:
+    """One task's explicit "I cannot do this task" inside a :class:`BidBatch`."""
 
-@dataclass(frozen=True, repr=False)
-class BidDeclined(Message):
-    """Explicit "I cannot do this task" answer to a call for bids."""
-
-    workflow_id: str = ""
-    task_name: str = ""
+    task_name: str
     reason: str = ""
 
-    def _payload_bytes(self) -> int:
-        return 16
 
+@dataclass(frozen=True)
+class TaskAward:
+    """One task's final allocation inside an :class:`AwardBatch`.
 
-@dataclass(frozen=True, repr=False)
-class AwardMessage(Message):
-    """The auction manager's final allocation of a task to the winning bidder.
-
-    Besides the task itself, the award tells the participant where to pull
-    each input from and where to push each output to, which is all the
+    Besides the task itself, the award tells the winner where to pull each
+    input from and where to push each output to, which is all the
     information needed for fully decentralized execution.
     """
 
-    workflow_id: str = ""
-    task: Task | None = None
+    task: Task
     scheduled_start: float = 0.0
     input_sources: Mapping[str, str] = field(default_factory=dict)
     output_destinations: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     trigger_labels: frozenset[str] = frozenset()
 
-    def _payload_bytes(self) -> int:
-        payload = estimate_task_bytes(self.task) if self.task is not None else 0
-        payload += _LABEL_BYTES * (
+    def payload_bytes(self) -> int:
+        return estimate_task_bytes(self.task) + _LABEL_BYTES * (
             len(self.input_sources) + len(self.output_destinations)
         )
-        return payload
+
+
+@dataclass(frozen=True, repr=False)
+class CallForBidsBatch(Message):
+    """The auction manager solicits bids for every task in ``calls``.
+
+    The recipient answers with a single :class:`BidBatch`.
+    """
+
+    workflow_id: str = ""
+    calls: tuple[TaskCall, ...] = ()
+
+    def _payload_bytes(self) -> int:
+        return sum(estimate_task_bytes(call.task) + 16 for call in self.calls)
+
+
+@dataclass(frozen=True, repr=False)
+class BidBatch(Message):
+    """A participant's answer to a :class:`CallForBidsBatch`.
+
+    Carries one :class:`TaskBidOffer` per task the participant can do and
+    one :class:`TaskDecline` per task it cannot, each in the order of the
+    soliciting batch.
+    """
+
+    workflow_id: str = ""
+    bids: tuple[TaskBidOffer, ...] = ()
+    declines: tuple[TaskDecline, ...] = ()
+
+    def _payload_bytes(self) -> int:
+        return _BID_BYTES * len(self.bids) + 16 * len(self.declines)
+
+
+@dataclass(frozen=True, repr=False)
+class AwardBatch(Message):
+    """Tasks one participant won, awarded (with routing) in one message.
+
+    A completed auction sends each winner every task it won, in task order;
+    a re-award or an award resend carries the one task concerned.
+    """
+
+    workflow_id: str = ""
+    awards: tuple[TaskAward, ...] = ()
+
+    def _payload_bytes(self) -> int:
+        return sum(award.payload_bytes() for award in self.awards)
 
 
 @dataclass(frozen=True, repr=False)
@@ -296,109 +334,6 @@ class AwardAck(Message):
 
     def _payload_bytes(self) -> int:
         return 8 * len(self.task_names)
-
-
-# ---------------------------------------------------------------------------
-# Batched auction messages (one combined message per participant)
-# ---------------------------------------------------------------------------
-#
-# The per-task protocol above costs O(tasks x participants) messages per
-# workflow; on a wireless medium the per-message envelope and MAC overhead
-# dominate for the small control payloads involved.  The batched protocol
-# combines everything the auction manager says to one participant — every
-# call for bids, and later every award that participant won — into a single
-# message, and the participant's answer (firm bids and declines for all
-# tasks) into a single reply, so a workflow costs O(participants) messages.
-# The payload entries below are plain frozen records, not messages: only the
-# enclosing batch crosses the communications layer.
-
-
-@dataclass(frozen=True)
-class TaskCall:
-    """One task's solicitation inside a :class:`CallForBidsBatch`."""
-
-    task: Task
-    earliest_start: float = 0.0
-    deadline: float = float("inf")
-
-
-@dataclass(frozen=True)
-class TaskBidOffer:
-    """One task's firm bid inside a :class:`BidBatch` (see :class:`BidMessage`)."""
-
-    task_name: str
-    specialization: int = 0
-    proposed_start: float = 0.0
-    travel_time: float = 0.0
-    response_deadline: float = float("inf")
-
-
-@dataclass(frozen=True)
-class TaskDecline:
-    """One task's explicit decline inside a :class:`BidBatch`."""
-
-    task_name: str
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class TaskAward:
-    """One task's award (with routing) inside an :class:`AwardBatch`."""
-
-    task: Task
-    scheduled_start: float = 0.0
-    input_sources: Mapping[str, str] = field(default_factory=dict)
-    output_destinations: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    trigger_labels: frozenset[str] = frozenset()
-
-    def payload_bytes(self) -> int:
-        return estimate_task_bytes(self.task) + _LABEL_BYTES * (
-            len(self.input_sources) + len(self.output_destinations)
-        )
-
-
-@dataclass(frozen=True, repr=False)
-class CallForBidsBatch(Message):
-    """The auction manager solicits bids for *every* task in one message.
-
-    Semantically equivalent to one :class:`CallForBids` per entry of
-    ``calls``; the recipient answers with a single :class:`BidBatch`.
-    """
-
-    workflow_id: str = ""
-    calls: tuple[TaskCall, ...] = ()
-
-    def _payload_bytes(self) -> int:
-        return sum(estimate_task_bytes(call.task) + 16 for call in self.calls)
-
-
-@dataclass(frozen=True, repr=False)
-class BidBatch(Message):
-    """A participant's combined answer to a :class:`CallForBidsBatch`.
-
-    Carries one :class:`TaskBidOffer` per task the participant can do and
-    one :class:`TaskDecline` per task it cannot, in the order of the
-    soliciting batch, so the auction manager records exactly the same bids
-    and declines it would have received as individual messages.
-    """
-
-    workflow_id: str = ""
-    bids: tuple[TaskBidOffer, ...] = ()
-    declines: tuple[TaskDecline, ...] = ()
-
-    def _payload_bytes(self) -> int:
-        return _BID_BYTES * len(self.bids) + 16 * len(self.declines)
-
-
-@dataclass(frozen=True, repr=False)
-class AwardBatch(Message):
-    """Every task one participant won, awarded (with routing) in one message."""
-
-    workflow_id: str = ""
-    awards: tuple[TaskAward, ...] = ()
-
-    def _payload_bytes(self) -> int:
-        return sum(award.payload_bytes() for award in self.awards)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ same order, so they return the identical horizon.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..mobility.geometry import Point
 
@@ -296,12 +296,4 @@ class SpatialGridIndex:
             f"SpatialGridIndex(hosts={len(self._positions)}, "
             f"cells={len(self._cells)}, cell_size={self.cell_size})"
         )
-
-
-def grid_from_items(
-    items: Iterable[tuple[str, Point]], cell_size: float
-) -> SpatialGridIndex:
-    """Build an index from ``(host, point)`` pairs (convenience for tests)."""
-
-    return SpatialGridIndex(dict(items), cell_size)
 

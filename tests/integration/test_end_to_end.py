@@ -108,9 +108,7 @@ class TestSimulatedNetworkPipeline:
 
 
 class TestAdHocWirelessPipeline:
-    def build_wireless_community(
-        self, radio_range: float = 150.0, batch_auctions: bool = True
-    ) -> Community:
+    def build_wireless_community(self, radio_range: float = 150.0) -> Community:
         community = Community(
             network_factory=lambda scheduler: AdHocWirelessNetwork(
                 scheduler, radio_range=radio_range, multi_hop=True
@@ -121,21 +119,18 @@ class TestAdHocWirelessPipeline:
             fragments=[WorkflowFragment([Task("t1", ["a"], ["b"], duration=1)])],
             services=[ServiceDescription("t1", duration=1)],
             mobility=Point(0, 0),
-            batch_auctions=batch_auctions,
         )
         community.add_host(
             "bob",
             fragments=[WorkflowFragment([Task("t2", ["b"], ["c"], duration=1)])],
             services=[ServiceDescription("t2", duration=1)],
             mobility=Point(100, 0),
-            batch_auctions=batch_auctions,
         )
         community.add_host(
             "carol",
             fragments=[WorkflowFragment([Task("t3", ["c"], ["d"], duration=1)])],
             services=[ServiceDescription("t3", duration=1)],
             mobility=Point(200, 0),
-            batch_auctions=batch_auctions,
         )
         return community
 
@@ -169,15 +164,9 @@ class TestAdHocWirelessPipeline:
         assert stats.messages_delivered > 0
         assert stats.by_kind["FragmentQuery"] == 2
         assert stats.by_kind["FragmentResponse"] == 2
-        # Batched auction protocol: one combined call (and one combined
-        # answer) per participant, regardless of the 3 tasks.
+        # One call (and one answer) per participant, regardless of the 3
+        # tasks, and one award per winner: each host is the only one that
+        # offers its task.
         assert stats.by_kind["CallForBidsBatch"] == 3
         assert stats.by_kind["BidBatch"] == 3
-        assert "CallForBids" not in stats.by_kind
-
-    def test_message_accounting_unbatched(self):
-        community = self.build_wireless_community(batch_auctions=False)
-        workspace = community.submit_problem("alice", ["a"], ["d"])
-        community.run_until_completed(workspace)
-        stats = community.network.statistics
-        assert stats.by_kind["CallForBids"] == 9  # 3 tasks x 3 participants
+        assert stats.by_kind["AwardBatch"] == 3

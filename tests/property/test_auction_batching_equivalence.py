@@ -1,158 +1,138 @@
-"""Property: the batched auction protocol ≡ the per-task protocol.
+"""Property: the batched auction allocates as the unbatched rule says.
 
-The batched protocol (one combined call-for-bids per participant, one
-combined bid/decline answer, one combined award message per winning host)
-claims to be a pure message-count optimisation: same bids recorded, same
-winners picked, same routing information delivered, same
-:class:`~repro.allocation.auction.AllocationOutcome` — just O(participants)
-messages instead of O(tasks x participants).  These tests drive complete
-trials (discovery → construction → allocation) through both protocols and
-compare:
+The auction manager solicits every task from every participant in one
+``CallForBidsBatch``, records each participant's ``BidBatch`` answer and
+awards each winner its tasks in one ``AwardBatch``.  The model in
+``tests/reference/auction.py`` applies the paper's rule one (task,
+participant) pair at a time, with no network and no auction manager: every
+participant of a freshly built community answers every task, and the policy
+ranks the bids.  These tests drive complete trials (discovery →
+construction → allocation) and check
 
-* the allocation outcome dictionaries (winners, unallocated reasons, bid
-  and decline counts, completion time) — identical up to the generated
-  workflow id;
-* the ``timing="sim"`` trial results — byte-identical except for the
-  transport counters (``messages_sent`` / ``bytes_sent``), which are
-  exactly what the batched protocol improves;
-* the message counts themselves — batched must use strictly fewer
-  messages (and fewer bytes) whenever the workflow has >1 task and the
-  community >1 participant, and at least 5x fewer for an 8-task workflow
-  among 8 or 12 participants.
+* the allocation outcome against the model's: winners, winning bids, and
+  the bid and decline counts;
+* the message counts: one call and one answer per participant, one award
+  message per winning host, where a message per (task, participant) pair
+  would cost 2 x tasks x participants + tasks.
 """
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.trials import build_trial_community, trial_result_from_workspace
+from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+from ..reference import auction as reference
 
 SEED = 20090514
-SETTINGS = settings(max_examples=15, deadline=None)
-AUCTION_KINDS = (
-    "CallForBids", "BidMessage", "BidDeclined", "AwardMessage",
-    "CallForBidsBatch", "BidBatch", "AwardBatch",
-)
+SETTINGS = settings(max_examples=50, deadline=None)
 
 
-def run_trial(batch_auctions: bool, num_tasks: int, num_hosts: int, path_length: int):
-    """One complete trial; returns (workspace, transport statistics)."""
+def build_community(workload, num_hosts: int, replicas: int):
+    """A trial community in which every service is also offered by the
+    ``replicas - 1`` hosts after the one it was dealt to."""
+
+    community = build_trial_community(workload, num_hosts=num_hosts, seed=SEED)
+    hosts = list(community)
+    dealt = [
+        [host.service_manager.get(kind) for kind in sorted(host.service_types)]
+        for host in hosts
+    ]
+    for index, services in enumerate(dealt):
+        for step in range(1, replicas):
+            for service in services:
+                hosts[(index + step) % num_hosts].add_service(service)
+    return community
+
+
+def run_trial(
+    num_tasks: int,
+    num_hosts: int,
+    path_length: int,
+    replicas: int = 1,
+    duration: float = 0.0,
+):
+    """One complete trial; returns (workspace, transport statistics, model).
+
+    The generated tasks are instantaneous and each service is dealt to one
+    host; ``duration`` spreads the tasks' earliest starts along the
+    critical path, and ``replicas`` lets several hosts bid on each task.
+    """
 
     workload = RandomSupergraphWorkload(seed=SEED).generate(num_tasks)
-    community = build_trial_community(
-        workload, num_hosts=num_hosts, seed=SEED, batch_auctions=batch_auctions
-    )
+    if duration:
+        workload = workload.with_task_durations(duration)
+    community = build_community(workload, num_hosts, replicas)
     rng = derive_rng(SEED, "batch-equivalence", num_tasks, num_hosts, path_length)
     specification = workload.path_specification(path_length, rng)
     if specification is None:
-        return None, None
+        return None, None, None
     workspace = community.submit_specification("host-0", specification)
     community.run_until_allocated(workspace)
-    return workspace, community.network.statistics
+    if workspace.workflow is None:
+        return workspace, community.network.statistics, None
+    fresh = build_community(workload, num_hosts, replicas)
+    expected = reference.allocate(fresh, workspace.workflow)
+    return workspace, community.network.statistics, expected
 
 
-def outcome_view(workspace):
-    """The allocation outcome, normalised for comparison across runs.
-
-    The workflow id embeds a process-global counter, so it (and only it)
-    legitimately differs between the two runs.
-    """
-
-    outcome = workspace.allocation_outcome
-    if outcome is None:
-        return None
-    view = outcome.as_dict()
-    view.pop("workflow_id")
-    return view
+def auction_messages(statistics) -> tuple[int, int, int]:
+    return tuple(
+        statistics.by_kind.get(kind, 0)
+        for kind in ("CallForBidsBatch", "BidBatch", "AwardBatch")
+    )
 
 
 @given(
     num_tasks=st.integers(min_value=12, max_value=40),
     num_hosts=st.integers(min_value=2, max_value=6),
     path_length=st.integers(min_value=2, max_value=8),
+    replicas=st.integers(min_value=1, max_value=3),
+    duration=st.sampled_from([0.0, 5.0]),
 )
 @SETTINGS
 def test_batched_and_unbatched_allocations_identical(
-    num_tasks, num_hosts, path_length
+    num_tasks, num_hosts, path_length, replicas, duration
 ):
-    batched_ws, batched_stats = run_trial(True, num_tasks, num_hosts, path_length)
-    unbatched_ws, unbatched_stats = run_trial(False, num_tasks, num_hosts, path_length)
-    if batched_ws is None:
-        assert unbatched_ws is None
+    workspace, statistics, expected = run_trial(
+        num_tasks, num_hosts, path_length, replicas, duration
+    )
+    if workspace is None or expected is None:
         return
 
-    assert batched_ws.phase == unbatched_ws.phase
-    assert outcome_view(batched_ws) == outcome_view(unbatched_ws)
-    batched_outcome = batched_ws.allocation_outcome
-    unbatched_outcome = unbatched_ws.allocation_outcome
-    if batched_outcome is not None:
-        assert batched_outcome.winning_bids == unbatched_outcome.winning_bids
+    outcome = workspace.allocation_outcome
+    assert outcome.allocation == expected.allocation
+    assert outcome.winning_bids == expected.winning_bids
+    assert set(outcome.unallocated) == expected.unallocated
+    assert outcome.bids_received == expected.bids_received
+    assert outcome.declines_received == expected.declines_received
 
-    # The message saving is real whenever there was something to batch.
-    tasks = len(batched_ws.workflow.task_names) if batched_ws.workflow else 0
-    batched_messages = batched_stats.kind_count(*AUCTION_KINDS)
-    unbatched_messages = unbatched_stats.kind_count(*AUCTION_KINDS)
-    if tasks > 1 and num_hosts > 1:
-        assert batched_messages < unbatched_messages
-        assert batched_stats.kind_bytes(*AUCTION_KINDS) < unbatched_stats.kind_bytes(
-            *AUCTION_KINDS
-        )
+    participants = num_hosts if workspace.workflow.task_names else 0
+    assert auction_messages(statistics) == (
+        participants,
+        participants,
+        len(set(outcome.allocation.values())),
+    )
 
 
 @pytest.mark.parametrize("num_hosts", [8, 12])
 def test_batched_auction_cuts_messages_fivefold(num_hosts):
-    """O(participants) messages against O(tasks x participants): an 8-task
-    workflow auctioned among eight or more hosts takes at least 5x fewer
-    auction messages batched."""
+    """An 8-task workflow among eight or twelve hosts: one call and one
+    answer per participant and one award message per winning host, at
+    least 5x fewer than a message per (task, participant) pair."""
 
-    batched_ws, batched_stats = run_trial(True, 100, num_hosts, 8)
-    _, unbatched_stats = run_trial(False, 100, num_hosts, 8)
-    assert len(batched_ws.workflow.task_names) == 8
-    assert 5 * batched_stats.kind_count(*AUCTION_KINDS) <= unbatched_stats.kind_count(
-        *AUCTION_KINDS
-    )
-
-
-def sim_trial_result(batch_auctions: bool, path_length: int):
-    """One 30-task, 4-host trial's result with the wall-clock part zeroed."""
-
-    workload = RandomSupergraphWorkload(seed=SEED).generate(30)
-    rng = derive_rng(SEED, "sim-timing", path_length)
-    specification = workload.path_specification(path_length, rng)
-    assert specification is not None
-    community = build_trial_community(
-        workload, num_hosts=4, seed=SEED, batch_auctions=batch_auctions
-    )
-    workspace = community.submit_specification("host-1", specification)
-    community.run_until_allocated(workspace, max_sim_seconds=3_600.0)
-    return trial_result_from_workspace(community, workspace).deterministic_copy()
-
-
-def test_sim_timing_trial_results_byte_identical_across_flag():
-    """`timing="sim"` trial results agree on everything but transport volume."""
-
-    for path_length in (2, 4, 6):
-        batched_result = sim_trial_result(True, path_length)
-        unbatched_result = sim_trial_result(False, path_length)
-        assert batched_result.succeeded and unbatched_result.succeeded
-        # messages_sent / bytes_sent are the optimisation target; every
-        # other field must agree exactly.
-        assert batched_result.messages_sent < unbatched_result.messages_sent
-        assert batched_result.bytes_sent < unbatched_result.bytes_sent
-        normalised = replace(
-            batched_result,
-            messages_sent=unbatched_result.messages_sent,
-            bytes_sent=unbatched_result.bytes_sent,
-        )
-        assert normalised == unbatched_result
+    workspace, statistics, expected = run_trial(100, num_hosts, 8)
+    tasks = len(workspace.workflow.task_names)
+    assert tasks == 8
+    winners = {8: 5, 12: 7}[num_hosts]
+    assert len(set(expected.allocation.values())) == winners
+    assert auction_messages(statistics) == (num_hosts, num_hosts, winners)
+    assert 5 * sum(auction_messages(statistics)) <= 2 * tasks * num_hosts + tasks
 
 
 def test_allocation_phase_completes_for_every_initiator():
-    """Sanity sweep: the batched protocol allocates from any initiator."""
+    """Sanity sweep: the auction allocates from any initiator."""
 
     workload = RandomSupergraphWorkload(seed=SEED).generate(24)
     rng = derive_rng(SEED, "initiator-sweep")

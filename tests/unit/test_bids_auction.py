@@ -19,12 +19,8 @@ from repro.core.tasks import Task
 from repro.core.workflow import Workflow
 from repro.net.messages import (
     AwardBatch,
-    AwardMessage,
     AwardRejected,
     BidBatch,
-    BidDeclined,
-    BidMessage,
-    CallForBids,
     CallForBidsBatch,
     TaskBidOffer,
     TaskDecline,
@@ -81,20 +77,8 @@ class TestPolicies:
         with pytest.raises(ValueError):
             select_best([])
 
-    def test_bid_from_message(self):
-        message = BidMessage(
-            sender="chef", recipient="mgr", workflow_id="w", task_name="cook",
-            specialization=2, proposed_start=7.0, travel_time=1.0, response_deadline=99.0,
-        )
-        converted = Bid.from_message(message)
-        assert converted.bidder == "chef"
-        assert converted.proposed_start == 7.0
-        assert converted.response_deadline == 99.0
 
-
-def make_auction(policy=None, batch_auctions=False):
-    # These tests exercise the classic per-(task, participant) protocol
-    # directly; the batched protocol has its own class below.
+def make_auction(policy=None, **options):
     scheduler = EventScheduler()
     sent: list = []
     manager = AuctionManager(
@@ -102,9 +86,35 @@ def make_auction(policy=None, batch_auctions=False):
         scheduler,
         sent.append,
         policy=policy or SpecializationPolicy(),
-        batch_auctions=batch_auctions,
+        **options,
     )
     return manager, scheduler, sent
+
+
+def offers(sender: str, *tasks: str, **fields) -> BidBatch:
+    """``sender``'s answer: a firm bid on each of ``tasks``."""
+
+    return BidBatch(
+        sender=sender,
+        recipient="initiator",
+        workflow_id="w",
+        bids=tuple(TaskBidOffer(task_name=task, **fields) for task in tasks),
+    )
+
+
+def declines(sender: str, *tasks: str) -> BidBatch:
+    """``sender``'s answer: an explicit decline of each of ``tasks``."""
+
+    return BidBatch(
+        sender=sender,
+        recipient="initiator",
+        workflow_id="w",
+        declines=tuple(TaskDecline(task_name=task, reason="busy") for task in tasks),
+    )
+
+
+def award_batches(sent) -> list[AwardBatch]:
+    return [m for m in sent if isinstance(m, AwardBatch)]
 
 
 def simple_workflow() -> Workflow:
@@ -119,79 +129,82 @@ class TestAuctionManager:
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["initiator", "x", "y"], outcomes.append)
-        calls = [m for m in sent if isinstance(m, CallForBids)]
-        assert len(calls) == 6  # 2 tasks x 3 participants
+        calls = [m for m in sent if isinstance(m, CallForBidsBatch)]
         assert {c.recipient for c in calls} == {"initiator", "x", "y"}
+        for call in calls:
+            # Each task's window starts when its producers could have finished.
+            assert [(entry.task.name, entry.earliest_start) for entry in call.calls] == [
+                ("t1", 0.0),
+                ("t2", 1.0),
+            ]
 
     def test_allocation_completes_when_all_respond(self):
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=1, proposed_start=0.0))
-            manager.handle_bid(BidMessage(sender="y", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=5, proposed_start=0.0))
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
+        assert not outcomes
+        manager.handle_bid_batch(offers("y", "t1", "t2", specialization=5))
         assert len(outcomes) == 1
         outcome = outcomes[0]
         assert outcome.succeeded
         assert outcome.allocation == {"t1": "x", "t2": "x"}
-        awards = [m for m in sent if isinstance(m, AwardMessage)]
-        assert len(awards) == 2
-        assert all(a.recipient == "x" for a in awards)
+        assert [(a.recipient, len(a.awards)) for a in award_batches(sent)] == [("x", 2)]
 
     def test_declines_complete_the_auction_without_allocation(self):
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_decline(BidDeclined(sender="x", recipient="initiator",
-                                               workflow_id="w", task_name=task, reason="busy"))
+        manager.handle_bid_batch(declines("x", "t1", "t2"))
         assert len(outcomes) == 1
         assert not outcomes[0].succeeded
         assert set(outcomes[0].unallocated) == {"t1", "t2"}
+        assert not award_batches(sent)
 
     def test_mixed_bid_and_decline(self):
         manager, _, _ = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                      task_name="t1", specialization=1))
-        manager.handle_decline(BidDeclined(sender="y", recipient="initiator", workflow_id="w", task_name="t1"))
-        manager.handle_decline(BidDeclined(sender="x", recipient="initiator", workflow_id="w", task_name="t2"))
-        manager.handle_decline(BidDeclined(sender="y", recipient="initiator", workflow_id="w", task_name="t2"))
+        manager.handle_bid_batch(
+            BidBatch(
+                sender="x",
+                recipient="initiator",
+                workflow_id="w",
+                bids=(TaskBidOffer(task_name="t1", specialization=1),),
+                declines=(TaskDecline(task_name="t2"),),
+            )
+        )
+        manager.handle_bid_batch(declines("y", "t1", "t2"))
         outcome = outcomes[0]
         assert outcome.allocation == {"t1": "x"}
         assert "t2" in outcome.unallocated
         assert not outcome.succeeded
+        assert (outcome.bids_received, outcome.declines_received) == (1, 3)
 
     def test_deadline_forces_decision(self):
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=1, response_deadline=5.0))
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1, response_deadline=5.0))
         # y never answers; the deadline of x's bids forces finalisation.
         scheduler.run()
         assert len(outcomes) == 1
         assert outcomes[0].allocation == {"t1": "x", "t2": "x"}
+        assert outcomes[0].completed_at == 5.0
 
     def test_award_routing_information(self):
         manager, _, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                          task_name="t1" if task == "t1" else task,
-                                          specialization=1))
-            manager.handle_bid(BidMessage(sender="y", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=9))
-        awards = {m.task.name: m for m in sent if isinstance(m, AwardMessage)}
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
+        manager.handle_bid_batch(offers("y", "t1", "t2", specialization=9))
+        (batch,) = award_batches(sent)
+        awards = {entry.task.name: entry for entry in batch.awards}
         assert awards["t1"].trigger_labels == {"a"}
         assert awards["t1"].output_destinations["b"] == ("x",)
         assert awards["t2"].input_sources == {"b": "x"}
         assert awards["t2"].output_destinations["c"] == ()
+        assert awards["t2"].scheduled_start == 1.0
 
     def test_completed_auction_keeps_no_callback(self):
         manager, _, _ = make_auction()
@@ -203,9 +216,7 @@ class TestAuctionManager:
         manager.start_auction("w", simple_workflow(), SPEC, ["x"], on_complete)
         released = weakref.ref(on_complete)
         on_complete = None
-        for task in ("t1", "t2"):
-            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=1))
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
         assert [outcome.allocation for outcome in outcomes] == [{"t1": "x", "t2": "x"}]
         # In a host the callback refers back to the workflow manager that
         # owns this auction manager; once fired, it is not kept.
@@ -219,13 +230,14 @@ class TestAuctionManager:
         assert starts["t2"] == 10.0
 
     def test_empty_workflow_allocates_trivially(self):
-        manager, _, _ = make_auction()
+        manager, _, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         empty = Workflow([])
         manager.start_auction("w", empty, Specification(["a"], ["a"]), ["x"], outcomes.append)
         assert len(outcomes) == 1
         assert outcomes[0].succeeded  # nothing to allocate, nothing unallocated
         assert outcomes[0].allocation == {}
+        assert sent == []
 
     def test_requires_participants(self):
         manager, _, _ = make_auction()
@@ -236,73 +248,56 @@ class TestAuctionManager:
         manager, _, _ = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                          task_name=task, specialization=1))
-        manager.handle_bid(BidMessage(sender="x", recipient="initiator", workflow_id="w",
-                                      task_name="t1", specialization=0))
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
+        manager.handle_bid_batch(offers("x", "t1", specialization=0))
         assert outcomes[0].allocation["t1"] == "x"
+        assert outcomes[0].winning_bids["t1"].specialization == 1
         assert outcomes[0].bids_received == 2
 
 
 class TestBatchedAuctionManager:
-    """The batched protocol: O(participants) messages, identical outcomes."""
+    """One message per participant each way, one award message per winner."""
 
     def run_batched_and_unbatched(self):
+        """The same answers, one message per participant or per task."""
+
+        answers = [
+            offers("x", "t1", "t2", specialization=1),
+            offers("y", "t1", "t2", specialization=5),
+            declines("initiator", "t1", "t2"),
+        ]
+        per_task = [
+            BidBatch(
+                sender=answer.sender,
+                recipient=answer.recipient,
+                workflow_id=answer.workflow_id,
+                bids=tuple(b for b in answer.bids if b.task_name == task),
+                declines=tuple(d for d in answer.declines if d.task_name == task),
+            )
+            for task in ("t1", "t2")
+            for answer in answers
+        ]
         results = []
-        for batched in (True, False):
-            manager, _, sent = make_auction(batch_auctions=batched)
+        for messages in (answers, per_task):
+            manager, _, sent = make_auction()
             outcomes: list[AllocationOutcome] = []
             manager.start_auction(
                 "w", simple_workflow(), SPEC, ["initiator", "x", "y"], outcomes.append
             )
-            if batched:
-                for sender, specialization in (("x", 1), ("y", 5)):
-                    manager.handle_bid_batch(
-                        BidBatch(
-                            sender=sender,
-                            recipient="initiator",
-                            workflow_id="w",
-                            bids=tuple(
-                                TaskBidOffer(task_name=t, specialization=specialization)
-                                for t in ("t1", "t2")
-                            ),
-                        )
-                    )
-                manager.handle_bid_batch(
-                    BidBatch(
-                        sender="initiator",
-                        recipient="initiator",
-                        workflow_id="w",
-                        declines=tuple(
-                            TaskDecline(task_name=t, reason="busy") for t in ("t1", "t2")
-                        ),
-                    )
-                )
-            else:
-                for task in ("t1", "t2"):
-                    manager.handle_bid(BidMessage(sender="x", recipient="initiator",
-                                                  workflow_id="w", task_name=task,
-                                                  specialization=1))
-                    manager.handle_bid(BidMessage(sender="y", recipient="initiator",
-                                                  workflow_id="w", task_name=task,
-                                                  specialization=5))
-                    manager.handle_decline(BidDeclined(sender="initiator",
-                                                       recipient="initiator",
-                                                       workflow_id="w", task_name=task,
-                                                       reason="busy"))
+            for message in messages:
+                manager.handle_bid_batch(message)
             assert len(outcomes) == 1
             results.append((outcomes[0], sent))
         return results
 
     def test_one_call_message_per_participant(self):
-        manager, _, sent = make_auction(batch_auctions=True)
+        manager, _, sent = make_auction()
         manager.start_auction(
             "w", simple_workflow(), SPEC, ["initiator", "x", "y"], lambda o: None
         )
         calls = [m for m in sent if isinstance(m, CallForBidsBatch)]
         assert len(calls) == 3  # one per participant, not per (task, participant)
-        assert not [m for m in sent if isinstance(m, CallForBids)]
+        assert len(sent) == 3
         assert {c.recipient for c in calls} == {"initiator", "x", "y"}
         for call in calls:
             assert [entry.task.name for entry in call.calls] == ["t1", "t2"]
@@ -311,45 +306,41 @@ class TestBatchedAuctionManager:
         (batched, batched_sent), (unbatched, unbatched_sent) = (
             self.run_batched_and_unbatched()
         )
-        batched_dict = batched.as_dict()
-        unbatched_dict = unbatched.as_dict()
-        assert batched_dict == unbatched_dict
+        assert batched.as_dict() == unbatched.as_dict()
         assert batched.winning_bids == unbatched.winning_bids
-        # Both tasks go to the specialist, in one combined award message.
-        award_batches = [m for m in batched_sent if isinstance(m, AwardBatch)]
-        assert len(award_batches) == 1
-        assert award_batches[0].recipient == "x"
-        assert [a.task.name for a in award_batches[0].awards] == ["t1", "t2"]
-        assert len([m for m in unbatched_sent if isinstance(m, AwardMessage)]) == 2
+        assert (batched.bids_received, batched.declines_received) == (4, 2)
+        # Both tasks go to the specialist, in one award message, however
+        # the answers were packaged.
+        for sent in (batched_sent, unbatched_sent):
+            (batch,) = award_batches(sent)
+            assert batch.recipient == "x"
+            assert [a.task.name for a in batch.awards] == ["t1", "t2"]
+        assert award_batches(batched_sent) == award_batches(unbatched_sent)
 
     def test_award_batch_routing_matches_single_awards(self):
-        (_, batched_sent), (_, unbatched_sent) = self.run_batched_and_unbatched()
-        batch = next(m for m in batched_sent if isinstance(m, AwardBatch))
-        singles = {m.task.name: m for m in unbatched_sent
-                   if isinstance(m, AwardMessage)}
-        for entry in batch.awards:
-            single = singles[entry.task.name]
-            assert entry.scheduled_start == single.scheduled_start
-            assert entry.input_sources == single.input_sources
-            assert entry.output_destinations == single.output_destinations
-            assert entry.trigger_labels == single.trigger_labels
+        """An unacknowledged award is resent task by task, with the routing
+        of the combined award."""
+
+        manager, scheduler, sent = make_auction(robust=True)
+        manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], lambda o: None)
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
+        manager.handle_bid_batch(offers("y", "t1", "t2", specialization=5))
+        while len(award_batches(sent)) < 3:
+            assert scheduler.step(), "scheduler drained before the resend"
+        combined, *resends = award_batches(sent)
+        assert [len(resend.awards) for resend in resends] == [1, 1]
+        assert [resend.recipient for resend in resends] == ["x", "x"]
+        assert [entry for resend in resends for entry in resend.awards] == list(
+            combined.awards
+        )
+        assert manager.retries == 2
 
     def test_reaward_after_rejection_stays_per_task(self):
-        manager, _, sent = make_auction(batch_auctions=True)
+        manager, _, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for sender, specialization in (("x", 1), ("y", 5)):
-            manager.handle_bid_batch(
-                BidBatch(
-                    sender=sender,
-                    recipient="initiator",
-                    workflow_id="w",
-                    bids=tuple(
-                        TaskBidOffer(task_name=t, specialization=specialization)
-                        for t in ("t1", "t2")
-                    ),
-                )
-            )
+        manager.handle_bid_batch(offers("x", "t1", "t2", specialization=1))
+        manager.handle_bid_batch(offers("y", "t1", "t2", specialization=5))
         manager.handle_award_rejected(
             AwardRejected(sender="x", recipient="initiator", workflow_id="w",
                           task_name="t1", reason="schedule changed")
@@ -357,5 +348,8 @@ class TestBatchedAuctionManager:
         outcome = outcomes[0]
         assert outcome.allocation["t1"] == "y"
         assert outcome.reallocations == 1
-        reawards = [m for m in sent if isinstance(m, AwardMessage)]
-        assert len(reawards) == 1 and reawards[0].recipient == "y"
+        _, reaward = award_batches(sent)
+        assert reaward.recipient == "y"
+        assert [a.task.name for a in reaward.awards] == ["t1"]
+        # The routing follows the new allocation: t1's output goes to x.
+        assert reaward.awards[0].output_destinations == {"b": ("x",)}

@@ -3,15 +3,18 @@
 from repro.core.fragments import WorkflowFragment
 from repro.core.tasks import Task
 from repro.net.messages import (
-    AwardMessage,
-    BidMessage,
-    CallForBids,
+    AwardBatch,
+    BidBatch,
+    CallForBidsBatch,
     CapabilityQuery,
     CapabilityResponse,
     FragmentQuery,
     FragmentResponse,
     LabelDataMessage,
     Message,
+    TaskAward,
+    TaskBidOffer,
+    TaskCall,
     TaskCompleted,
     estimate_fragment_bytes,
     estimate_task_bytes,
@@ -52,9 +55,9 @@ class TestSizes:
             FragmentResponse(sender="a", recipient="b"),
             CapabilityQuery(sender="a", recipient="b", service_types=frozenset({"s"})),
             CapabilityResponse(sender="a", recipient="b", offered=frozenset({"s"})),
-            CallForBids(sender="a", recipient="b", task=task),
-            BidMessage(sender="a", recipient="b", task_name="t"),
-            AwardMessage(sender="a", recipient="b", task=task),
+            CallForBidsBatch(sender="a", recipient="b", calls=(TaskCall(task),)),
+            BidBatch(sender="a", recipient="b", bids=(TaskBidOffer("t"),)),
+            AwardBatch(sender="a", recipient="b", awards=(TaskAward(task),)),
             LabelDataMessage(sender="a", recipient="b", label="x"),
             TaskCompleted(sender="a", recipient="b", task_name="t"),
         ]
@@ -65,19 +68,21 @@ class TestSizes:
 class TestPayloads:
     def test_call_for_bids_carries_task_and_window(self):
         task = Task("cook", ["a"], ["b"], duration=5)
-        call = CallForBids(
-            sender="mgr", recipient="chef", workflow_id="w1", task=task, earliest_start=10.0
-        )
-        assert call.task.name == "cook"
-        assert call.earliest_start == 10.0
-        assert call.deadline == float("inf")
-
-    def test_award_carries_routing_information(self):
-        task = Task("cook", ["a"], ["b"])
-        award = AwardMessage(
+        batch = CallForBidsBatch(
             sender="mgr",
             recipient="chef",
             workflow_id="w1",
+            calls=(TaskCall(task=task, earliest_start=10.0),),
+        )
+        (call,) = batch.calls
+        assert call.task.name == "cook"
+        assert call.earliest_start == 10.0
+        assert call.deadline == float("inf")
+        assert batch.size_bytes() == 64 + estimate_task_bytes(task) + 16
+
+    def test_award_carries_routing_information(self):
+        task = Task("cook", ["a"], ["b"])
+        award = TaskAward(
             task=task,
             input_sources={"a": "alice"},
             output_destinations={"b": ("bob", "carol")},
@@ -86,8 +91,12 @@ class TestPayloads:
         assert award.input_sources["a"] == "alice"
         assert award.output_destinations["b"] == ("bob", "carol")
         assert "a" in award.trigger_labels
+        # The task plus one label per input source and output destination.
+        assert award.payload_bytes() == estimate_task_bytes(task) + 2 * 24
+        batch = AwardBatch(sender="mgr", recipient="chef", awards=(award, award))
+        assert batch.size_bytes() == 64 + 2 * award.payload_bytes()
 
     def test_bid_defaults(self):
-        bid = BidMessage(sender="x", recipient="y", task_name="t")
+        bid = TaskBidOffer(task_name="t")
         assert bid.response_deadline == float("inf")
         assert bid.specialization == 0

@@ -9,19 +9,19 @@ the running allocation.  With ``robust=False`` (the default) not a single
 extra message is sent.
 """
 
-from repro.allocation.auction import AllocationOutcome, AuctionManager
+from repro.allocation.auction import MAX_SOLICITATIONS, AllocationOutcome, AuctionManager
 from repro.allocation.bids import SpecializationPolicy
 from repro.core.specification import Specification
 from repro.core.tasks import Task
 from repro.core.workflow import Workflow
 from repro.net.messages import (
     AwardAck,
-    AwardMessage,
+    AwardBatch,
     AwardRejected,
-    BidDeclined,
-    BidMessage,
-    CallForBids,
+    BidBatch,
     CallForBidsBatch,
+    TaskBidOffer,
+    TaskDecline,
 )
 from repro.sim.events import EventScheduler
 
@@ -34,7 +34,7 @@ def simple_workflow() -> Workflow:
     )
 
 
-def make_auction(robust=True, batch_auctions=False, **kwargs):
+def make_auction(robust=True, **kwargs):
     scheduler = EventScheduler()
     sent: list = []
     manager = AuctionManager(
@@ -42,22 +42,30 @@ def make_auction(robust=True, batch_auctions=False, **kwargs):
         scheduler,
         sent.append,
         policy=SpecializationPolicy(),
-        batch_auctions=batch_auctions,
         robust=robust,
         **kwargs,
     )
     return manager, scheduler, sent
 
 
-def bid(task: str, sender: str, specialization: int = 1) -> BidMessage:
-    return BidMessage(
+def bid(sender: str, *tasks: str, specialization: int = 1) -> BidBatch:
+    return BidBatch(
         sender=sender,
         recipient="initiator",
         workflow_id="w",
-        task_name=task,
-        specialization=specialization,
-        proposed_start=0.0,
+        bids=tuple(
+            TaskBidOffer(task_name=task, specialization=specialization)
+            for task in tasks
+        ),
     )
+
+
+def awards(sent, recipient: str | None = None) -> list[AwardBatch]:
+    return [
+        m
+        for m in sent
+        if isinstance(m, AwardBatch) and recipient in (None, m.recipient)
+    ]
 
 
 def ack(sender: str, *tasks: str) -> AwardAck:
@@ -78,23 +86,22 @@ class TestSolicitationRetry:
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(bid(task, "x"))
+        manager.handle_bid_batch(bid("x", "t1", "t2"))
         # y never answers: the deadline machinery must conclude anyway.
         run_until(scheduler, lambda: outcomes)
         assert outcomes[0].allocation == {"t1": "x", "t2": "x"}
-        resolicits = [
-            m for m in sent if isinstance(m, CallForBids) and m.recipient == "y"
-        ]
-        assert len(resolicits) > 2  # initial 2 + at least one retry round
-        assert manager.retries > 0
+        calls = [m for m in sent if isinstance(m, CallForBidsBatch)]
+        # x once; y in every round, each call soliciting both tasks.
+        assert [m.recipient for m in calls] == ["x", "y"] + ["y"] * (MAX_SOLICITATIONS - 1)
+        assert all([c.task.name for c in m.calls] == ["t1", "t2"] for m in calls)
+        assert manager.retries == MAX_SOLICITATIONS - 1
         # Acknowledge so the award cycle ends, then the scheduler must drain.
         manager.handle_award_ack(ack("x", "t1", "t2"))
         scheduler.run()
         assert scheduler.peek_time() is None
 
     def test_batched_resolicitation(self):
-        manager, scheduler, sent = make_auction(batch_auctions=True)
+        manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
         run_until(
@@ -123,18 +130,17 @@ class TestAwardAcks:
     def finish_auction(self, manager, with_runner_up=True):
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            # Fewer services = more specialized = preferred by the policy.
-            manager.handle_bid(bid(task, "x", specialization=1))
-            if with_runner_up:
-                manager.handle_bid(bid(task, "y", specialization=5))
-            else:
-                manager.handle_decline(
-                    BidDeclined(
-                        sender="y", recipient="initiator", workflow_id="w",
-                        task_name=task, reason="busy",
-                    )
+        # Fewer services = more specialized = preferred by the policy.
+        manager.handle_bid_batch(bid("x", "t1", "t2", specialization=1))
+        if with_runner_up:
+            manager.handle_bid_batch(bid("y", "t1", "t2", specialization=5))
+        else:
+            manager.handle_bid_batch(
+                BidBatch(
+                    sender="y", recipient="initiator", workflow_id="w",
+                    declines=(TaskDecline("t1", "busy"), TaskDecline("t2", "busy")),
                 )
+            )
         assert outcomes and outcomes[0].allocation == {"t1": "x", "t2": "x"}
         return outcomes[0]
 
@@ -150,13 +156,17 @@ class TestAwardAcks:
     def test_unacked_award_is_resent(self):
         manager, scheduler, sent = make_auction()
         self.finish_auction(manager)
-        first_awards = len([m for m in sent if isinstance(m, AwardMessage)])
-        run_until(
-            scheduler,
-            lambda: len([m for m in sent if isinstance(m, AwardMessage)])
-            > first_awards,
-        )
-        assert manager.retries > 0
+        (first,) = awards(sent)
+        run_until(scheduler, lambda: len(awards(sent)) == 3)
+        # One resend per unacknowledged task, each its own message.
+        resends = awards(sent)[1:]
+        assert [(m.recipient, [a.task.name for a in m.awards]) for m in resends] == [
+            ("x", ["t1"]),
+            ("x", ["t2"]),
+        ]
+        # Each resend is an envelope plus its task's share of the award.
+        assert sum(m.size_bytes() for m in resends) == first.size_bytes() + 64
+        assert manager.retries == 2
         manager.handle_award_ack(ack("x", "t1", "t2"))
         scheduler.run()
         assert scheduler.peek_time() is None
@@ -165,16 +175,16 @@ class TestAwardAcks:
         manager, scheduler, sent = make_auction()
         outcome = self.finish_auction(manager)
         # x never acks; the runner-up must eventually win both tasks.
-        run_until(
-            scheduler,
-            lambda: any(
-                isinstance(m, AwardMessage) and m.recipient == "y" for m in sent
-            ),
-        )
+        run_until(scheduler, lambda: awards(sent, "y"))
         manager.handle_award_ack(ack("y", "t1", "t2"))
         scheduler.run()
         assert scheduler.peek_time() is None
         assert manager.reauctions == 2
+        # Each re-award carries the one task whose winner was struck.
+        assert [[a.task.name for a in m.awards] for m in awards(sent, "y")] == [
+            ["t1"],
+            ["t2"],
+        ]
         assert outcome.allocation == {"t1": "y", "t2": "y"}
 
     def test_no_bidders_left_means_unallocated_but_termination(self):
@@ -188,12 +198,7 @@ class TestAwardAcks:
     def test_ack_from_superseded_winner_is_ignored(self):
         manager, scheduler, sent = make_auction()
         self.finish_auction(manager)
-        run_until(
-            scheduler,
-            lambda: any(
-                isinstance(m, AwardMessage) and m.recipient == "y" for m in sent
-            ),
-        )
+        run_until(scheduler, lambda: awards(sent, "y"))
         # A very late ack from the presumed-dead original winner must not
         # clear the replacement's pending acknowledgement.
         manager.handle_award_ack(ack("x", "t1", "t2"))
@@ -208,17 +213,16 @@ class TestDuplicateAndStaleMessages:
         manager, scheduler, _ = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        manager.handle_bid(bid("t1", "x"))
-        manager.handle_bid(bid("t1", "x"))  # fault-plane duplicate
+        manager.handle_bid_batch(bid("x", "t1"))
+        manager.handle_bid_batch(bid("x", "t1"))  # fault-plane duplicate
         assert len(manager._auctions["w"]["t1"].bids) == 1
 
     def test_stale_rejection_does_not_strike_the_new_winner(self):
         manager, scheduler, sent = make_auction()
         outcomes: list[AllocationOutcome] = []
         manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
-        for task in ("t1", "t2"):
-            manager.handle_bid(bid(task, "x", specialization=1))
-            manager.handle_bid(bid(task, "y", specialization=5))
+        manager.handle_bid_batch(bid("x", "t1", "t2", specialization=1))
+        manager.handle_bid_batch(bid("y", "t1", "t2", specialization=5))
         outcome = outcomes[0]
         # x rejects t1; the task moves to y.
         manager.handle_award_rejected(
@@ -246,17 +250,13 @@ class TestCleanPathEquivalence:
             manager.start_auction(
                 "w", simple_workflow(), SPEC, ["x", "y"], outcomes.append
             )
-            for task in ("t1", "t2"):
-                manager.handle_bid(bid(task, "x", specialization=1))
-                manager.handle_bid(bid(task, "y", specialization=5))
+            manager.handle_bid_batch(bid("x", "t1", "t2", specialization=1))
+            manager.handle_bid_batch(bid("y", "t1", "t2", specialization=5))
             if robust:
                 manager.handle_award_ack(ack("x", "t1", "t2"))
             scheduler.run()
             assert scheduler.peek_time() is None
-            fingerprint = [
-                (type(m).__name__, m.recipient, getattr(m, "task_name", ""))
-                for m in sent
-            ]
+            fingerprint = [(type(m).__name__, m.recipient, m.size_bytes()) for m in sent]
             return fingerprint, outcomes[0].allocation
 
         robust_sent, robust_allocation = clean_run(True)
