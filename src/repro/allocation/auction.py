@@ -11,15 +11,16 @@ as long as possible to assign a task to a participant in order to obtain
 the best possible bid, but once some participant has been found who can do
 a task, the task is guaranteed to be allocated".
 
-Once every task has a winner, the manager computes the data-routing
-information each participant needs for decentralized execution (where every
-input comes from, where every output must go) and sends the awards.
+Once every task has a winner, the manager plans each task's start from the
+instant the awards go out, computes the data-routing information each
+participant needs for decentralized execution (where every input comes
+from, where every output must go) and sends the awards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ..core.specification import Specification
 from ..core.tasks import Task
@@ -54,6 +55,15 @@ AWARD_TIMEOUT = 10.0
 MAX_AWARD_ATTEMPTS = 3
 
 
+class TaskMetadata(NamedTuple):
+    """What the auction manager computes for one task before soliciting bids."""
+
+    #: Critical-path start over declared durations, from the auction's start.
+    earliest_start: float
+    #: The tasks producing this task's inputs (earlier in task order).
+    producers: tuple[str, ...]
+
+
 @dataclass
 class TaskAuction:
     """State of the auction for a single task."""
@@ -61,10 +71,14 @@ class TaskAuction:
     task: Task
     earliest_start: float
     expected_responders: frozenset[str]
+    producers: tuple[str, ...]
     bids: list[Bid] = field(default_factory=list)
     declines: set[str] = field(default_factory=set)
     tentative: Bid | None = None
     winner: Bid | None = None
+    #: Planned when the awards go out; every award of the task (first,
+    #: resend, re-award) carries it.
+    scheduled_start: float = 0.0
     finalized: bool = False
     deadline_event: EventHandle | None = None
 
@@ -196,15 +210,17 @@ class AuctionManager:
         self._callbacks[workflow_id] = on_complete
         self._outcomes[workflow_id] = AllocationOutcome(workflow_id=workflow_id)
 
-        earliest_starts = self.compute_task_metadata(workflow, specification)
-        auctions: dict[str, TaskAuction] = {}
-        for task_name in workflow.task_order():
-            task = workflow.task(task_name)
-            auctions[task_name] = TaskAuction(
-                task=task,
-                earliest_start=earliest_starts[task_name],
+        auctions = {
+            task_name: TaskAuction(
+                task=workflow.task(task_name),
+                earliest_start=metadata.earliest_start,
                 expected_responders=participant_set,
+                producers=metadata.producers,
             )
+            for task_name, metadata in self.compute_task_metadata(
+                workflow, specification
+            ).items()
+        }
         self._auctions[workflow_id] = auctions
 
         if not auctions:
@@ -235,28 +251,32 @@ class AuctionManager:
 
     def compute_task_metadata(
         self, workflow: Workflow, specification: Specification
-    ) -> dict[str, float]:
-        """Earliest feasible start per task (critical-path over declared durations).
+    ) -> dict[str, TaskMetadata]:
+        """Earliest feasible start and producer tasks per task, in task order.
 
         A task can start once every producer of its inputs could have
-        finished; trigger labels are available at time zero.  This is the
-        "metadata for each task used in allocating and executing the
-        workflow" the auction manager computes before soliciting bids.
+        finished (critical path over declared durations); trigger labels
+        are available at time zero.  This is the "metadata for each task
+        used in allocating and executing the workflow" the auction manager
+        computes before soliciting bids; the producers recorded here also
+        drive the start plan made when the awards go out.
         """
 
         now = self.scheduler.clock.now()
         completion: dict[str, float] = {}
-        earliest: dict[str, float] = {}
+        metadata: dict[str, TaskMetadata] = {}
         for task_name in workflow.task_order():
             task = workflow.task(task_name)
             start = now
+            producers: list[str] = []
             for label in task.inputs:
                 producer = workflow.producing_task(label)
                 if producer is not None:
+                    producers.append(producer)
                     start = max(start, completion.get(producer, now))
-            earliest[task_name] = start
+            metadata[task_name] = TaskMetadata(start, tuple(producers))
             completion[task_name] = start + task.duration
-        return earliest
+        return metadata
 
     # -- incoming auction traffic ----------------------------------------------------
     def handle_bid_batch(self, message: BidBatch) -> None:
@@ -353,6 +373,9 @@ class AuctionManager:
             auction.winner = rank_bids(remaining, self.policy)[0]
             outcome.allocation[task_name] = auction.winner.bidder
             outcome.winning_bids[task_name] = auction.winner
+            auction.scheduled_start = max(
+                auction.scheduled_start, auction.winner.proposed_start
+            )
             if self.durability is not None:
                 # Write-ahead again: the re-award supersedes the journaled
                 # outcome before the replacement winner hears about it.
@@ -417,6 +440,7 @@ class AuctionManager:
                 workflow_id, outcome.allocation, tuple(sorted(outcome.unallocated))
             )
         if outcome.succeeded or outcome.allocation:
+            self._plan_starts(auctions)
             self._send_awards(workflow_id, auctions.values())
             if self.robust:
                 for auction in auctions.values():
@@ -429,6 +453,28 @@ class AuctionManager:
         callback = self._callbacks.pop(workflow_id, None)
         if callback is not None:
             callback(outcome)
+
+    def _plan_starts(self, auctions: dict[str, TaskAuction]) -> None:
+        """Plan each task's scheduled start as the awards go out.
+
+        Walking the tasks in task order, a task starts at the latest of its
+        winner's proposed start, the award instant, and each producer's
+        planned start plus its declared duration.  The earliest starts of
+        the calls for bids counted from the auction's start; when the
+        auction settled late (a re-solicited participant), a plan that
+        ignored the delay would start a consumer's input window before its
+        producer could run.
+        """
+
+        now = self.scheduler.clock.now()
+        for auction in auctions.values():
+            start = now
+            if auction.winner is not None:
+                start = max(start, auction.winner.proposed_start)
+            for name in auction.producers:
+                producer = auctions[name]
+                start = max(start, producer.scheduled_start + producer.task.duration)
+            auction.scheduled_start = start
 
     # -- fault hardening: retries, acks, re-auctions ---------------------------------
     @staticmethod
@@ -581,14 +627,12 @@ class AuctionManager:
         specification = self._specifications[workflow_id]
         outcome = self._outcomes[workflow_id]
         task = auction.task
-        winner = auction.winner
-        assert winner is not None
         input_sources, trigger_labels = self._input_routing(
             workflow, specification, outcome, task
         )
         return TaskAward(
             task=task,
-            scheduled_start=max(winner.proposed_start, auction.earliest_start),
+            scheduled_start=auction.scheduled_start,
             input_sources=input_sources,
             output_destinations=self._output_routing(workflow, outcome, task),
             trigger_labels=trigger_labels,

@@ -53,6 +53,7 @@ from ..net.messages import (
     LabelEntry,
     LabelReplayRequest,
     Message,
+    ProgressQuery,
     TaskCompleted,
     TaskCompletionRecord,
     TaskFailed,
@@ -364,6 +365,39 @@ class ExecutionManager:
                     value=self._published[key],
                     produced_by=self.host_id,
                     produced_at=now,
+                )
+            )
+
+    def handle_progress_query(self, message: ProgressQuery) -> None:
+        """Report again the asked-about tasks this host completed.
+
+        An initiator whose liveness watchdog expired asks before it presumes
+        this host dead: the progress report that carried a completion may
+        have been lost in flight.  Completions come from :attr:`outcomes`
+        and travel as an ordinary progress report; tasks this host has not
+        completed (never heard of, still pending, or failed) get no answer,
+        so the initiator's query rounds decide about those.
+        """
+
+        wanted = frozenset(message.task_names)
+        completions = tuple(
+            TaskCompletionRecord(
+                task_name=outcome.commitment.task.name,
+                completed_at=outcome.completed_at,
+                outputs=frozenset(outcome.commitment.task.outputs),
+            )
+            for outcome in self.outcomes
+            if outcome.succeeded
+            and outcome.commitment.workflow_id == message.workflow_id
+            and outcome.commitment.task.name in wanted
+        )
+        if completions:
+            self._send(
+                WorkflowProgressReport(
+                    sender=self.host_id,
+                    recipient=message.sender,
+                    workflow_id=message.workflow_id,
+                    completions=completions,
                 )
             )
 

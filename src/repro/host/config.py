@@ -63,8 +63,10 @@ class HostConfig:
         silent discovery remotes are written off, an invocation whose
         inputs are late pulls them from their producers and is abandoned
         if they still do not come, and an executing workflow that stalls
-        is failed so repair re-auctions it.  Off, a fault-free run is
-        byte-identical to one without the feature.
+        asks its outstanding tasks' executors for lost completions and is
+        failed, so repair re-auctions it, only when they do not answer.
+        Off, a fault-free run is byte-identical to one without the
+        feature.
     enable_recovery:
         Repair a workflow whose task failed by constructing and
         auctioning a new revision.

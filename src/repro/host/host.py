@@ -43,6 +43,7 @@ from ..net.messages import (
     LabelDataMessage,
     LabelReplayRequest,
     Message,
+    ProgressQuery,
     TaskCompleted,
     TaskFailed,
     WorkflowProgressReport,
@@ -309,6 +310,8 @@ class Host:
             self.execution_manager.handle_label_batch(message)
         elif isinstance(message, LabelReplayRequest):
             self.execution_manager.handle_replay_request(message)
+        elif isinstance(message, ProgressQuery):
+            self.execution_manager.handle_progress_query(message)
         elif isinstance(message, TaskCompleted):
             self.workflow_manager.handle_task_completed(message)
         elif isinstance(message, TaskFailed):

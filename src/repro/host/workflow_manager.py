@@ -62,6 +62,7 @@ from ..net.messages import (
     FragmentQuery,
     FragmentResponse,
     Message,
+    ProgressQuery,
     TaskCompleted,
     TaskFailed,
     WorkflowProgressReport,
@@ -79,8 +80,14 @@ DISCOVERY_TIMEOUT = 15.0
 #: Robust mode: discovery rounds before silent remotes are written off.
 MAX_DISCOVERY_ATTEMPTS = 3
 #: Robust mode: simulated seconds an executing workflow may go without
-#: progress before it fails transiently and repair takes over.
+#: progress before the executors of its outstanding tasks are asked.
 LIVENESS_TIMEOUT = 120.0
+#: Robust mode: simulated seconds a ``ProgressQuery`` round waits for an
+#: answer before the next round (grown by backoff).
+PROGRESS_QUERY_TIMEOUT = 10.0
+#: Robust mode: unanswered ``ProgressQuery`` rounds before the executors are
+#: presumed dead, the workflow fails transiently and repair takes over.
+MAX_PROGRESS_QUERIES = 3
 
 
 class WorkflowManager:
@@ -160,8 +167,10 @@ class WorkflowManager:
         #: Fault hardening (``fault_injection``): discovery queries are
         #: retried with backoff and silent remotes eventually written off,
         #: and an executing workflow that makes no progress for
-        #: ``LIVENESS_TIMEOUT`` simulated seconds is failed transiently so
-        #: repair re-auctions its outstanding tasks (a silent executor death
+        #: ``LIVENESS_TIMEOUT`` simulated seconds asks the executors of its
+        #: outstanding tasks (``ProgressQuery``) and, after
+        #: ``MAX_PROGRESS_QUERIES`` unanswered rounds, is failed transiently
+        #: so repair re-auctions those tasks (a silent executor death
         #: otherwise hangs the initiator forever).  Off by default; when on,
         #: a fault-free run's timers are all cancelled before they fire, so
         #: outcomes are unchanged.
@@ -668,23 +677,30 @@ class WorkflowManager:
             callback(workspace)
 
     # -- execution liveness (fault hardening) --------------------------------------
-    def _arm_liveness(self, workspace: Workspace) -> None:
+    def _arm_liveness(self, workspace: Workspace, queries: int = 0) -> None:
         """(Re-)start the initiator-side no-progress watchdog for a workflow.
 
-        Armed when execution starts and re-armed on every completion; an
-        executing workflow whose watchdog fires made no progress for
-        ``LIVENESS_TIMEOUT`` simulated seconds — some executor died holding
-        an outstanding task.  The expiry converts that silence into a
-        transient task failure so the normal repair path re-auctions it.
+        Armed when execution starts and re-armed on every completion (which
+        also resets the query count); an executing workflow whose watchdog
+        fires made no progress for ``LIVENESS_TIMEOUT`` simulated seconds.
+        Either a progress report was lost or some executor died holding an
+        outstanding task, so the expiry first asks, and the watchdog waits
+        the shorter ``PROGRESS_QUERY_TIMEOUT`` (with backoff) after each of
+        ``queries`` rounds sent.
         """
 
         if not self.robust:
             return
         workflow_id = workspace.workflow_id
         self._cancel_liveness(workflow_id)
+        delay = (
+            backoff_delay(PROGRESS_QUERY_TIMEOUT, queries, self._jitter_rng)
+            if queries
+            else LIVENESS_TIMEOUT
+        )
         self._liveness_timers[workflow_id] = self.scheduler.schedule_in(
-            LIVENESS_TIMEOUT,
-            lambda: self._liveness_deadline(workflow_id),
+            delay,
+            lambda: self._liveness_deadline(workflow_id, queries),
             description=f"liveness-timeout {workflow_id}",
         )
 
@@ -693,13 +709,30 @@ class WorkflowManager:
         if handle is not None:
             handle.cancel()
 
-    def _liveness_deadline(self, workflow_id: str) -> None:
+    def _liveness_deadline(self, workflow_id: str, queries: int) -> None:
+        """No progress: ask the outstanding tasks' executors, or give up.
+
+        Up to ``MAX_PROGRESS_QUERIES`` rounds, each executor of an
+        outstanding task gets one ``ProgressQuery`` naming its tasks; an
+        answer arrives as an ordinary progress report, and any completion
+        re-arms the full watchdog.  Only when every round goes unanswered,
+        or when some outstanding task has no executor to ask (its re-auction
+        found no bidder), is the silence converted into a transient task
+        failure, so the normal repair path re-auctions the outstanding
+        tasks.
+        """
+
         self._liveness_timers.pop(workflow_id, None)
         workspace = self._workspaces.get(workflow_id)
         if workspace is None or workspace.phase is not WorkflowPhase.EXECUTING:
             return
         outstanding = sorted(workspace.expected_tasks - workspace.completed_tasks)
         if not outstanding:
+            return
+        if queries < MAX_PROGRESS_QUERIES and self._query_progress(
+            workspace, outstanding
+        ):
+            self._arm_liveness(workspace, queries + 1)
             return
         self.liveness_timeouts += 1
         self._record_failed(
@@ -709,6 +742,32 @@ class WorkflowManager:
             f"{len(outstanding)} task(s) outstanding (executor presumed dead)",
             transient=True,
         )
+
+    def _query_progress(self, workspace: Workspace, outstanding: list[str]) -> bool:
+        """One ``ProgressQuery`` to each executor of an outstanding task.
+
+        Returns ``False``, asking no one, when some outstanding task has no
+        executor: no answer could complete the revision then.
+        """
+
+        outcome = workspace.allocation_outcome
+        # A restored revision whose every winner was lost has no outcome.
+        allocation = outcome.allocation if outcome is not None else {}
+        if any(task_name not in allocation for task_name in outstanding):
+            return False
+        by_executor: dict[str, list[str]] = {}
+        for task_name in outstanding:
+            by_executor.setdefault(allocation[task_name], []).append(task_name)
+        for executor, task_names in sorted(by_executor.items()):
+            self._send(
+                ProgressQuery(
+                    sender=self.host_id,
+                    recipient=executor,
+                    workflow_id=workspace.workflow_id,
+                    task_names=tuple(task_names),
+                )
+            )
+        return True
 
     # -- execution progress ------------------------------------------------------------------
     def handle_task_completed(self, message: TaskCompleted) -> None:

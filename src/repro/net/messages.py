@@ -377,6 +377,25 @@ class LabelReplayRequest(Message):
 
 
 @dataclass(frozen=True, repr=False)
+class ProgressQuery(Message):
+    """An initiator asks an executor which of its outstanding tasks finished.
+
+    Sent only by the robust liveness watchdog (``fault_injection``) when an
+    executing workflow made no progress for ``LIVENESS_TIMEOUT``: the
+    progress report that would have said so may simply have been lost.
+    The executor answers with an ordinary :class:`WorkflowProgressReport`
+    for the tasks it completed and stays silent about the rest, so only an
+    executor that never answers is presumed dead.
+    """
+
+    workflow_id: str = ""
+    task_names: tuple[str, ...] = ()
+
+    def _payload_bytes(self) -> int:
+        return 8 * len(self.task_names)
+
+
+@dataclass(frozen=True, repr=False)
 class TaskCompleted(Message):
     """Notification (to the initiator) that a committed task finished."""
 

@@ -9,9 +9,10 @@ runs instead:
 
 * ``run_churn_trial`` on the 20-host hostile network of ``test_churn.py``
   (10% drop, 2% duplication, two crash/restart cycles).  Seed 3
-  re-auctions a task and finishes in a completed repair revision.  Seeds 8
-  and 13 lose a label to a drop and pull it from its producer: seed 13's
-  original revision completes, and seed 8's first repair revision does.
+  re-auctions a task and finishes in a completed repair revision.  Seed 13
+  loses a label to a drop and pulls it from its producer.  Seed 8 loses a
+  progress report, and the liveness watchdog's query to the executor
+  recovers the completion.  Both complete their original revision.
 * The mid-execution crash schedule of ``test_durable_churn.py`` (60-second
   tasks, four crashes, no message faults), repair-only and with
   ``durability="memory"``.
@@ -22,7 +23,10 @@ runs instead:
 
 In the last two groups every input pull reaches a producer that has not
 published the label yet, so it goes unanswered and adds only its
-``LabelReplayRequest`` to the traffic.
+``LabelReplayRequest`` to the traffic.  The repair-only runs that the
+liveness watchdog used to fail now ask the outstanding tasks' executors
+first and fail in the same instant on an input timeout instead, so the
+executors' silence adds only its ``ProgressQuery`` messages.
 
 Each golden lists the result's fields that differ from the
 ``TrialResult`` defaults; an unlisted field must keep its default.
@@ -72,22 +76,17 @@ CHURN_GOLDEN = {
     ),
     8: dict(
         succeeded=True,
-        allocation_seconds=64.77098600585563,
-        sim_seconds=64.77098600585563,
-        messages_sent=186,
-        bytes_sent=59856,
-        fragments_collected=0,
-        cache_hits=1,
-        fragments_reused=30,
-        remotes_skipped=19,
+        allocation_seconds=111.44123778642407,
+        sim_seconds=111.44123778642407,
+        messages_sent=112,
+        bytes_sent=34808,
+        fragments_collected=30,
+        nodes_recolored=26,
         fragment_messages=49,
         fragment_bytes=12504,
         hosts_crashed=2,
-        messages_faulted=23,
-        retries=19,
-        workflows_recovered=1,
-        recovery_seconds=94.77098600585563,
-        labels_replayed=2,
+        messages_faulted=12,
+        retries=11,
     ),
     13: dict(
         succeeded=True,
@@ -111,8 +110,8 @@ DURABLE_CHURN_GOLDEN = {
         succeeded=True,
         allocation_seconds=0.0,
         sim_seconds=0.0,
-        messages_sent=149,
-        bytes_sent=47400,
+        messages_sent=151,
+        bytes_sent=47544,
         fragments_collected=0,
         cache_hits=1,
         fragments_reused=30,
@@ -153,8 +152,8 @@ PRODUCER_CRASH_GOLDEN = {
             succeeded=True,
             allocation_seconds=0.0,
             sim_seconds=0.0,
-            messages_sent=151,
-            bytes_sent=47456,
+            messages_sent=154,
+            bytes_sent=47672,
             fragments_collected=0,
             cache_hits=1,
             fragments_reused=30,

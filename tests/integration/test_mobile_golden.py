@@ -161,7 +161,7 @@ EXECUTION_KINDS = (
 
 #: (completed tasks, final simulated clock, route discoveries, execution
 #: messages, execution bytes) after FANOUT_REPEATS completed workflows.
-FANOUT_GOLDEN = (320, 19200.127033484998, 75, 120, 46400)
+FANOUT_GOLDEN = (320, 19200.572910654402, 75, 120, 46400)
 
 
 def fanout_tasks() -> list[Task]:

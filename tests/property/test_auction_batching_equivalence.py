@@ -11,6 +11,8 @@ construction → allocation) and check
 
 * the allocation outcome against the model's: winners, winning bids, and
   the bid and decline counts;
+* each award's scheduled start against the model's plan from the award
+  instant;
 * the message counts: one call and one answer per participant, one award
   message per winning host, where a message per (task, participant) pair
   would cost 2 x tasks x participants + tasks.
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
+from repro.net.messages import AwardBatch
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 from ..reference import auction as reference
@@ -53,7 +56,8 @@ def run_trial(
     replicas: int = 1,
     duration: float = 0.0,
 ):
-    """One complete trial; returns (workspace, transport statistics, model).
+    """One complete trial; returns (workspace, transport statistics, model,
+    scheduled start of each award sent).
 
     The generated tasks are instantaneous and each service is dealt to one
     host; ``duration`` spreads the tasks' earliest starts along the
@@ -67,14 +71,23 @@ def run_trial(
     rng = derive_rng(SEED, "batch-equivalence", num_tasks, num_hosts, path_length)
     specification = workload.path_specification(path_length, rng)
     if specification is None:
-        return None, None, None
+        return None, None, None, None
+    scheduled: dict[str, float] = {}
+    send = community.network.send
+
+    def recording_send(message):
+        if isinstance(message, AwardBatch):
+            scheduled.update((a.task.name, a.scheduled_start) for a in message.awards)
+        send(message)
+
+    community.network.send = recording_send
     workspace = community.submit_specification("host-0", specification)
     community.run_until_allocated(workspace)
     if workspace.workflow is None:
-        return workspace, community.network.statistics, None
+        return workspace, community.network.statistics, None, scheduled
     fresh = build_community(workload, num_hosts, replicas)
     expected = reference.allocate(fresh, workspace.workflow)
-    return workspace, community.network.statistics, expected
+    return workspace, community.network.statistics, expected, scheduled
 
 
 def auction_messages(statistics) -> tuple[int, int, int]:
@@ -95,7 +108,7 @@ def auction_messages(statistics) -> tuple[int, int, int]:
 def test_batched_and_unbatched_allocations_identical(
     num_tasks, num_hosts, path_length, replicas, duration
 ):
-    workspace, statistics, expected = run_trial(
+    workspace, statistics, expected, scheduled = run_trial(
         num_tasks, num_hosts, path_length, replicas, duration
     )
     if workspace is None or expected is None:
@@ -107,6 +120,10 @@ def test_batched_and_unbatched_allocations_identical(
     assert set(outcome.unallocated) == expected.unallocated
     assert outcome.bids_received == expected.bids_received
     assert outcome.declines_received == expected.declines_received
+    plan = reference.planned_starts(
+        workspace.workflow, expected.winning_bids, outcome.completed_at
+    )
+    assert scheduled == {task: plan[task] for task in outcome.allocation}
 
     participants = num_hosts if workspace.workflow.task_names else 0
     assert auction_messages(statistics) == (
@@ -122,7 +139,7 @@ def test_batched_auction_cuts_messages_fivefold(num_hosts):
     answer per participant and one award message per winning host, at
     least 5x fewer than a message per (task, participant) pair."""
 
-    workspace, statistics, expected = run_trial(100, num_hosts, 8)
+    workspace, statistics, expected, _ = run_trial(100, num_hosts, 8)
     tasks = len(workspace.workflow.task_names)
     assert tasks == 8
     winners = {8: 5, 12: 7}[num_hosts]

@@ -8,6 +8,8 @@ path over declared durations from the current instant.  The selection
 policy then ranks each task's bids and the first one wins.  Bids reserve
 nothing, so the participants of a freshly built community answer exactly
 as the same hosts do when a trial auctions its workflow on a kind network.
+Each award's scheduled start is then planned forward from the instant the
+awards go out.
 """
 
 from __future__ import annotations
@@ -29,13 +31,25 @@ class ReferenceAllocation:
 def earliest_starts(workflow, now: float) -> dict[str, float]:
     """Each task's start once every producer of its inputs could have finished."""
 
+    return planned_starts(workflow, {}, now)
+
+
+def planned_starts(workflow, winning_bids, award_at: float) -> dict[str, float]:
+    """Each task's scheduled start when the awards go out at ``award_at``.
+
+    The latest of the winner's proposed start, the award instant, and each
+    producer's planned start plus its declared duration.
+    """
+
     starts: dict[str, float] = {}
 
     def start_of(name: str) -> float:
         if name not in starts:
             producers = {workflow.producing_task(label) for label in workflow.task(name).inputs}
+            bid = winning_bids.get(name)
             starts[name] = max(
-                [now]
+                [award_at]
+                + ([bid.proposed_start] if bid is not None else [])
                 + [start_of(p) + workflow.task(p).duration for p in producers if p is not None]
             )
         return starts[name]

@@ -225,9 +225,12 @@ class TestAuctionManager:
     def test_task_metadata_orders_earliest_starts(self):
         manager, _, _ = make_auction()
         workflow = Workflow([Task("t1", ["a"], ["b"], duration=10.0), Task("t2", ["b"], ["c"], duration=5.0)])
-        starts = manager.compute_task_metadata(workflow, SPEC)
-        assert starts["t1"] == 0.0
-        assert starts["t2"] == 10.0
+        metadata = manager.compute_task_metadata(workflow, SPEC)
+        assert list(metadata) == ["t1", "t2"]
+        assert metadata["t1"].earliest_start == 0.0
+        assert metadata["t2"].earliest_start == 10.0
+        assert metadata["t1"].producers == ()
+        assert metadata["t2"].producers == ("t1",)
 
     def test_empty_workflow_allocates_trivially(self):
         manager, _, sent = make_auction()

@@ -9,7 +9,13 @@ the running allocation.  With ``robust=False`` (the default) not a single
 extra message is sent.
 """
 
-from repro.allocation.auction import MAX_SOLICITATIONS, AllocationOutcome, AuctionManager
+from repro.allocation.auction import (
+    AWARD_TIMEOUT,
+    MAX_SOLICITATIONS,
+    SOLICIT_TIMEOUT,
+    AllocationOutcome,
+    AuctionManager,
+)
 from repro.allocation.bids import SpecializationPolicy
 from repro.core.specification import Specification
 from repro.core.tasks import Task
@@ -58,6 +64,30 @@ def bid(sender: str, *tasks: str, specialization: int = 1) -> BidBatch:
             for task in tasks
         ),
     )
+
+
+def answer(call: CallForBidsBatch, specialization: int = 1, **starts) -> BidBatch:
+    """Bid on every task of ``call`` at its earliest start, or at ``starts``."""
+
+    return BidBatch(
+        sender=call.recipient,
+        recipient="initiator",
+        workflow_id=call.workflow_id,
+        bids=tuple(
+            TaskBidOffer(
+                task_name=entry.task.name,
+                specialization=specialization,
+                proposed_start=starts.get(entry.task.name, entry.earliest_start),
+            )
+            for entry in call.calls
+        ),
+    )
+
+
+def calls(sent, recipient: str) -> list[CallForBidsBatch]:
+    return [
+        m for m in sent if isinstance(m, CallForBidsBatch) and m.recipient == recipient
+    ]
 
 
 def awards(sent, recipient: str | None = None) -> list[AwardBatch]:
@@ -203,6 +233,68 @@ class TestAwardAcks:
         # clear the replacement's pending acknowledgement.
         manager.handle_award_ack(ack("x", "t1", "t2"))
         assert manager._unacked["w"] == {"t1": "y", "t2": "y"}
+        manager.handle_award_ack(ack("y", "t1", "t2"))
+        scheduler.run()
+        assert scheduler.peek_time() is None
+
+
+class TestAwardTimePlan:
+    """Awards carry starts planned when they go out, not when bidding began.
+
+    ``y``'s first call for bids is lost, so the auction settles only after
+    the re-solicitation, ``SOLICIT_TIMEOUT`` or more after it started.
+    """
+
+    def settle_late(self, **runner_up_starts):
+        manager, scheduler, sent = make_auction()
+        outcomes: list[AllocationOutcome] = []
+        manager.start_auction("w", simple_workflow(), SPEC, ["x", "y"], outcomes.append)
+        manager.handle_bid_batch(answer(calls(sent, "x")[0]))
+        run_until(scheduler, lambda: len(calls(sent, "y")) == 2)
+        manager.handle_bid_batch(
+            answer(calls(sent, "y")[1], specialization=5, **runner_up_starts)
+        )
+        (outcome,) = outcomes
+        assert outcome.completed_at >= SOLICIT_TIMEOUT
+        return manager, scheduler, sent, outcome
+
+    def test_starts_follow_the_award_instant_and_the_producers(self):
+        _, _, sent, outcome = self.settle_late()
+        (batch,) = awards(sent)
+        starts = {award.task.name: award.scheduled_start for award in batch.awards}
+        # x proposed the earliest starts of the calls, 0 s and 1 s, both long
+        # past by the time the awards went out.
+        assert all(start >= outcome.completed_at for start in starts.values())
+        workflow = simple_workflow()
+        for award in batch.awards:
+            for label in award.task.inputs:
+                producer = workflow.producing_task(label)
+                if producer is not None:
+                    duration = workflow.task(producer).duration
+                    assert award.scheduled_start >= starts[producer] + duration
+        assert starts == {"t1": outcome.completed_at, "t2": outcome.completed_at + 1.0}
+
+    def test_a_resent_award_carries_the_planned_start(self):
+        manager, scheduler, sent, outcome = self.settle_late()
+        run_until(scheduler, lambda: len(awards(sent)) == 3)
+        assert scheduler.clock.now() >= outcome.completed_at + AWARD_TIMEOUT
+        resends = awards(sent)[1:]
+        assert all(len(m.awards) == 1 for m in resends)
+        assert {m.awards[0].task.name: m.awards[0].scheduled_start for m in resends} == {
+            "t1": outcome.completed_at,
+            "t2": outcome.completed_at + 1.0,
+        }
+        manager.handle_award_ack(ack("x", "t1", "t2"))
+        scheduler.run()
+        assert scheduler.peek_time() is None
+
+    def test_a_reaward_takes_the_later_of_the_plan_and_the_runner_up(self):
+        # y would start t2 only at 500 s, after the plan; t1 whenever asked.
+        manager, scheduler, sent, outcome = self.settle_late(t2=500.0)
+        # x never acknowledges, so both tasks move to y.
+        run_until(scheduler, lambda: len(awards(sent, "y")) == 2)
+        reawarded = {m.awards[0].task.name: m.awards[0].scheduled_start for m in awards(sent, "y")}
+        assert reawarded == {"t1": outcome.completed_at, "t2": 500.0}
         manager.handle_award_ack(ack("y", "t1", "t2"))
         scheduler.run()
         assert scheduler.peek_time() is None

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.errors import ExecutionError, ServiceNotFoundError
+from repro.core.fragments import WorkflowFragment
+from repro.core.specification import Specification
 from repro.core.tasks import Task, TaskMode
-from repro.durability import HostDurability, InMemoryJournal
+from repro.durability import HostDurability, InMemoryJournal, WorkspaceState
 from repro.execution.engine import INPUT_PULLS, INPUT_TIMEOUT, ExecutionManager
 from repro.execution.services import (
     CallableService,
@@ -13,15 +15,24 @@ from repro.execution.services import (
     ServiceManager,
 )
 from repro.host.community import Community
+from repro.host.workflow_manager import (
+    LIVENESS_TIMEOUT,
+    MAX_PROGRESS_QUERIES,
+    PROGRESS_QUERY_TIMEOUT,
+)
+from repro.host.workspace import WorkflowPhase
+from repro.net.faults import NO_FAULT, FaultDecision, FaultPlane, HostCrash
 from repro.net.messages import (
     LabelBatch,
     LabelDataMessage,
     LabelReplayRequest,
+    ProgressQuery,
     TaskCompleted,
     WorkflowProgressReport,
 )
 from repro.scheduling.commitments import Commitment
 from repro.sim.events import EventScheduler
+from repro.sim.randomness import RETRY_BACKOFF, RETRY_JITTER
 
 
 class TestServiceDescriptions:
@@ -384,7 +395,7 @@ class TestLabelReplayProtocol:
         assert sent == []
 
     def test_restore_requests_missing_inputs_from_their_sources(self):
-        from repro.durability import HostDurability, InMemoryJournal
+        from repro.durability import HostDurability, InMemoryJournal, WorkspaceState
         from repro.durability.plane import InvocationState
 
         manager, scheduler, sent = make_execution_manager()
@@ -563,3 +574,175 @@ class TestInputPulls:
         assert all(handle.cancelled for handle in pulls)
         community.scheduler.run()
         assert replay_requests() == len(INPUT_PULLS)
+
+
+class DropFirst:
+    """A fault plane that loses the first message of one kind."""
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
+        self.dropped = 0
+
+    def intercept(self, message, now: float) -> FaultDecision:
+        if isinstance(message, self.kind) and not self.dropped:
+            self.dropped += 1
+            return FaultDecision(deliver=False)
+        return NO_FAULT
+
+
+PROGRESS_SPEC = Specification(triggers=["x"], goals=["y"])
+
+
+def progress_community() -> Community:
+    """``alice`` initiates a one-task workflow that only ``bob`` can run."""
+
+    community = Community()
+    robust = dict(fault_injection=True, enable_recovery=True)
+    community.add_host(
+        "alice",
+        fragments=[
+            WorkflowFragment([Task("t", ["x"], ["y"], service_type="svc", duration=5.0)])
+        ],
+        **robust,
+    )
+    community.add_host("bob", services=[ServiceDescription("svc", duration=5.0)], **robust)
+    return community
+
+
+def progress_queries(community) -> int:
+    return community.network.statistics.by_kind.get("ProgressQuery", 0)
+
+
+class TestProgressQuery:
+    """Robust mode asks the outstanding tasks' executors before the liveness
+    watchdog presumes them dead: a lost progress report is asked for, not
+    repaired."""
+
+    def test_an_executor_answers_only_for_tasks_it_completed(self):
+        manager, scheduler, sent = make_execution_manager(batch_execution=True)
+        for workflow_id, name in (("w1", "do"), ("w1", "other"), ("w2", "do")):
+            manager.watch(
+                make_commitment(
+                    workflow_id=workflow_id,
+                    task=Task(name, ["seed"], [f"{name}-out"], service_type="do"),
+                    trigger_labels=frozenset({"seed"}),
+                    input_sources={},
+                )
+            )
+        # Its input never comes, so it is still pending when asked.
+        manager.watch(make_commitment(task=Task("waiting", ["input"], ["x"], service_type="do")))
+        scheduler.run()
+        sent.clear()
+
+        def ask(*task_names):
+            manager.handle_progress_query(
+                ProgressQuery(
+                    sender="alice", recipient="worker", workflow_id="w1", task_names=task_names
+                )
+            )
+
+        ask("do", "waiting", "unknown")
+        [report] = sent
+        assert isinstance(report, WorkflowProgressReport)
+        assert (report.recipient, report.workflow_id, report.failures) == ("alice", "w1", ())
+        assert [(c.task_name, c.completed_at, c.outputs) for c in report.completions] == [
+            ("do", 15.0, frozenset({"do-out"}))
+        ]
+        sent.clear()
+        ask("waiting", "unknown")
+        assert sent == []
+
+    def test_a_lost_report_is_asked_for_instead_of_repaired(self):
+        community = progress_community()
+        plane = DropFirst(WorkflowProgressReport)
+        community.network.install_fault_plane(plane)
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_idle()
+
+        manager = community.host("alice").workflow_manager
+        assert plane.dropped == 1
+        assert progress_queries(community) == 1
+        assert workspace.phase is WorkflowPhase.COMPLETED
+        # The task ran at once; the watchdog asked after LIVENESS_TIMEOUT and
+        # bob's answer completed the workflow in its first revision.
+        assert workspace.timestamps["completed"].sim_time == LIVENESS_TIMEOUT
+        assert manager.liveness_timeouts == 0
+        assert workspace.repaired_by is None
+        assert manager.workspaces() == [workspace]
+
+    def test_an_executor_that_never_ran_the_task_is_presumed_dead(self):
+        community = progress_community()
+        # bob crashes while running the task and comes back without it.
+        community.install_fault_plane(
+            FaultPlane(crashes=(HostCrash("bob", crash_at=1.0, restart_at=2.0),))
+        )
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_until_completed(workspace)
+
+        manager = community.host("alice").workflow_manager
+        assert workspace.phase is WorkflowPhase.FAILED
+        assert workspace.failure_reason == (
+            "task 't' failed during execution: no progress for 120s with "
+            "1 task(s) outstanding (executor presumed dead)"
+        )
+        assert progress_queries(community) == MAX_PROGRESS_QUERIES
+        assert manager.liveness_timeouts == 1
+        # Each unanswered round waited PROGRESS_QUERY_TIMEOUT, backed off.
+        waits = [PROGRESS_QUERY_TIMEOUT * RETRY_BACKOFF**k for k in range(MAX_PROGRESS_QUERIES)]
+        failed_at = workspace.timestamps["failed"].sim_time
+        assert LIVENESS_TIMEOUT + sum(waits) <= failed_at
+        assert failed_at <= LIVENESS_TIMEOUT + sum(waits) * (1 + RETRY_JITTER)
+        # Repair started, and the restarted bob runs the repaired revision.
+        assert workspace.repaired_by is not None
+        community.run_idle()
+        final = manager.final_workspace(workspace.workflow_id)
+        assert final is not workspace and final.phase is WorkflowPhase.COMPLETED
+
+    def test_a_task_without_an_executor_fails_without_asking(self):
+        # A restarted initiator replays an executing revision whose only
+        # winner was struck with no runner-up: the journaled allocation is
+        # empty, so there is no one to ask.
+        community = progress_community()
+        manager = community.host("alice").workflow_manager
+        manager.restore_workspaces(
+            [
+                WorkspaceState(
+                    workflow_id="w",
+                    specification=PROGRESS_SPEC,
+                    participants=frozenset({"alice", "bob"}),
+                    phase="executing",
+                    expected_tasks=("t",),
+                )
+            ]
+        )
+        (workspace,) = manager.workspaces()
+        assert workspace.allocation_outcome is None
+        community.scheduler.run(until=LIVENESS_TIMEOUT)
+
+        assert workspace.phase is WorkflowPhase.FAILED
+        assert workspace.failure_reason.endswith("(executor presumed dead)")
+        assert workspace.timestamps["failed"].sim_time == LIVENESS_TIMEOUT
+        assert progress_queries(community) == 0
+        assert manager.liveness_timeouts == 1
+        assert workspace.repaired_by is not None
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["completion", "crash"])
+    def test_no_query_timer_outlives_completion_or_a_crash(self, crash):
+        community = progress_community()
+        community.network.install_fault_plane(DropFirst(WorkflowProgressReport))
+        alice = community.host("alice")
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        while not progress_queries(community):
+            assert community.scheduler.step(), "the watchdog never asked"
+        assert alice.scope.pending == 1  # the query round's timer
+
+        if crash:
+            alice.crash()
+            assert alice.scope.pending == 0
+            community.run_idle()
+            assert workspace.phase is WorkflowPhase.EXECUTING
+        else:
+            community.run_until_completed(workspace)
+            assert workspace.phase is WorkflowPhase.COMPLETED
+            assert alice.scope.pending == 0
+        assert progress_queries(community) == 1
