@@ -70,10 +70,11 @@ class TaskAuction:
 
     task: Task
     earliest_start: float
-    expected_responders: frozenset[str]
+    #: The participants that have neither bid nor declined, explicitly or
+    #: implicitly (written off after ``MAX_SOLICITATIONS``).
+    waiting: set[str]
     producers: tuple[str, ...]
     bids: list[Bid] = field(default_factory=list)
-    declines: set[str] = field(default_factory=set)
     tentative: Bid | None = None
     winner: Bid | None = None
     #: Planned when the awards go out; every award of the task (first,
@@ -82,12 +83,8 @@ class TaskAuction:
     finalized: bool = False
     deadline_event: EventHandle | None = None
 
-    @property
-    def responders(self) -> set[str]:
-        return {bid.bidder for bid in self.bids} | self.declines
-
     def all_responded(self) -> bool:
-        return self.expected_responders <= self.responders
+        return not self.waiting
 
 
 @dataclass
@@ -214,7 +211,7 @@ class AuctionManager:
             task_name: TaskAuction(
                 task=workflow.task(task_name),
                 earliest_start=metadata.earliest_start,
-                expected_responders=participant_set,
+                waiting=set(participant_set),
                 producers=metadata.producers,
             )
             for task_name, metadata in self.compute_task_metadata(
@@ -313,6 +310,7 @@ class AuctionManager:
         outcome = self._outcomes[workflow_id]
         outcome.bids_received += 1
         auction.bids.append(bid)
+        auction.waiting.discard(bid.bidder)
         self._reevaluate_tentative(workflow_id, auction)
         if auction.all_responded():
             self._finalize(workflow_id, auction)
@@ -323,7 +321,7 @@ class AuctionManager:
             return
         outcome = self._outcomes[workflow_id]
         outcome.declines_received += 1
-        auction.declines.add(sender)
+        auction.waiting.discard(sender)
         if auction.all_responded():
             self._finalize(workflow_id, auction)
 
@@ -439,7 +437,9 @@ class AuctionManager:
             self.durability.auction_completed(
                 workflow_id, outcome.allocation, tuple(sorted(outcome.unallocated))
             )
-        if outcome.succeeded or outcome.allocation:
+        if outcome.succeeded:
+            # A failed auction awards nothing: its tasks would run for a
+            # revision that has already failed.
             self._plan_starts(auctions)
             self._send_awards(workflow_id, auctions.values())
             if self.robust:
@@ -509,20 +509,13 @@ class AuctionManager:
         open_auctions = [a for a in auctions.values() if not a.finalized]
         if not open_auctions:
             return
-        missing = sorted(
-            {
-                participant
-                for auction in open_auctions
-                for participant in auction.expected_responders - auction.responders
-            }
-        )
+        missing = sorted(set().union(*(auction.waiting for auction in open_auctions)))
         if not missing:
             return
         if attempt >= MAX_SOLICITATIONS:
-            for auction in list(open_auctions):
-                for participant in auction.expected_responders - auction.responders:
-                    auction.declines.add(participant)
-                if not auction.finalized and auction.all_responded():
+            for auction in open_auctions:
+                auction.waiting.clear()
+                if not auction.finalized:
                     self._finalize(workflow_id, auction)
             return
         self.retries += len(missing)

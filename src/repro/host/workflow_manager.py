@@ -654,6 +654,9 @@ class WorkflowManager:
             )
             workspace.fail(f"allocation failed: {reasons}", self.scheduler.clock.now())
             self._notify_allocated(workspace)
+            # A task nobody bid on blames the situation (its hosts crashed or
+            # went silent), like a transient failure, so the repair keeps it.
+            self._submit_repair(workspace, set(workspace.excluded_tasks))
             return
         if self.durability is not None:
             # The award record makes the allocation replayable: a restarted
@@ -853,10 +856,6 @@ class WorkflowManager:
                 f"task {task_name!r} failed during execution: {reason}",
                 self.scheduler.clock.now(),
             )
-        if not self.enable_recovery or workspace.repaired_by is not None:
-            return
-        if workspace.repair_attempt >= self.max_repair_attempts:
-            return
         # Transient failures blame the situation (executor crash, starved
         # inputs), not the task: the repair may re-auction them to another
         # capable host.  Only tasks that failed on their own merits are
@@ -867,8 +866,13 @@ class WorkflowManager:
         self._submit_repair(workspace, excluded)
 
     def _submit_repair(self, workspace: Workspace, excluded: set[str]) -> None:
-        """Submit the repair revision of ``workspace`` and link the chain."""
+        """Submit the repair revision of a failed ``workspace`` and link the
+        chain, when recovery is on and the chain has attempts left."""
 
+        if not self.enable_recovery or workspace.repaired_by is not None:
+            return
+        if workspace.repair_attempt >= self.max_repair_attempts:
+            return
         repaired = self.submit(
             workspace.specification,
             workspace.participants,

@@ -52,42 +52,58 @@ Stability horizons make most tick boundaries free.  Under mobility where
 most hosts move every tick, the advance above drops every memo (comparing
 discs would cost more), so the next reachability query re-runs a
 whole-fleet sweep even when no link changed.  The sweep therefore also
-returns a *certificate*: from each host's speed on its current trajectory
-leg (``motion_at``), no pair's distance can change faster than the sum of
-their speeds, so no link can appear or disappear before the horizon of
-:mod:`repro.net.spatial` — the minimum over the sweep's cell-block pairs
-of ``(|d_ij - R| - margin) / (s_i + s_j)``, a cell-edge bound for every
-pair outside a block, and the earliest leg or pause end (a new leg may be
-faster).  Every instant before ``anchor + horizon`` is answered from the
-kept neighbour and component memos without advancing at all: the
-grid keeps its anchor coordinates, while ``position_of`` and
+returns a *certificate* made of per-pair deadlines: from each host's speed
+on its current trajectory leg (``motion_at``), no pair's distance can
+change faster than the sum of their speeds, so the link of a cell-block
+pair cannot appear or disappear before its own deadline
+``anchor + (|d_ij - R| - margin) / (s_i + s_j)``.  Two deadlines cover
+the rest: the *cell-edge* deadline, before which no pair outside a block
+can come into range, and the *leg-end* deadline, the earliest leg or pause
+end (a new leg may be faster).  ``stable_until`` is the earliest of them
+all (the horizon of :mod:`repro.net.spatial`), and every instant before it
+is answered from the kept neighbour and component memos without advancing
+at all: the grid keeps its anchor coordinates, while ``position_of`` and
 ``positions()`` still evaluate the models at the current instant, so
-positions stay exact.  A host outside the grid (placed but unregistered,
-e.g. a crashed relay on a cached route) is not covered by the
-certificate; it is answered from current coordinates and never memoized.
-A population with a model lacking ``motion_at`` gets no horizon.
+positions stay exact.
 
-The margin absorbs the float error between the sweep's distances and the
+When the horizon runs out at a pair's deadline, mostly nothing has
+happened: the worst case assumed both hosts closing head-on at full
+speed.  So only the pairs whose deadlines have passed are re-checked, from
+fresh ``position_at`` calls, with the exact membership test against the
+neighbour memos.  When every such link held, each of those pairs gets a
+new deadline from its current distance (the margin taken at the re-check
+instant) and ``stable_until`` moves on: no advance, no dropped memo, no
+new topology generation and no sweep.  Only a changed link, a passed
+cell-edge or leg-end deadline, or a snapshot without a certificate takes
+the advance above; on a multi-hop network a certified snapshot then
+sweeps at once, so its next expiry is re-checked again.  A host outside
+the grid (placed but unregistered, e.g. a crashed relay on a cached route)
+is not covered by the certificate; it is answered from current
+coordinates and never memoized.  A population with a model lacking
+``motion_at`` gets no certificate.
+
+The margin absorbs the float error between the computed distances and the
 membership test at later instants.  A replayed position is a few
 roundings away from the exact point of its leg line: the elapsed time and
 the leg fraction are rounded relative to themselves and a leg spans at
 most ``2L`` per axis, so the error is a few ulps of ``L``, the largest
-leg-endpoint coordinate.  Each computed distance (the sweep's
-``sqrt(dx*dx + dy*dy)``, the membership ``hypot``) adds a few ulps of
-``L`` and ``R``, and rounding ``anchor + horizon`` can stretch the
-horizon by an ulp of the clock ``t``, worth ``s_max * ulp(t)`` metres.
-All of it stays within a few dozen ulps of ``R + L + s_max * t``; the
-margin is ``2**-32`` times that scale, thousands of times more, so a pair
-further than the margin from the range boundary cannot be misjudged at
-any instant of the horizon.  The horizon is computed only where the sweep
-already runs, so traffic that only advances (a fleet ticking without
-reachability queries) never pays for it.
+leg-endpoint coordinate.  Each computed distance (the sweep's and the
+re-check's ``sqrt(dx*dx + dy*dy)``, the membership ``hypot``) adds a few
+ulps of ``L`` and ``R``, and rounding ``t + bound`` can stretch a deadline
+by an ulp of the clock ``t``, worth ``s_max * ulp(t)`` metres.  All of it
+stays within a few dozen ulps of ``R + L + s_max * t``; the margin is
+``2**-32`` times that scale at the instant the deadline is computed,
+thousands of times more, so a pair further than the margin from the range
+boundary cannot be misjudged before its deadline.  Certificates are made
+only where the sweep already runs, so traffic that only advances (a fleet
+ticking without reachability queries) never pays for them.
 
 The *topology generation* keys the router's BFS trees and cached routes.
 It advances when a snapshot is built and wherever an advance drops the
 component labelling (an uncertified dense advance, or a sparse one whose
-disc diff is non-empty), so equal generations prove every link among the
-grid's hosts unchanged; keyed by it, no tree ever has to be cleared.  The
+disc diff is non-empty), never at a skipped or re-checked instant, so
+equal generations prove every link among the grid's hosts unchanged;
+keyed by it, no tree ever has to be cleared.  The
 advance never diffs the links of a host outside the grid, so
 :meth:`AdHocWirelessNetwork.generation_of` vouches for none of them.
 
@@ -100,8 +116,9 @@ a :class:`~repro.net.kernels.VectorGridIndex` whose whole-population
 disc sweeps come from one vectorized gather.  The kernels run the exact
 float operation sequences of the scalar paths (boundary pairs re-checked
 with scalar ``math.hypot``), so every neighbour set, component verdict,
-and stability horizon is identical bit-for-bit — pinned by the kernel
-equivalence property suite.  NumPy is optional: without it the flag
+and pair deadline is identical bit-for-bit — pinned by the kernel
+equivalence property suite.  The few pairs an expiry re-checks take the
+same scalar path on both.  NumPy is optional: without it the flag
 auto-resolves to ``False`` and the scalar paths below run untouched.
 
 Every answer must equal what fresh ``position_at`` calls at the same
@@ -113,7 +130,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..core.errors import HostUnreachableError
 from ..mobility.geometry import Point
@@ -137,6 +154,12 @@ DEFAULT_ROUTE_DISCOVERY_COST = 0.004  # seconds per hop of RREQ/RREP exchange
 #: distances and times it guards (see "Stability horizons" above).
 _HORIZON_SLACK = 2.0**-32
 
+
+def _horizon_margin(radius: float, extent: float, fastest: float, now: float) -> float:
+    """The float-error margin of a deadline computed at ``now``."""
+
+    return _HORIZON_SLACK * (radius + extent + fastest * now)
+
 #: How a send reaches its recipient (``AdHocWirelessNetwork._link``).
 _LOOPBACK, _DIRECT, _ROUTED = range(3)
 
@@ -145,6 +168,26 @@ def _no_links(host: str) -> frozenset[str]:
     """The neighbours of every host on a detached network."""
 
     return frozenset()
+
+
+class _Certificate(NamedTuple):
+    """What the last sweep proved, kept so an expiry can renew it.
+
+    ``pairs`` is a heap of ``(deadline, host, other, closing speed)`` over
+    the moving block pairs that come due before ``until``, the earlier of
+    the cell-edge and leg-end deadlines; ``extent`` and ``fastest`` scale a
+    re-check's margin (see "Stability horizons" above).
+    """
+
+    pairs: list[tuple[float, str, str, float]]
+    until: float
+    extent: float
+    fastest: float
+
+    def expiry(self) -> float:
+        """The earliest deadline: no link changes before it."""
+
+        return min(self.pairs[0][0], self.until) if self.pairs else self.until
 
 
 class _Snapshot:
@@ -158,6 +201,7 @@ class _Snapshot:
         "grid",
         "grid_time",
         "stable_until",
+        "certificate",
         "neighbours",
         "components",
     )
@@ -180,6 +224,7 @@ class _Snapshot:
         self.grid_time = time
         # No radio link can appear or disappear before this instant.
         self.stable_until = -math.inf
+        self.certificate: _Certificate | None = None
         self.neighbours: dict[str, frozenset[str]] = {}
         self.components: dict[str, int] | None = None
 
@@ -264,6 +309,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.hosts_reevaluated = 0  # mobility evaluations during advances
         self.hosts_moved = 0  # position changes applied incrementally
         self.advances_skipped = 0  # instants answered inside a stability horizon
+        self.pairs_rechecked = 0  # certified pairs re-checked at an expiry
         # Advanced wherever a radio link may have appeared or disappeared.
         self.topology_generation = 0
         self._router = AodvRouter(self.neighbours_of, generation_of=self.generation_of)
@@ -307,13 +353,21 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             # Geometry memos only carry across ticks while the radio range
             # they were computed for still holds.
             if now > snapshot.time and snapshot.radius == self.radio_range:
-                if now < snapshot.stable_until:
-                    # Certified: no link changes before stable_until, so the
-                    # memos answer for `now` and the grid may lag behind.
+                if now < snapshot.stable_until or self._recheck(snapshot, now):
+                    # Certified (or renewed by re-checking the due pairs): no
+                    # link has changed, so the memos answer for `now` and the
+                    # grid may lag behind.
                     snapshot.time = now
                     self.advances_skipped += 1
                 else:
-                    self._advance_snapshot(snapshot, now)
+                    certified = snapshot.certificate is not None
+                    snapshot.certificate = None
+                    self._advance_snapshot(snapshot, now, certified=False)
+                    if certified:
+                        # Certify the new links at once (only a multi-hop
+                        # network sweeps, so only it had a certificate), and
+                        # the next expiry is re-checked rather than advanced.
+                        self._sweep(snapshot)
                 self.snapshots_built += 1
                 return snapshot
         if self.vectorized:
@@ -404,7 +458,48 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         heapq.heapify(heap)
         self._move_heap = heap
 
-    def _advance_snapshot(self, snapshot: _Snapshot, now: float) -> None:
+    def _recheck(self, snapshot: _Snapshot, now: float) -> bool:
+        """Renew the certificate at its expiry ``now``, if no link changed.
+
+        Only the pairs whose deadlines have passed are re-evaluated, from
+        fresh ``position_at`` calls, and each link is checked against the
+        neighbour memos with the exact membership test.  When all of them
+        held, each gets a new deadline from its current distance, with the
+        margin taken at ``now``, and ``stable_until`` moves to the new
+        earliest deadline.  False, renewing nothing, when a link changed,
+        the cell-edge or leg-end deadline has passed, or nothing is
+        certified.
+        """
+
+        certificate = snapshot.certificate
+        if certificate is None or now >= certificate.until:
+            return False
+        radius = self.radio_range
+        margin = _horizon_margin(radius, certificate.extent, certificate.fastest, now)
+        heap = certificate.pairs
+        renewed = []
+        while heap and heap[0][0] <= now:
+            _, host, other, closing = heapq.heappop(heap)
+            self.pairs_rechecked += 1
+            a = self._position_at(host, now)
+            b = self._position_at(other, now)
+            if (a.distance_to(b) <= radius) != (other in snapshot.neighbours[host]):
+                return False
+            dx = a.x - b.x
+            dy = a.y - b.y
+            # The sweep's bound, in the sweep's float operations.
+            bound = (abs(math.sqrt(dx * dx + dy * dy) - radius) - margin) / closing
+            deadline = now + bound
+            if deadline < certificate.until:
+                renewed.append((deadline, host, other, closing))
+        for entry in renewed:
+            heapq.heappush(heap, entry)
+        snapshot.stable_until = certificate.expiry()
+        return True
+
+    def _advance_snapshot(
+        self, snapshot: _Snapshot, now: float, certified: bool
+    ) -> None:
         """Carry the snapshot forward to ``now``, touching only movable hosts.
 
         Hosts whose next-possible-move time lies beyond ``now`` are provably
@@ -414,13 +509,13 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         discs compared before/after.  Memos are dropped only for hosts
         incident to a link that appeared or disappeared, and the component
         labelling (advancing the topology generation) only when at least
-        one such link exists.  Before the snapshot's ``stable_until`` no
-        link can have changed, so the moves are applied without any
-        comparison and every memo survives.
+        one such link exists.  When ``certified`` (the memos are known to
+        hold at ``now``), the moves are applied without any comparison and
+        every memo survives.
         """
 
         if self.vectorized:
-            self._advance_snapshot_vectorized(snapshot, now)
+            self._advance_snapshot_vectorized(snapshot, now, certified)
             return
         snapshot.time = snapshot.grid_time = now
         heap = self._move_heap
@@ -443,7 +538,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             return
         self.hosts_moved += len(moved)
         grid = snapshot.grid
-        certified = now < snapshot.stable_until
         if certified or len(moved) * 4 >= len(snapshot.positions):
             # Certified: no link changed, every memo survives.  Otherwise
             # most of the population moved: comparing every mover's radio
@@ -480,7 +574,9 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         for host in changed:
             snapshot.neighbours.pop(host, None)
 
-    def _advance_snapshot_vectorized(self, snapshot: _Snapshot, now: float) -> None:
+    def _advance_snapshot_vectorized(
+        self, snapshot: _Snapshot, now: float, certified: bool
+    ) -> None:
         """The same advance, with every per-host loop batched: one leg
         replay for all popped hosts, one grid relocation, and the changed
         link set from a single symmetric difference over encoded disc
@@ -551,7 +647,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.hosts_moved += len(moved_indices)
         ids = grid.ids
         radius = self.radio_range
-        certified = now < snapshot.stable_until
         if certified or len(moved_indices) * 4 >= len(snapshot.positions):
             # Same branches as the scalar path: certified moves keep every
             # memo; otherwise most of the population moved, so drop the
@@ -609,7 +704,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         snapshot's instant (the advance keeps every memo there)."""
 
         if snapshot.grid_time != snapshot.time:
-            self._advance_snapshot(snapshot, snapshot.time)
+            self._advance_snapshot(snapshot, snapshot.time, certified=True)
 
     # -- connectivity -------------------------------------------------------------
     def in_radio_range(self, host_a: str, host_b: str) -> bool:
@@ -662,27 +757,42 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def _component_labels(self) -> dict[str, int]:
         snapshot = self._current_snapshot()
         if snapshot.components is None:
-            # Components are only dropped by a rebuild or an uncertified
-            # advance, and both leave the grid at the snapshot's instant.
-            now = snapshot.time
-            motion = self._motion_bounds(now)
-            speeds, margin = None, 0.0
-            if motion is not None:
-                speeds, fastest, leg_end, extent = motion
-                margin = _HORIZON_SLACK * (self.radio_range + extent + fastest * now)
-            # One whole-population disc sweep yields every neighbour set,
-            # the component partition and the stability horizon: warm the
-            # per-host memos as a side effect (the sets are exactly what the
-            # per-host queries would compute).
-            neighbour_sets, labels, horizon = snapshot.grid.neighbour_sets_and_labels(
-                self.radio_range, speeds, margin
-            )
-            for host, neighbours in neighbour_sets.items():
-                snapshot.neighbours.setdefault(host, neighbours)
-            snapshot.components = labels
-            if motion is not None:
-                snapshot.stable_until = min(now + horizon, leg_end)
+            self._sweep(snapshot)
         return snapshot.components
+
+    def _sweep(self, snapshot: _Snapshot) -> None:
+        """One whole-population disc sweep: every neighbour set, the
+        component partition and the certificate.
+
+        Called only where the grid is at the snapshot's instant: after a
+        rebuild or an uncertified advance, the only places that drop the
+        component labelling.  The per-host memos are warmed as a side
+        effect (the sets are exactly what the per-host queries would
+        compute).
+        """
+
+        now = snapshot.time
+        motion = self._motion_bounds(now)
+        speeds, margin = None, 0.0
+        if motion is not None:
+            speeds, fastest, leg_end, extent = motion
+            margin = _horizon_margin(self.radio_range, extent, fastest, now)
+        neighbour_sets, labels, proof = snapshot.grid.neighbour_sets_and_labels(
+            self.radio_range, speeds, margin
+        )
+        for host, neighbours in neighbour_sets.items():
+            snapshot.neighbours.setdefault(host, neighbours)
+        snapshot.components = labels
+        if motion is not None:
+            until = min(now + proof.edge, leg_end)
+            pairs = [
+                (deadline, host, other, closing)
+                for bound, host, other, closing in proof.pairs
+                if (deadline := now + bound) < until
+            ]
+            heapq.heapify(pairs)
+            snapshot.certificate = _Certificate(pairs, until, extent, fastest)
+            snapshot.stable_until = snapshot.certificate.expiry()
 
     def _motion_bounds(self, now: float) -> tuple | None:
         """``(speeds, fastest, leg_end, extent)`` of the registered hosts'

@@ -21,10 +21,10 @@ arrays and evaluates positions and pairwise radio-disc membership as
   floor-quantised cells (candidate pairs still come from the 3×3 cell
   blocks), with whole-population disc sweeps built by vectorized
   gather/expand instead of per-host scans.  The sweep also returns the
-  stability horizon of :mod:`repro.net.spatial` from the same block pairs,
-  with the scalar sweep's float operations (``sqrt(dx*dx + dy*dy)``, not
-  ``hypot``, whose NumPy and ``math`` versions may round differently), so
-  both paths certify the same horizon to the bit.
+  stability certificate of :mod:`repro.net.spatial` from the same block
+  pairs, with the scalar sweep's float operations (``sqrt(dx*dx + dy*dy)``,
+  not ``hypot``, whose NumPy and ``math`` versions may round differently),
+  so both paths certify the same pair bounds to the bit.
 
 Exact boundary semantics.  The scalar membership test is
 ``math.hypot(dx, dy) <= radius`` with a correctly-rounded hypot; a naive
@@ -37,9 +37,12 @@ rounding of the squared form) and re-check the handful of borderline pairs
 with scalar ``math.hypot`` — vectorized throughput with scalar-exact
 verdicts, pinned by the kernel↔scalar property suite.
 
-NumPy is an *optional* dependency: importing this module without it leaves
-:func:`numpy_available` false and every scalar path untouched (the network
-layer auto-falls back, and CI runs a no-NumPy leg to keep it that way).
+NumPy is an *optional* dependency, imported by the first
+:func:`numpy_available` or :func:`require_numpy` call rather than with this
+module, so a process that never builds an ad hoc network never loads it.
+Without it :func:`numpy_available` is false and every scalar path runs
+untouched (the network layer auto-falls back, and CI runs a no-NumPy leg to
+keep it that way).
 """
 
 from __future__ import annotations
@@ -49,22 +52,29 @@ from collections.abc import Mapping
 from typing import Sequence
 
 from ..mobility.geometry import Point
-from .spatial import _RADIUS_SLOP
+from .spatial import _RADIUS_SLOP, Certificate
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+#: ``np`` before the first :func:`numpy_available` call; after it, ``np`` is
+#: the ``numpy`` module, or ``None`` when NumPy cannot be imported.
+_UNLOADED = object()
+np = _UNLOADED
 
 
 def numpy_available() -> bool:
-    """True when NumPy imported and the vectorized kernels can run."""
+    """True when NumPy imports and the vectorized kernels can run."""
 
+    global np
+    if np is _UNLOADED:
+        try:  # pragma: no cover - exercised via both CI legs
+            import numpy
+        except ImportError:  # pragma: no cover
+            numpy = None
+        np = numpy
     return np is not None
 
 
 def require_numpy() -> None:
-    if np is None:
+    if not numpy_available():
         raise RuntimeError(
             "the vectorized geometry kernels require NumPy; install it or "
             "run with vectorized=False"
@@ -447,26 +457,13 @@ class VectorGridIndex:
         dy = self.ys[queries] - self.ys[candidates]
         return queries, candidates, dx, dy
 
-    def _stability_horizon(self, queries, candidates, d2, radius, speeds, margin):
-        """The sweep's stability horizon: the scalar
+    def _certificate(self, queries, candidates, d2, radius, speeds, margin):
+        """The sweep's :class:`~repro.net.spatial.Certificate`: the scalar
         :meth:`SpatialGridIndex.neighbour_sets_and_labels` bounds over the
         same block pairs (``d2`` their squared distances) and cells, in the
         same float operations."""
 
-        horizon = math.inf
-        closing = speeds[queries] + speeds[candidates]
-        moving = closing > 0.0
-        if not moving.all():
-            d2, closing = d2[moving], closing[moving]
-        if closing.size:
-            # In place on the fresh sqrt array: sqrt(d2) - R, abs, - margin,
-            # / closing — the scalar sweep's operations in its order.
-            gaps = np.sqrt(d2)
-            gaps -= radius
-            np.abs(gaps, out=gaps)
-            gaps -= margin
-            gaps /= closing
-            horizon = float(gaps.min())
+        edge = math.inf
         fastest = float(speeds.max())
         if fastest > 0.0:
             size = self.cell_size
@@ -476,38 +473,61 @@ class VectorGridIndex:
                 np.minimum(self.xs - cell_x * size, (cell_x + 1) * size - self.xs),
                 np.minimum(self.ys - cell_y * size, (cell_y + 1) * size - self.ys),
             )
-            horizon = min(horizon, float(((edges - margin) / (speeds + fastest)).min()))
-        return horizon
+            edge = float(((edges - margin) / (speeds + fastest)).min())
+        closing = speeds[queries] + speeds[candidates]
+        kept = np.nonzero((closing > 0.0) & (queries < candidates))[0]
+        # In place on the fresh sqrt array: sqrt(d2) - R, abs, - margin,
+        # / closing — the scalar sweep's operations in its order.
+        gaps = np.sqrt(d2[kept])
+        gaps -= radius
+        np.abs(gaps, out=gaps)
+        gaps -= margin
+        closing = closing[kept]
+        gaps /= closing
+        soon = np.nonzero(gaps < edge)[0]
+        kept = kept[soon]
+        ids = self.ids
+        pairs = [
+            (bound, ids[host], ids[other], speed)
+            for bound, host, other, speed in zip(
+                gaps[soon].tolist(),
+                queries[kept].tolist(),
+                candidates[kept].tolist(),
+                closing[soon].tolist(),
+            )
+        ]
+        return Certificate(edge, pairs)
 
     def neighbour_sets_and_labels(
         self, radius: float, speeds=None, margin: float = 0.0
-    ) -> tuple[dict[str, frozenset[str]], dict[str, int], float]:
+    ) -> tuple[dict[str, frozenset[str]], dict[str, int], Certificate | None]:
         """Every host's neighbour set, connectivity-component label and
-        stability horizon from one whole-population sweep.
+        stability certificate from one whole-population sweep.
 
         The sets equal per-host ``neighbours_of`` answers exactly; the
         labels partition hosts identically to the scalar BFS (label values
         are arbitrary on both paths — only the partition is meaningful).
         With ``speeds`` (an array aligned with ``ids``: metres per second on
         each host's current leg) the sweep's block pairs also yield the
-        stability horizon, bit-identical to the scalar
+        certificate, bit-identical to the scalar
         :meth:`~repro.net.spatial.SpatialGridIndex.neighbour_sets_and_labels`;
-        without them the horizon is ``0.0``.
+        without them it is ``None``.
         """
 
         size = len(self.ids)
         neighbour_sets: dict[str, frozenset[str]] = {}
         labels: dict[str, int] = {}
         if not size:
-            return neighbour_sets, labels, 0.0 if speeds is None else math.inf
+            certificate = None if speeds is None else Certificate(math.inf, [])
+            return neighbour_sets, labels, certificate
         # _candidate_pairs' grouped-by-query order survives the filters, so
         # the per-host rows are already contiguous runs.
         queries, candidates, dx, dy = self._block_pairs(radius)
         d2 = dx * dx + dy * dy
-        horizon = (
-            0.0
+        certificate = (
+            None
             if speeds is None
-            else self._stability_horizon(queries, candidates, d2, radius, speeds, margin)
+            else self._certificate(queries, candidates, d2, radius, speeds, margin)
         )
         inside = _within_radius(dx, dy, radius, d2)
         queries, members = queries[inside], candidates[inside]
@@ -541,7 +561,7 @@ class VectorGridIndex:
                         labels[ids[member]] = next_label
                         frontier.append(member)
             next_label += 1
-        return neighbour_sets, labels, horizon
+        return neighbour_sets, labels, certificate
 
     def component_labels(self, radius: float) -> dict[str, int]:
         """Map every host to a connectivity-component label (cf.

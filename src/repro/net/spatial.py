@@ -48,18 +48,34 @@ link nor a non-link can flip before the *horizon*, the minimum of
 Pairs with zero closing speed never flip (both positions are constant) and
 contribute nothing.  The bound holds only while every host stays on the
 leg its speed came from; capping it at the earliest leg end is the
-caller's job.  Both index types evaluate the same float operations in the
-same order, so they return the identical horizon.
+caller's job.  The sweep returns the terms rather than only their
+minimum, as a :class:`Certificate`: the earliest cell-edge bound, and the
+bound of each moving block pair (each unordered pair once) that falls
+before it, so that a caller can re-check just the pairs that come due and
+renew their bounds.  A pair bounded beyond the cell-edge bound cannot come
+due before that bound does, so it is left out.  Both index types evaluate
+the same float operations in the same order, so they return the identical
+certificate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ..mobility.geometry import Point
 
 _Cell = tuple[int, int]
+
+
+class Certificate(NamedTuple):
+    """What a sweep proved, in seconds after the sweep's instant."""
+
+    #: The earliest cell-edge bound (``inf`` when nothing moves).
+    edge: float
+    #: ``(bound, host, other, closing speed)`` per moving block pair with
+    #: ``host < other`` whose bound is below ``edge``.
+    pairs: list[tuple[float, str, str, float]]
 
 #: Relative padding applied when converting a query radius into a cell scan
 #: range.  Distances are computed through rounded float subtraction and
@@ -183,18 +199,17 @@ class SpatialGridIndex:
         radius: float,
         speeds: Mapping[str, float] | None = None,
         margin: float = 0.0,
-    ) -> tuple[dict[str, frozenset[str]], dict[str, int], float]:
-        """Every host's neighbour set, component label and stability horizon
-        from one sweep over the grid.
+    ) -> tuple[dict[str, frozenset[str]], dict[str, int], Certificate | None]:
+        """Every host's neighbour set, component label and stability
+        certificate from one sweep over the grid.
 
         Each host's cell block is scanned once: the members within
         ``radius`` form its neighbour set (exactly :meth:`neighbours_of`),
         and one BFS over those sets labels the components (label values
         are arbitrary; only the partition is meaningful).  With ``speeds``
         (metres per second on each host's current leg) the same scan
-        yields the stability horizon in seconds (see the module
-        docstring); without them the horizon is ``0.0``: nothing is
-        certified.
+        yields the :class:`Certificate` (see the module docstring);
+        without them nothing is certified and it is ``None``.
         """
 
         positions = self._positions
@@ -208,7 +223,22 @@ class SpatialGridIndex:
         ]
         certify = speeds is not None
         fastest = max(speeds.values(), default=0.0) if certify else 0.0
-        horizon = math.inf
+        # The cell-edge bound first: pair bounds at or beyond it are not kept.
+        edge_bound = math.inf
+        if fastest > 0.0:
+            for host, point in positions.items():
+                x, y = point.x, point.y
+                cx, cy = self._cell_of(point)
+                edge = min(
+                    x - cx * size,
+                    (cx + 1) * size - x,
+                    y - cy * size,
+                    (cy + 1) * size - y,
+                )
+                bound = (edge - margin) / (speeds[host] + fastest)
+                if bound < edge_bound:
+                    edge_bound = bound
+        pairs: list[tuple[float, str, str, float]] = []
         sqrt = math.sqrt
         neighbour_sets: dict[str, frozenset[str]] = {}
         for host, point in positions.items():
@@ -226,7 +256,7 @@ class SpatialGridIndex:
                     other_point = positions[other]
                     if other_point.distance_to(point) <= radius:
                         found.append(other)
-                    if certify:
+                    if certify and host < other:
                         closing = speed + speeds[other]
                         if closing > 0.0:
                             gx = x - other_point.x
@@ -234,21 +264,9 @@ class SpatialGridIndex:
                             bound = (
                                 abs(sqrt(gx * gx + gy * gy) - radius) - margin
                             ) / closing
-                            if bound < horizon:
-                                horizon = bound
+                            if bound < edge_bound:
+                                pairs.append((bound, host, other, closing))
             neighbour_sets[host] = frozenset(found)
-            if certify:
-                closing = speed + fastest
-                if closing > 0.0:
-                    edge = min(
-                        x - cx * size,
-                        (cx + 1) * size - x,
-                        y - cy * size,
-                        (cy + 1) * size - y,
-                    )
-                    bound = (edge - margin) / closing
-                    if bound < horizon:
-                        horizon = bound
         labels: dict[str, int] = {}
         next_label = 0
         for seed in positions:
@@ -262,7 +280,8 @@ class SpatialGridIndex:
                         labels[neighbour] = next_label
                         frontier.append(neighbour)
             next_label += 1
-        return neighbour_sets, labels, horizon if certify else 0.0
+        certificate = Certificate(edge_bound, pairs) if certify else None
+        return neighbour_sets, labels, certificate
 
     def connected_components(self, radius: float) -> list[frozenset[str]]:
         """Partition the hosts into radio-connectivity components.

@@ -19,14 +19,16 @@ both ``vectorized`` paths, and the per-label execution protocol must
 complete the same workflows there with more messages.
 
 In the ``mobile`` trials every host moves, so each snapshot advance drops
-every memo at once.  A mostly-at-rest population takes the other branch:
-in a 150-host allocation trial where four of five hosts sit still and
-every fifth wanders, each advance diffs the movers' radio discs before and
-after and keeps every memo whose links held.  Its phase, simulated
-allocation time, snapshot counters, route discoveries, traffic and
+every memo at once.  A mostly-at-rest population is the other case: in a
+150-host allocation trial where four of five hosts sit still and every
+fifth wanders, the first sweep's certificate answers every later instant
+(one pair comes due and is re-checked), so no host is re-evaluated.  Its
+phase, simulated allocation time, route discoveries, traffic and
 allocation must equal values recorded with the per-tick rebuild and
-brute-force reference paths still in the network, on both ``vectorized``
-paths.
+brute-force reference paths still in the network, and its snapshot
+counters the values recorded when per-pair re-checks replaced the
+advances that the sparse disc-diff branch took there, on both
+``vectorized`` paths.
 
 Any change that moves a route, a latency or a reachability verdict moves
 at least one of these values.  The hash-seed and determinism suites only
@@ -279,7 +281,7 @@ def test_mobile_fanout_per_label_protocol_completes_the_same_workflows():
     ) < plain.network.statistics.kind_count(*EXECUTION_KINDS)
 
 
-# -- a mostly-at-rest population: the sparse disc-diff advance --------------
+# -- a mostly-at-rest population: certified pairs re-checked ----------------
 
 MIXED_SEED = 20090514
 MIXED_HOSTS = 150
@@ -293,9 +295,9 @@ MIXED_GOLDEN = (
     0.09469550387813122,
     301,
     1,
-    5280,
-    5280,
-    124,
+    0,
+    0,
+    300,
     1,
     144,
     602,

@@ -14,8 +14,9 @@ construction → allocation) and check
 * each award's scheduled start against the model's plan from the award
   instant;
 * the message counts: one call and one answer per participant, one award
-  message per winning host, where a message per (task, participant) pair
-  would cost 2 x tasks x participants + tasks.
+  message per winning host (none when a task found no host), where a
+  message per (task, participant) pair would cost 2 x tasks x
+  participants + tasks.
 """
 
 import pytest
@@ -123,13 +124,15 @@ def test_batched_and_unbatched_allocations_identical(
     plan = reference.planned_starts(
         workspace.workflow, expected.winning_bids, outcome.completed_at
     )
-    assert scheduled == {task: plan[task] for task in outcome.allocation}
+    # A failed auction awards nothing.
+    awarded = outcome.allocation if outcome.succeeded else {}
+    assert scheduled == {task: plan[task] for task in awarded}
 
     participants = num_hosts if workspace.workflow.task_names else 0
     assert auction_messages(statistics) == (
         participants,
         participants,
-        len(set(outcome.allocation.values())),
+        len(set(awarded.values())),
     )
 
 

@@ -9,9 +9,10 @@ radio-range verdict, route, reachability answer, and connectivity verdict
 at every sampled instant of an increasing time schedule, and every hop of
 every route must be in range by the hosts' positions.  Mixed populations
 (static hosts, scripted waypoint walkers, random-waypoint wanderers)
-exercise both the skip path (hosts provably at rest, and instants inside a
-sweep's stability horizon) and the move path (re-evaluation, grid
-relocation, memo invalidation).  Mobility models memoize internally, so
+exercise both the skip path (hosts provably at rest, instants inside a
+sweep's stability horizon, and expiries renewed by re-checking the pairs
+that came due) and the move path (re-evaluation, grid relocation, memo
+invalidation).  Mobility models memoize internally, so
 each network gets its own instances built from the same declarative spec.
 """
 
@@ -123,3 +124,25 @@ def test_incremental_maintenance_matches_brute_force(specs, deltas):
         for host in hosts:
             assert incremental.neighbours_of(host) == brute.neighbours_of(host), host
         assert incremental.is_connected() == brute.is_connected()
+
+
+def test_renewed_certificates_answer_as_the_reference():
+    """A ten-host random-waypoint fleet sampled every 0.2 s for 20 s: some
+    expiries renew the certificate by re-checking their due pairs, others
+    change a link and advance, and every answer equals the reference's."""
+
+    specs = [("random", seed, 0.0) for seed in range(10)]
+    network, scheduler = build_network(specs)
+    reference, reference_scheduler = build_network(specs, ReferenceNetwork)
+    assert_same_geometry(network, reference)
+    renewals = 0
+    for _ in range(100):
+        scheduler.clock.advance(0.2)
+        reference_scheduler.clock.advance(0.2)
+        expired = network._snapshot.stable_until <= scheduler.clock.now()
+        skipped = network.advances_skipped
+        assert_same_geometry(network, reference)
+        renewals += expired and network.advances_skipped > skipped
+    assert renewals > 0
+    assert network.pairs_rechecked >= renewals
+    assert network.topology_generation > 1  # some expiries did advance

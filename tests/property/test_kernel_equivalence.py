@@ -9,8 +9,8 @@ Two layers of the same contract, in the repo's flag+equivalence idiom:
   radio-range verdict, route, reachability answer, and connectivity
   verdict at every sampled instant, and on the maintenance counters (the
   vectorized advance must pop, re-evaluate, and move exactly the hosts the
-  scalar one does, and advance the topology generation on the same
-  branches);
+  scalar one does, re-check the same certified pairs, and advance the
+  topology generation on the same branches);
 * :class:`~repro.net.kernels.LegTable` replay must be *bit-identical* to
   the mobility models' scalar ``position_at``, including degenerate legs
   (zero velocity, single-waypoint rests, ``inf`` validity horizons), and
@@ -122,13 +122,15 @@ def test_vectorized_network_equivalent_to_scalar(specs, deltas):
         assert batched.is_connected() == scalar.is_connected()
     # The batched maintenance must do exactly the scalar path's work: same
     # snapshots, same heap pops, same applied moves, same skipped advances,
-    # and the same branches (the generation advances where memos drop).
+    # the same pairs re-checked at expiries, and the same branches (the
+    # generation advances where memos drop).
     for counter in (
         "snapshots_built",
         "grid_rebuilds",
         "hosts_reevaluated",
         "hosts_moved",
         "advances_skipped",
+        "pairs_rechecked",
         "topology_generation",
     ):
         assert getattr(batched, counter) == getattr(scalar, counter), counter

@@ -7,9 +7,15 @@ degenerate legs, and the near-radius ulp regression.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.mobility.geometry import Point
 from repro.mobility.models import StaticMobility, WaypointMobility
 from repro.net import kernels
@@ -43,6 +49,36 @@ class TestFlagResolution:
             AdHocWirelessNetwork(EventScheduler(), vectorized=True)
         with pytest.raises(RuntimeError):
             kernels.require_numpy()
+
+    def test_numpy_loads_only_with_an_adhoc_network(self):
+        # A fresh interpreter: this one has long imported NumPy.
+        script = textwrap.dedent(
+            """
+            import importlib.util, random, sys
+            from repro.experiments.trials import run_allocation_trial
+            from repro.net.adhoc import AdHocWirelessNetwork
+            from repro.sim.events import EventScheduler
+            from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+
+            workload = RandomSupergraphWorkload(seed=7).generate(20)
+            specification = workload.path_specification(3, random.Random(7))
+            result = run_allocation_trial(workload, 3, specification, seed=7)
+            assert result.succeeded
+            assert "numpy" not in sys.modules, "a simulated-network trial loaded NumPy"
+            installed = importlib.util.find_spec("numpy") is not None
+            assert AdHocWirelessNetwork(EventScheduler()).vectorized == installed
+            assert ("numpy" in sys.modules) == installed
+            """
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 0, child.stderr
 
     @needs_numpy
     def test_scalar_flag_keeps_scalar_grid(self):
@@ -161,12 +197,12 @@ class TestVectorGridIndex:
     def test_neighbour_sets_and_labels_agree_with_queries(self):
         positions = {"a": Point(0, 0), "b": Point(30, 0), "c": Point(200, 0)}
         vector = self.from_positions(positions, 60.0)
-        sets, labels, horizon = vector.neighbour_sets_and_labels(60.0)
+        sets, labels, certificate = vector.neighbour_sets_and_labels(60.0)
         assert sets == {
             host: vector.neighbours_of(host, 60.0) for host in positions
         }
         assert labels["a"] == labels["b"] != labels["c"]
-        assert horizon == 0.0  # no speeds: nothing certified
+        assert certificate is None  # no speeds: nothing certified
 
     def test_stability_horizon_matches_scalar_grid(self):
         import random
@@ -178,18 +214,28 @@ class TestVectorGridIndex:
         speeds = {
             host: rng.choice((0.0, rng.uniform(0.5, 10.0))) for host in positions
         }
+        # A pair a millimetre inside the range, closing at 10 m/s, comes due
+        # long before any cell edge.
+        positions.update(p=Point(130.0, 140.0), q=Point(189.999, 140.0))
+        speeds.update(p=5.0, q=5.0)
         cell_size = padded_cell_size(60.0)
         scalar = SpatialGridIndex(positions, cell_size=cell_size)
         vector = self.from_positions(positions, cell_size)
         speed_array = kernels.np.array([speeds[host] for host in vector.ids])
         for margin in (0.0, 1e-7):
             _, _, expected = scalar.neighbour_sets_and_labels(60.0, speeds, margin)
-            _, _, horizon = vector.neighbour_sets_and_labels(60.0, speed_array, margin)
-            assert horizon == expected  # bit for bit
-            assert 0.0 < horizon < math.inf
+            _, _, certificate = vector.neighbour_sets_and_labels(
+                60.0, speed_array, margin
+            )
+            # Bit for bit: the cell-edge bound and every kept pair's bound.
+            assert certificate.edge == expected.edge
+            assert sorted(certificate.pairs) == sorted(expected.pairs)
+            assert expected.pairs  # some pair bounds the horizon
+            assert all(host < other for _, host, other, _ in expected.pairs)
+            assert all(0.0 < pair[0] < expected.edge < math.inf for pair in expected.pairs)
         # A fleet at rest can never change.
         at_rest = {host: 0.0 for host in positions}
-        assert scalar.neighbour_sets_and_labels(60.0, at_rest)[2] == math.inf
+        assert scalar.neighbour_sets_and_labels(60.0, at_rest)[2] == (math.inf, [])
 
     def test_ulp_boundary_pair_is_found(self):
         # The PR-3 regression: the exact separation exceeds the radius but

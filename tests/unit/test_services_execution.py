@@ -7,6 +7,7 @@ from repro.core.fragments import WorkflowFragment
 from repro.core.specification import Specification
 from repro.core.tasks import Task, TaskMode
 from repro.durability import HostDurability, InMemoryJournal, WorkspaceState
+from repro.allocation.auction import MAX_SOLICITATIONS
 from repro.execution.engine import INPUT_PULLS, INPUT_TIMEOUT, ExecutionManager
 from repro.execution.services import (
     CallableService,
@@ -23,6 +24,8 @@ from repro.host.workflow_manager import (
 from repro.host.workspace import WorkflowPhase
 from repro.net.faults import NO_FAULT, FaultDecision, FaultPlane, HostCrash
 from repro.net.messages import (
+    AwardBatch,
+    BidBatch,
     LabelBatch,
     LabelDataMessage,
     LabelReplayRequest,
@@ -746,3 +749,57 @@ class TestProgressQuery:
             assert workspace.phase is WorkflowPhase.COMPLETED
             assert alice.scope.pending == 0
         assert progress_queries(community) == 1
+
+
+class SilentBidder:
+    """A fault plane that loses one host's first ``rounds`` bid answers and
+    notes which revisions got awards."""
+
+    def __init__(self, bidder: str, rounds: int) -> None:
+        self.bidder = bidder
+        self.rounds = rounds
+        self.awarded: set[str] = set()
+
+    def intercept(self, message, now: float) -> FaultDecision:
+        if isinstance(message, AwardBatch):
+            self.awarded.add(message.workflow_id)
+        if isinstance(message, BidBatch) and message.sender == self.bidder and self.rounds:
+            self.rounds -= 1
+            return FaultDecision(deliver=False)
+        return NO_FAULT
+
+
+class TestAllocationRepair:
+    """A revision whose auction leaves a task unallocated awards nothing and,
+    with recovery, is repaired with that task still allowed."""
+
+    def test_an_unallocated_task_is_repaired_not_half_awarded(self):
+        community = Community()
+        robust = dict(fault_injection=True, enable_recovery=True)
+        tasks = [
+            Task("prep", ["x"], ["m"], service_type="prep", duration=5.0),
+            Task("cook", ["m"], ["y"], service_type="cook", duration=5.0),
+        ]
+        community.add_host("alice", fragments=[WorkflowFragment(tasks)], **robust)
+        community.add_host("bob", services=[ServiceDescription("prep", duration=5.0)], **robust)
+        community.add_host("carol", services=[ServiceDescription("cook", duration=5.0)], **robust)
+        # carol, the only cook, misses every solicitation round of the first
+        # revision and is written off.
+        plane = SilentBidder("carol", MAX_SOLICITATIONS)
+        community.network.install_fault_plane(plane)
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_idle()
+
+        assert workspace.phase is WorkflowPhase.FAILED
+        assert workspace.failure_reason == (
+            "allocation failed: cook: no participant submitted a bid"
+        )
+        # bob's win for the failed revision was never awarded, so he ran nothing
+        # for it.
+        assert workspace.workflow_id not in plane.awarded
+        manager = community.host("alice").workflow_manager
+        final = manager.final_workspace(workspace.workflow_id)
+        assert final is not workspace and final.phase is WorkflowPhase.COMPLETED
+        assert workspace.repaired_by == final.workflow_id
+        assert final.excluded_tasks == set()
+        assert final.workflow_id in plane.awarded

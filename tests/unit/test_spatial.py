@@ -2,8 +2,9 @@
 
 Covers the per-tick snapshot (positions evaluated once per instant), the
 grid-backed neighbour/connectivity queries, route revalidation keyed by the
-topology generation, the loopback-jitter fix, and the stability horizon
-that lets instants skip the snapshot advance.
+topology generation, the loopback-jitter fix, the stability horizon that
+lets instants skip the snapshot advance, and the per-pair re-check that
+renews it when it runs out.
 """
 
 import pytest
@@ -470,6 +471,91 @@ class TestStabilityHorizon:
                 "b": Point(250, 250),
             }
             assert network.position_of("a") == model.position_at(now)
+
+
+@pytest.mark.parametrize("vectorized", VECTORIZED)
+class TestPairRecheck:
+    """When the horizon runs out at a pair's deadline, only that pair is
+    re-checked: a link that held renews the certificate and keeps every
+    memo; a link that changed falls back to the advance."""
+
+    @staticmethod
+    def build(vectorized, monkeypatch):
+        # a-c is static; the walker b passes a at 99 m and leaves its range
+        # at t = sqrt(199) ~ 14.1 s.  No host is near a cell edge, so the
+        # a-b pair's deadline is the first to pass.
+        placements = {
+            "a": lambda: StaticMobility(Point(150, 150)),
+            "b": lambda: WaypointMobility([Point(150, 249), Point(400, 249)], speed=1.0),
+            "c": lambda: StaticMobility(Point(150, 60)),
+        }
+        network, scheduler = TestStabilityHorizon.build(placements, vectorized=vectorized)
+        reference, reference_scheduler = TestStabilityHorizon.build(
+            placements, build=ReferenceNetwork
+        )
+        sweeps = []
+        grid_type = kernels.VectorGridIndex if network.vectorized else SpatialGridIndex
+        sweep = grid_type.neighbour_sets_and_labels
+
+        def counting(grid, *args, **kwargs):
+            sweeps.append(scheduler.clock.now())
+            return sweep(grid, *args, **kwargs)
+
+        monkeypatch.setattr(grid_type, "neighbour_sets_and_labels", counting)
+        for clock in (scheduler, reference_scheduler):
+            clock.clock.advance(0.5)  # at t=0 the walker reports a 0-s rest
+        assert network.router.route("b", "c").hops == ("b", "a", "c")
+        assert network.is_connected()  # the sweep: a-b is due at ~1.5 s
+        assert sweeps == [0.5]
+        assert 1.4 < network._snapshot.stable_until < 1.6
+
+        def advance_to(time):
+            for clock in (scheduler, reference_scheduler):
+                clock.clock.advance(time - clock.clock.now())
+
+        return network, reference, sweeps, advance_to
+
+    def test_an_expiry_that_changes_no_link_keeps_everything(
+        self, vectorized, monkeypatch
+    ):
+        network, reference, sweeps, advance_to = self.build(vectorized, monkeypatch)
+        snapshot = network._snapshot
+        memos = dict(snapshot.neighbours)
+        components = snapshot.components
+        generation = network.topology_generation
+        discoveries = network.router.discoveries
+        advance_to(2.5)  # past the deadline; b is 99.03 m from a
+        assert network.is_connected()
+        assert network.pairs_rechecked == 1
+        assert network.advances_skipped == 1
+        assert network.hosts_reevaluated == 0 and network.hosts_moved == 0
+        assert sweeps == [0.5]
+        assert network._snapshot is snapshot
+        assert snapshot.components is components
+        assert all(snapshot.neighbours[host] is memo for host, memo in memos.items())
+        assert network.topology_generation == generation
+        assert snapshot.stable_until > 2.5  # renewed from the current distance
+        assert network.router.route("b", "c").hops == ("b", "a", "c")
+        assert network.router.discoveries == discoveries  # the cached route held
+        assert_same_geometry(network, reference)
+
+    def test_an_expiry_whose_pair_crossed_the_range_advances(
+        self, vectorized, monkeypatch
+    ):
+        network, reference, sweeps, advance_to = self.build(vectorized, monkeypatch)
+        generation = network.topology_generation
+        advance_to(15.0)  # b is 100.06 m from a: the a-b link broke
+        assert network.neighbours_of("a") == {"c"}
+        assert network.pairs_rechecked == 1
+        assert network.advances_skipped == 0
+        assert network.hosts_reevaluated == 1  # the advance re-evaluated b
+        assert network.topology_generation == generation + 1
+        # The fallback swept at once, before any query needed the components:
+        # the new links are certified again.
+        assert sweeps == [0.5, 15.0]
+        assert network._snapshot.stable_until > 15.0
+        assert not network.is_reachable("b", "c")
+        assert_same_geometry(network, reference)
 
 
 @pytest.mark.parametrize("vectorized", VECTORIZED)
