@@ -25,20 +25,18 @@ never outgrows the pending set — the same index-key rule as
 :class:`~repro.discovery.fragment_index.FragmentIndex`).  Delivering a
 label is O(consumers of that label), not O(pending invocations).
 
-Output publication and progress reporting are *batched* by default
-(``batch_execution=False`` restores the per-label protocol): one
+Output publication and progress reporting are *batched*: one
 :class:`~repro.net.messages.LabelBatch` per (firing, destination host)
-instead of one :class:`~repro.net.messages.LabelDataMessage` per
-label x destination, and one
-:class:`~repro.net.messages.WorkflowProgressReport` to the initiator per
-completion *burst* — a completion is buffered while another invocation of
+carries every output label that firing owes that host, and one
+:class:`~repro.net.messages.WorkflowProgressReport` to the initiator covers
+a completion *burst* — a completion is buffered while another invocation of
 the same workflow is still executing on this host (that invocation's own
 completion is already scheduled and will flush the report), so a pipeline
 of k tasks run back-to-back on one host reports once instead of k times.
 Failures always flush immediately (carrying any buffered completions) so
-workflow repair is never delayed.  Every batch entry is recorded through
-the same internals as its per-label counterpart, so commitment outcomes
-and repair behaviour are structurally identical across the two protocols.
+workflow repair is never delayed.  A replayed label travels as a one-entry
+batch and is recorded through the same delivery internals as a first
+delivery.
 """
 
 from __future__ import annotations
@@ -49,14 +47,11 @@ from typing import Callable, Mapping
 from ..core.errors import ExecutionError
 from ..net.messages import (
     LabelBatch,
-    LabelDataMessage,
     LabelEntry,
     LabelReplayRequest,
     Message,
     ProgressQuery,
-    TaskCompleted,
     TaskCompletionRecord,
-    TaskFailed,
     TaskFailureRecord,
     WorkflowProgressReport,
 )
@@ -139,12 +134,6 @@ class ExecutionManager:
         The host's service manager, used to actually invoke services.
     send:
         Callback used to hand outgoing messages to the communications layer.
-    batch_execution:
-        When true (the default) outputs are published as one
-        :class:`~repro.net.messages.LabelBatch` per destination host and
-        progress is reported in combined
-        :class:`~repro.net.messages.WorkflowProgressReport` messages;
-        ``False`` restores the original per-label / per-task protocol.
     """
 
     def __init__(
@@ -153,7 +142,6 @@ class ExecutionManager:
         scheduler: EventScheduler,
         services: ServiceManager,
         send: SendFunction,
-        batch_execution: bool = True,
         robust: bool = False,
         schedule=None,
         durability=None,
@@ -162,7 +150,6 @@ class ExecutionManager:
         self.scheduler = scheduler
         self.services = services
         self._send = send
-        self.batch_execution = batch_execution
         #: Fault hardening (``fault_injection``): an invocation still missing
         #: inputs at each of ``INPUT_PULLS`` after its scheduled start asks
         #: their producers to replay them, and one whose inputs have not all
@@ -342,12 +329,12 @@ class ExecutionManager:
         """Re-send previously published labels to a consumer that asks.
 
         Answers come from the publication cache (live, or restored from the
-        journal after this host's own restart) through the ordinary
-        delivery path, so the requester's execution manager treats a
-        replayed label exactly like a first delivery.  Labels this host
-        never produced (or lost, with output journaling off, to its own
-        crash) are silently skipped — the requester's input timeout still
-        backstops those.
+        journal after this host's own restart) as one one-entry
+        :class:`~repro.net.messages.LabelBatch` per label, so the
+        requester's execution manager treats a replayed label exactly like
+        a first delivery.  Labels this host never produced (or lost, with
+        output journaling off, to its own crash) are silently skipped — the
+        requester's input timeout still backstops those.
         """
 
         now = self.scheduler.clock.now()
@@ -357,14 +344,13 @@ class ExecutionManager:
                 continue
             self.labels_replayed += 1
             self._send(
-                LabelDataMessage(
+                LabelBatch(
                     sender=self.host_id,
                     recipient=message.sender,
                     workflow_id=message.workflow_id,
-                    label=label,
-                    value=self._published[key],
                     produced_by=self.host_id,
                     produced_at=now,
+                    entries=(LabelEntry(label, self._published[key]),),
                 )
             )
 
@@ -410,11 +396,6 @@ class ExecutionManager:
         ]
 
     # -- input arrival ---------------------------------------------------------
-    def deliver_label(self, message: LabelDataMessage) -> None:
-        """Record an input label delivered by another participant."""
-
-        self._deliver(message.workflow_id, message.label, message.value)
-
     def handle_label_batch(self, batch: LabelBatch) -> None:
         """Record every label of a batched delivery, in entry order."""
 
@@ -431,14 +412,12 @@ class ExecutionManager:
 
         bucket = self._watchers.get((workflow_id, label))
         if not bucket:
-            # Late or unexpected data; harmless, but worth counting.  Only
-            # the batched protocol reports these to the initiator, so only
-            # it accrues the per-workflow delta (which the flush pops).
+            # Late or unexpected data; harmless, but worth counting and
+            # reporting to the initiator (the next flush pops the delta).
             self.unexpected_labels += 1
-            if self.batch_execution:
-                self._unreported_unexpected[workflow_id] = (
-                    self._unreported_unexpected.get(workflow_id, 0) + 1
-                )
+            self._unreported_unexpected[workflow_id] = (
+                self._unreported_unexpected.get(workflow_id, 0) + 1
+            )
             return
         for key in list(bucket):
             pending = self._pending.get(key)
@@ -491,30 +470,18 @@ class ExecutionManager:
         pending = self._pending.get(key)
         if pending is None or pending.started or pending.completed:
             return
-        commitment = pending.commitment
-        pending.completed = True
         pending.cancel_timers()
         self.invocations_abandoned += 1
         missing = ", ".join(sorted(pending.missing_inputs()))
-        reason = (
+        self._fail(
+            key,
+            pending.commitment,
             f"abandoned: inputs [{missing}] never arrived within "
-            f"{INPUT_TIMEOUT:g}s of the scheduled start"
+            f"{INPUT_TIMEOUT:g}s of the scheduled start",
+            transient=True,
         )
-        self.outcomes.append(
-            CommitmentOutcome(
-                commitment,
-                completed_at=self.scheduler.clock.now(),
-                succeeded=False,
-                failure_reason=reason,
-            )
-        )
-        if self.durability is not None:
-            self.durability.invocation_failed(commitment.workflow_id, key[1], reason)
         if self.schedule is not None:
-            self.schedule.remove_commitment(commitment.commitment_id)
-        self._pending.pop(key, None)
-        self._unwatch(key, commitment)
-        self._notify_failure(commitment, reason, transient=True)
+            self.schedule.remove_commitment(pending.commitment.commitment_id)
 
     def _complete(self, key: _PendingKey) -> None:
         pending = self._pending.get(key)
@@ -533,20 +500,7 @@ class ExecutionManager:
         try:
             outputs = self.services.invoke(commitment.task, inputs)
         except ExecutionError as exc:
-            pending.completed = True
-            self.outcomes.append(
-                CommitmentOutcome(
-                    commitment,
-                    completed_at=self.scheduler.clock.now(),
-                    succeeded=False,
-                    failure_reason=str(exc),
-                )
-            )
-            if self.durability is not None:
-                self.durability.invocation_failed(workflow_id, key[1], str(exc))
-            self._notify_failure(commitment, str(exc))
-            self._pending.pop(key, None)
-            self._unwatch(key, commitment)
+            self._fail(key, commitment, str(exc))
             return
 
         pending.completed = True
@@ -565,46 +519,47 @@ class ExecutionManager:
         self._pending.pop(key, None)
         self._unwatch(key, commitment)
 
+    def _fail(
+        self,
+        key: _PendingKey,
+        commitment: Commitment,
+        reason: str,
+        transient: bool = False,
+    ) -> None:
+        """Settle an invocation as failed, forget it and report it at once.
+
+        The failure flushes the progress report immediately, carrying any
+        buffered completions, so the initiator starts workflow repair
+        without delay.
+        """
+
+        self._pending.pop(key).completed = True
+        self._unwatch(key, commitment)
+        now = self.scheduler.clock.now()
+        self.outcomes.append(
+            CommitmentOutcome(
+                commitment, completed_at=now, succeeded=False, failure_reason=reason
+            )
+        )
+        if self.durability is not None:
+            self.durability.invocation_failed(commitment.workflow_id, key[1], reason)
+        if commitment.initiator:
+            self._flush_report(
+                commitment,
+                failure=TaskFailureRecord(
+                    task_name=commitment.task.name,
+                    failed_at=now,
+                    reason=reason,
+                    transient=transient,
+                ),
+            )
+
     # -- output publication --------------------------------------------------------
     def _publish_outputs(
         self, commitment: Commitment, outputs: Mapping[str, object]
     ) -> frozenset[str]:
-        if self.batch_execution:
-            return self._publish_outputs_batched(commitment, outputs)
-        sent: set[str] = set()
-        now = self.scheduler.clock.now()
-        for label, destinations in commitment.output_destinations.items():
-            value = outputs.get(label)
-            self._published[(commitment.workflow_id, label)] = value
-            if self.durability is not None:
-                # Write-ahead: the value is durable before any consumer sees
-                # it, so a crash between journal and send loses nothing a
-                # replay request can't recover.
-                self.durability.label_published(commitment.workflow_id, label, value)
-            for destination in destinations:
-                message = LabelDataMessage(
-                    sender=self.host_id,
-                    recipient=destination,
-                    workflow_id=commitment.workflow_id,
-                    label=label,
-                    value=value,
-                    produced_by=self.host_id,
-                    produced_at=now,
-                )
-                if destination == self.host_id:
-                    # Local delivery still goes through the same code path the
-                    # remote case uses, but without crossing the network.
-                    self.deliver_label(message)
-                else:
-                    self._send(message)
-                sent.add(label)
-        return frozenset(sent)
-
-    def _publish_outputs_batched(
-        self, commitment: Commitment, outputs: Mapping[str, object]
-    ) -> frozenset[str]:
-        """One :class:`LabelBatch` per destination host, labels in the same
-        order the per-label protocol would have sent them."""
+        """One :class:`LabelBatch` per destination host, labels in the
+        order of the commitment's output destinations."""
 
         sent: set[str] = set()
         batches: dict[str, list[LabelEntry]] = {}
@@ -612,7 +567,9 @@ class ExecutionManager:
             value = outputs.get(label)
             self._published[(commitment.workflow_id, label)] = value
             if self.durability is not None:
-                # Write-ahead, same as the per-label path: durable before sent.
+                # Write-ahead: the value is durable before any consumer sees
+                # it, so a crash between journal and send loses nothing a
+                # replay request can't recover.
                 self.durability.label_published(commitment.workflow_id, label, value)
             for destination in destinations:
                 batches.setdefault(destination, []).append(LabelEntry(label, value))
@@ -635,61 +592,15 @@ class ExecutionManager:
         return frozenset(sent)
 
     # -- progress reporting --------------------------------------------------------
-    def _notify_failure(
-        self, commitment: Commitment, reason: str, transient: bool = False
-    ) -> None:
-        """Report an execution failure back to the initiator (repair trigger)."""
-
-        if not commitment.initiator:
-            return
-        now = self.scheduler.clock.now()
-        if self.batch_execution:
-            # Failures flush immediately, carrying any buffered completions,
-            # so the initiator can start workflow repair without delay.
-            self._flush_report(
-                commitment,
-                failure=TaskFailureRecord(
-                    task_name=commitment.task.name,
-                    failed_at=now,
-                    reason=reason,
-                    transient=transient,
-                ),
-            )
-            return
-        self._send(
-            TaskFailed(
-                sender=self.host_id,
-                recipient=commitment.initiator,
-                workflow_id=commitment.workflow_id,
-                task_name=commitment.task.name,
-                failed_at=now,
-                reason=reason,
-                transient=transient,
-            )
-        )
-
     def _notify_initiator(
         self, commitment: Commitment, outputs: Mapping[str, object]
     ) -> None:
         if not commitment.initiator:
             return
-        now = self.scheduler.clock.now()
-        if not self.batch_execution:
-            self._send(
-                TaskCompleted(
-                    sender=self.host_id,
-                    recipient=commitment.initiator,
-                    workflow_id=commitment.workflow_id,
-                    task_name=commitment.task.name,
-                    completed_at=now,
-                    outputs=frozenset(outputs),
-                )
-            )
-            return
         self._unsent_completions.setdefault(commitment.workflow_id, []).append(
             TaskCompletionRecord(
                 task_name=commitment.task.name,
-                completed_at=now,
+                completed_at=self.scheduler.clock.now(),
                 outputs=frozenset(outputs),
             )
         )

@@ -48,13 +48,6 @@ class HostConfig:
         lifetime, ``0.0`` re-polls (with delta queries) on every
         submission.
 
-    Protocols:
-
-    batch_execution:
-        Publish outputs as one label batch per destination host and
-        report progress in per-burst reports; ``False`` restores the
-        per-label and per-task messages.  Same outcomes, more messages.
-
     Robustness:
 
     fault_injection:
@@ -68,8 +61,10 @@ class HostConfig:
         Off, a fault-free run is byte-identical to one without the
         feature.
     enable_recovery:
-        Repair a workflow whose task failed by constructing and
-        auctioning a new revision.
+        Repair a failed revision by constructing and auctioning a new
+        one: a task failed during execution, an auction left a task
+        unallocated, or construction failed after discovery wrote off a
+        silent remote.
     max_repair_attempts:
         Repair revisions tried before a workflow is declared failed.
     durability:
@@ -89,7 +84,6 @@ class HostConfig:
     capability_aware: bool = False
     solver: Solver | str | None = None
     knowledge_refresh_interval: float = math.inf
-    batch_execution: bool = True
     fault_injection: bool = False
     enable_recovery: bool = False
     max_repair_attempts: int = 3

@@ -40,12 +40,9 @@ from ..net.messages import (
     FragmentQuery,
     FragmentResponse,
     LabelBatch,
-    LabelDataMessage,
     LabelReplayRequest,
     Message,
     ProgressQuery,
-    TaskCompleted,
-    TaskFailed,
     WorkflowProgressReport,
 )
 from ..net.transport import CommunicationsLayer, Outbox
@@ -136,7 +133,6 @@ class Host:
             self.scope,
             self.service_manager,
             self._send,
-            batch_execution=config.batch_execution,
             robust=config.fault_injection,
             schedule=self.schedule_manager,
             durability=durability,
@@ -304,18 +300,12 @@ class Host:
             self.auction_manager.handle_award_rejected(message)
         elif isinstance(message, AwardAck):
             self.auction_manager.handle_award_ack(message)
-        elif isinstance(message, LabelDataMessage):
-            self.execution_manager.deliver_label(message)
         elif isinstance(message, LabelBatch):
             self.execution_manager.handle_label_batch(message)
         elif isinstance(message, LabelReplayRequest):
             self.execution_manager.handle_replay_request(message)
         elif isinstance(message, ProgressQuery):
             self.execution_manager.handle_progress_query(message)
-        elif isinstance(message, TaskCompleted):
-            self.workflow_manager.handle_task_completed(message)
-        elif isinstance(message, TaskFailed):
-            self.workflow_manager.handle_task_failed(message)
         elif isinstance(message, WorkflowProgressReport):
             self.workflow_manager.handle_progress_report(message)
         # Unknown message kinds are ignored: forward compatibility with

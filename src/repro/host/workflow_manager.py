@@ -63,8 +63,6 @@ from ..net.messages import (
     FragmentResponse,
     Message,
     ProgressQuery,
-    TaskCompleted,
-    TaskFailed,
     WorkflowProgressReport,
 )
 from ..sim.events import EventHandle, EventScheduler
@@ -424,6 +422,7 @@ class WorkflowManager:
         deduplicated on merge).  After that the silent remotes are treated
         as departed: discovery proceeds on the knowledge that did arrive,
         so a crashed participant costs its know-how, never the workflow.
+        If construction then fails, the repair asks them again.
         """
 
         self._discovery_timers.pop(workflow_id, None)
@@ -622,6 +621,14 @@ class WorkflowManager:
                 f"construction failed: {result.reason}", self.scheduler.clock.now()
             )
             self._notify_allocated(workspace)
+            # A remote this discovery asked for everything but that has no
+            # full sync (written off as silent) never put its know-how into
+            # the plane; the repair's discovery asks it, and only it, again.
+            if workspace.did_full_discovery and any(
+                remote not in self._synced_remotes
+                for remote in self._remote_participants(workspace)
+            ):
+                self._submit_repair(workspace, set(workspace.excluded_tasks))
             return
         workflow = result.workflow
         assert workflow is not None
@@ -738,7 +745,7 @@ class WorkflowManager:
             self._arm_liveness(workspace, queries + 1)
             return
         self.liveness_timeouts += 1
-        self._record_failed(
+        self.handle_task_failed(
             workspace,
             outstanding[0],
             f"no progress for {LIVENESS_TIMEOUT:g}s with "
@@ -773,22 +780,8 @@ class WorkflowManager:
         return True
 
     # -- execution progress ------------------------------------------------------------------
-    def handle_task_completed(self, message: TaskCompleted) -> None:
-        """Track completion notifications until the whole workflow is done."""
-
-        workspace = self._workspaces.get(message.workflow_id)
-        if workspace is None:
-            return
-        self._record_completed(workspace, message.task_name)
-
     def handle_progress_report(self, report: WorkflowProgressReport) -> None:
-        """Apply a batched progress report: completions first, then failures.
-
-        Each record goes through the same internals as its per-message
-        counterpart (:class:`~repro.net.messages.TaskCompleted` /
-        :class:`~repro.net.messages.TaskFailed`), so completion tracking and
-        workflow repair behave identically across the two protocols.
-        """
+        """Apply a progress report: completions first, then failures."""
 
         workspace = self._workspaces.get(report.workflow_id)
         if workspace is None:
@@ -797,7 +790,7 @@ class WorkflowManager:
         for completion in report.completions:
             self._record_completed(workspace, completion.task_name)
         for failure in report.failures:
-            self._record_failed(
+            self.handle_task_failed(
                 workspace, failure.task_name, failure.reason, failure.transient
             )
 
@@ -822,31 +815,25 @@ class WorkflowManager:
             callback(workspace)
 
     # -- workflow repair ------------------------------------------------------------
-    def handle_task_failed(self, message: TaskFailed) -> None:
-        """React to an execution failure: optionally construct a repaired workflow.
-
-        The failing workspace is marked failed.  When recovery is enabled
-        the manager submits a *repair*: the same specification, constructed
-        again over the already-collected community knowledge with the failed
-        tasks excluded, then re-auctioned.  Compensation of work already
-        performed by the failed workflow is out of scope (it is listed as
-        future work in the paper as well).
-        """
-
-        workspace = self._workspaces.get(message.workflow_id)
-        if workspace is None:
-            return
-        self._record_failed(
-            workspace, message.task_name, message.reason, message.transient
-        )
-
-    def _record_failed(
+    def handle_task_failed(
         self,
         workspace: Workspace,
         task_name: str,
         reason: str,
         transient: bool = False,
     ) -> None:
+        """React to an execution failure: optionally construct a repaired workflow.
+
+        Every failure record of a progress report lands here, and so does
+        the liveness watchdog's verdict.  The failing workspace is marked
+        failed.  When recovery is enabled the manager submits a *repair*:
+        the same specification, constructed again over the
+        already-collected community knowledge with the failed tasks
+        excluded, then re-auctioned.  Compensation of work already
+        performed by the failed workflow is out of scope (it is listed as
+        future work in the paper as well).
+        """
+
         self._cancel_liveness(workspace.workflow_id)
         workspace.failed_tasks.add(task_name)
         if transient:

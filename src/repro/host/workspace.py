@@ -88,9 +88,8 @@ class Workspace:
     did_full_discovery: bool = False
 
     # Execution bookkeeping.  ``unexpected_labels`` accumulates the
-    # unexpected-delivery counts executors piggyback on their batched
-    # progress reports (always 0 under the per-label protocol, which does
-    # not report them).
+    # unexpected-delivery counts executors piggyback on their progress
+    # reports.
     expected_tasks: set[str] = field(default_factory=set)
     completed_tasks: set[str] = field(default_factory=set)
     failed_tasks: set[str] = field(default_factory=set)

@@ -342,31 +342,19 @@ class AwardAck(Message):
 
 
 @dataclass(frozen=True, repr=False)
-class LabelDataMessage(Message):
-    """An output produced by one service, delivered to a dependent participant."""
-
-    workflow_id: str = ""
-    label: str = ""
-    value: object = None
-    produced_by: str = ""
-    produced_at: float = 0.0
-
-    def _payload_bytes(self) -> int:
-        return _LABEL_BYTES + 64
-
-
-@dataclass(frozen=True, repr=False)
 class LabelReplayRequest(Message):
-    """A restarted participant asks a producer to re-send lost inputs.
+    """A consumer asks a producer to re-send inputs that have not arrived.
 
-    Labels delivered while a host was down die with the crashed process;
-    with the durable state plane on, the restarted incarnation knows from
-    its journal *which* inputs its resumed invocations still miss and who
-    was committed to deliver them (``Commitment.input_sources``).  The
-    producer answers from its publication cache with ordinary label
-    deliveries; a producer that crashed itself (cache lost) or never
-    executed simply stays silent and the requester falls back to the
-    input-timeout → repair ladder as before.
+    A label lost in flight, or delivered while its consumer was down, never
+    arrives on its own.  The consumer knows which inputs its invocation
+    still misses and who was committed to deliver them
+    (``Commitment.input_sources``): a restarted durable host asks when it
+    resumes the invocation, and in robust mode every invocation asks at
+    each of the input pulls.  The producer answers from its publication
+    cache with one one-entry :class:`LabelBatch` per label, an ordinary
+    delivery; a producer that crashed itself (cache lost) or has not
+    published yet stays silent, and the requester falls back to the
+    input-timeout → repair ladder.
     """
 
     workflow_id: str = ""
@@ -395,58 +383,20 @@ class ProgressQuery(Message):
         return 8 * len(self.task_names)
 
 
-@dataclass(frozen=True, repr=False)
-class TaskCompleted(Message):
-    """Notification (to the initiator) that a committed task finished."""
-
-    workflow_id: str = ""
-    task_name: str = ""
-    completed_at: float = 0.0
-    outputs: frozenset[str] = frozenset()
-
-    def _payload_bytes(self) -> int:
-        return _LABEL_BYTES * len(self.outputs)
-
-
-@dataclass(frozen=True, repr=False)
-class TaskFailed(Message):
-    """Notification (to the initiator) that a committed task could not be executed.
-
-    The initiator's workflow manager uses this to trigger workflow repair:
-    reconstruction of a revised workflow that avoids the failed task,
-    followed by re-allocation (the feedback loop sketched in the paper's
-    future-work discussion).
-    """
-
-    workflow_id: str = ""
-    task_name: str = ""
-    failed_at: float = 0.0
-    reason: str = ""
-    #: A transient failure blames the *situation* (executor crashed, inputs
-    #: never arrived), not the task: repair re-auctions the task instead of
-    #: excluding it from the reconstructed workflow.
-    transient: bool = False
-
-    def _payload_bytes(self) -> int:
-        return 32
-
-
 # ---------------------------------------------------------------------------
 # Batched execution messages (one combined message per firing and receiver)
 # ---------------------------------------------------------------------------
 #
-# The per-label protocol above costs one message per output label per
-# destination, plus one completion/failure notification per task; like the
-# auction control traffic, the per-message envelope and MAC overhead dominate
-# these small payloads on a wireless medium.  The batched execution protocol
-# combines everything one firing says to one host — every output label bound
-# for that destination — into a single :class:`LabelBatch`, and everything a
-# host has to tell the initiator about a workflow's progress — completions
-# accumulated while its own invocations were still running, plus any failure
-# — into a single :class:`WorkflowProgressReport`.  The payload entries are
-# plain frozen records, not messages: only the enclosing batch crosses the
-# communications layer, and every entry is recorded through the exact same
-# execution-manager internals as its per-label counterpart.
+# Like the auction control traffic, the per-message envelope and MAC overhead
+# dominate these small payloads on a wireless medium, so execution never
+# sends a message per label or per task.  Everything one firing says to one
+# host — every output label bound for that destination — travels in a single
+# :class:`LabelBatch`, and everything a host has to tell the initiator about
+# a workflow's progress — completions accumulated while its own invocations
+# were still running, plus any failure — in a single
+# :class:`WorkflowProgressReport`.  The payload entries are plain frozen
+# records, not messages: only the enclosing batch crosses the communications
+# layer.
 
 
 @dataclass(frozen=True)
@@ -473,8 +423,9 @@ class TaskFailureRecord:
     task_name: str
     failed_at: float = 0.0
     reason: str = ""
-    #: See :attr:`TaskFailed.transient`: a transient failure is repaired by
-    #: re-auctioning the task, not by excluding it.
+    #: A transient failure blames the *situation* (executor crashed, inputs
+    #: never arrived), not the task: repair re-auctions the task instead of
+    #: excluding it from the reconstructed workflow.
     transient: bool = False
 
 
@@ -482,9 +433,9 @@ class TaskFailureRecord:
 class LabelBatch(Message):
     """Every output label one firing produced for one destination host.
 
-    Semantically equivalent to one :class:`LabelDataMessage` per entry; the
-    recipient's execution manager records each entry through the same
-    delivery internals, in entry order.
+    The recipient's execution manager records the entries in entry order.
+    A producer answers a :class:`LabelReplayRequest` with one one-entry
+    batch per label.
     """
 
     workflow_id: str = ""

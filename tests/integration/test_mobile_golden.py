@@ -15,8 +15,7 @@ hub task feeding six parallel stages and a join) submitted 40 times on a
 as a random waypoint.  Its phases, completed tasks, final simulated clock,
 route discoveries and execution traffic must equal values recorded while
 link epochs were still bumped ahead of time at predicted link breaks, on
-both ``vectorized`` paths, and the per-label execution protocol must
-complete the same workflows there with more messages.
+both ``vectorized`` paths.
 
 In the ``mobile`` trials every host moves, so each snapshot advance drops
 every memo at once.  A mostly-at-rest population is the other case: in a
@@ -153,13 +152,7 @@ FANOUT_SEED = 20090514
 FANOUT_HOSTS = 20
 FANOUT_REPEATS = 40
 FAN_OUT = 6  # parallel stage tasks between the hub and the join
-EXECUTION_KINDS = (
-    "LabelDataMessage",
-    "TaskCompleted",
-    "TaskFailed",
-    "LabelBatch",
-    "WorkflowProgressReport",
-)
+EXECUTION_KINDS = ("LabelBatch", "WorkflowProgressReport")
 
 #: (completed tasks, final simulated clock, route discoveries, execution
 #: messages, execution bytes) after FANOUT_REPEATS completed workflows.
@@ -221,7 +214,7 @@ VECTORIZED = [
 ]
 
 
-def run_mobile_fanout(vectorized, batch_execution=True):
+def run_mobile_fanout(vectorized):
     """Submit the fan-out workflow ``FANOUT_REPEATS`` times, each run to
     its end; returns the phases, the completed-task count and the
     community (kept alive, so its network can be read)."""
@@ -238,7 +231,6 @@ def run_mobile_fanout(vectorized, batch_execution=True):
             fragments=fragments if index == 0 else (),
             services=services_of(index),
             mobility=mixed_mobility(index),
-            batch_execution=batch_execution,
         )
     specification = Specification(triggers=["go"], goals=["done"])
     phases = []
@@ -263,22 +255,6 @@ def test_mobile_fanout_execution_matches_recorded_values(vectorized):
         network.statistics.kind_count(*EXECUTION_KINDS),
         network.statistics.kind_bytes(*EXECUTION_KINDS),
     ) == FANOUT_GOLDEN
-
-
-def test_mobile_fanout_per_label_protocol_completes_the_same_workflows():
-    """Over the same moving community the per-label execution protocol
-    completes the same workflows and tasks as the batched one, with more
-    execution messages."""
-
-    phases, completed_tasks, batched = run_mobile_fanout(None)
-    plain_phases, plain_completed_tasks, plain = run_mobile_fanout(
-        None, batch_execution=False
-    )
-    assert plain_phases == phases
-    assert plain_completed_tasks == completed_tasks
-    assert batched.network.statistics.kind_count(
-        *EXECUTION_KINDS
-    ) < plain.network.statistics.kind_count(*EXECUTION_KINDS)
 
 
 # -- a mostly-at-rest population: certified pairs re-checked ----------------

@@ -1,17 +1,24 @@
-"""Property: the batched execution plane ≡ the per-label/per-task plane.
+"""Property: the batched execution plane fires as the per-label rule says.
 
 Two independent properties of the execution-phase substrate:
 
-* **Protocol equivalence** (``batch_execution``): the batched execution
-  protocol (one :class:`~repro.net.messages.LabelBatch` per firing and
-  destination host, one :class:`~repro.net.messages.WorkflowProgressReport`
-  per completion burst) claims to be a pure message-count optimisation.
-  Complete trials (discovery → construction → allocation → execution) run
-  through both protocols must record identical
+* **Execution model**: a participant sends everything one firing owes one
+  host in a single :class:`~repro.net.messages.LabelBatch` and reports
+  completion bursts to the initiator in
+  :class:`~repro.net.messages.WorkflowProgressReport`\\ s.  The model in
+  ``tests/reference/execution.py`` applies the paper's rule one label at a
+  time, with no network and no execution manager: over the commitments a
+  finished trial left on its hosts, each task fires at the later of its
+  start and the arrival of its inputs and sends each output that has a
+  destination.  Complete trials (discovery → construction → allocation →
+  execution) must record the model's
   :class:`~repro.scheduling.commitments.CommitmentOutcome`\\ s on every
-  host — same tasks, same completion instants, same outputs, same failure
-  reasons — and identical initiator-side completion tracking, while the
-  batched run never uses *more* execution-phase messages.
+  host — same tasks, same completion instants, same outputs, same
+  failure reasons — the model's completed tasks at the initiator and its
+  count of labels that arrive after their consumers finished, and one
+  label batch per firing and remote destination host, where a message
+  per label and destination plus a completion notice per task would cost
+  the model's per-label count.
 
 * **Generation soundness**: the network's topology generation keys the
   route cache and the router's BFS trees.  On mobile communities driven
@@ -23,11 +30,15 @@ Two independent properties of the execution-phase substrate:
   all of its links in range.
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fragments import WorkflowFragment
 from repro.core.specification import Specification
-from repro.core.tasks import Task
+from repro.core.tasks import Task, TaskMode
+from repro.core.workflow import Workflow
 from repro.execution.services import ServiceDescription
 from repro.experiments.trials import build_trial_community
 from repro.host.community import Community
@@ -41,37 +52,41 @@ from repro.mobility.models import (
 )
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.messages import Message
+from repro.scheduling.commitments import Commitment
 from repro.sim.events import EventScheduler
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 
+from ..reference import execution as reference
 from ..reference.network import in_range_by_position
 
 SEED = 20090514
 SETTINGS = settings(max_examples=15, deadline=None)
 
-EXECUTION_KINDS = (
-    "LabelDataMessage",
-    "TaskCompleted",
-    "TaskFailed",
-    "LabelBatch",
-    "WorkflowProgressReport",
-)
+EXECUTION_KINDS = ("LabelBatch", "WorkflowProgressReport")
 
 
 # ---------------------------------------------------------------------------
-# Batched vs per-label execution protocol
+# The batched execution protocol against the per-label model
 # ---------------------------------------------------------------------------
 
 
-def run_execution_trial(batch_execution, num_tasks, num_hosts, path_length):
+def run_execution_trial(num_tasks, num_hosts, path_length, declared=0.0, service=0.0):
     """One complete trial run to workflow completion; returns the community
-    and its initiator workspace (``None, None`` when no spec exists)."""
+    and its initiator workspace (``None, None`` when no spec exists).
+
+    Tasks declare ``declared`` seconds; the service of the i-th task takes
+    ``service * (i % 3)`` seconds, so with ``service`` larger than
+    ``declared`` consumers wait for inputs past their planned starts.
+    """
 
     workload = RandomSupergraphWorkload(seed=SEED).generate(num_tasks)
-    community = build_trial_community(
-        workload, num_hosts=num_hosts, seed=SEED, batch_execution=batch_execution
-    )
+    workload = workload.with_task_durations(declared)
+    workload.services = [
+        replace(description, duration=service * (index % 3))
+        for index, description in enumerate(workload.services)
+    ]
+    community = build_trial_community(workload, num_hosts=num_hosts, seed=SEED)
     rng = derive_rng(SEED, "exec-equivalence", num_tasks, num_hosts, path_length)
     specification = workload.path_specification(path_length, rng)
     if specification is None:
@@ -82,12 +97,13 @@ def run_execution_trial(batch_execution, num_tasks, num_hosts, path_length):
 
 
 def commitment_outcomes_view(community):
-    """Every host's commitment outcomes, normalised for cross-run comparison
-    (the workflow id embeds a process-global counter, so it is dropped)."""
+    """Every host's commitment outcomes, normalised for comparison with the
+    model (the workflow id embeds a process-global counter, so it is
+    dropped; hosts that ran nothing are left out)."""
 
     view = {}
     for host in community:
-        view[host.host_id] = sorted(
+        outcomes = sorted(
             (
                 outcome.commitment.task.name,
                 outcome.completed_at,
@@ -97,76 +113,122 @@ def commitment_outcomes_view(community):
             )
             for outcome in host.execution_manager.outcomes
         )
+        if outcomes:
+            view[host.host_id] = outcomes
     return view
+
+
+def check_against_model(community, workflow, workflow_id) -> reference.ReferenceExecution:
+    """The hosts executed ``workflow_id`` as the model says; returns the model."""
+
+    expected = reference.execute(community, workflow, workflow_id)
+    assert commitment_outcomes_view(community) == expected.outcomes()
+    assert (
+        sum(host.execution_manager.unexpected_labels for host in community)
+        == expected.late_labels
+    )
+    statistics = community.network.statistics
+    assert statistics.by_kind.get("LabelBatch", 0) == expected.label_batches()
+    # At least one report from every host that ran a task, at most one per
+    # task: completions are reported in bursts.
+    reports = statistics.by_kind.get("WorkflowProgressReport", 0)
+    executors = {firing.host for firing in expected.firings.values()}
+    assert len(executors) <= reports <= len(expected.firings)
+    return expected
+
+
+def check_trial(community, workspace) -> reference.ReferenceExecution:
+    """A completed trial executed as the model says, and its initiator saw
+    every firing complete."""
+
+    assert workspace.phase is WorkflowPhase.COMPLETED
+    expected = check_against_model(community, workspace.workflow, workspace.workflow_id)
+    assert workspace.completed_tasks == set(expected.firings)
+    assert workspace.failed_tasks == set()
+    return expected
 
 
 @given(
     num_tasks=st.integers(min_value=12, max_value=40),
     num_hosts=st.integers(min_value=2, max_value=6),
     path_length=st.integers(min_value=2, max_value=8),
+    declared=st.sampled_from([0.0, 5.0]),
+    service=st.sampled_from([0.0, 7.0]),
 )
 @SETTINGS
-def test_batched_and_per_label_execution_identical(num_tasks, num_hosts, path_length):
-    batched_community, batched_ws = run_execution_trial(
-        True, num_tasks, num_hosts, path_length
+def test_batched_and_per_label_execution_identical(
+    num_tasks, num_hosts, path_length, declared, service
+):
+    community, workspace = run_execution_trial(
+        num_tasks, num_hosts, path_length, declared, service
     )
-    plain_community, plain_ws = run_execution_trial(
-        False, num_tasks, num_hosts, path_length
-    )
-    if batched_ws is None:
-        assert plain_ws is None
+    if workspace is None or workspace.workflow is None:
         return
-
-    assert batched_ws.phase == plain_ws.phase
-    assert batched_ws.completed_tasks == plain_ws.completed_tasks
-    assert batched_ws.failed_tasks == plain_ws.failed_tasks
-    assert commitment_outcomes_view(batched_community) == commitment_outcomes_view(
-        plain_community
-    )
-    assert sum(
-        h.execution_manager.unexpected_labels for h in batched_community
-    ) == sum(h.execution_manager.unexpected_labels for h in plain_community)
-
-    # Batching can only remove messages, never add them.
-    batched_stats = batched_community.network.statistics
-    plain_stats = plain_community.network.statistics
-    assert batched_stats.kind_count(*EXECUTION_KINDS) <= plain_stats.kind_count(
-        *EXECUTION_KINDS
-    )
-    assert "LabelDataMessage" not in batched_stats.by_kind
-    assert "LabelBatch" not in plain_stats.by_kind
+    check_trial(community, workspace)
 
 
 def test_execution_batching_cuts_messages_on_multi_task_workflow():
     """Deterministic spot check: a real reduction, not just no-worse."""
 
-    results = {}
-    for batched in (True, False):
-        community, workspace = run_execution_trial(
-            batched, num_tasks=30, num_hosts=2, path_length=8
+    community, workspace = run_execution_trial(num_tasks=30, num_hosts=2, path_length=8)
+    assert workspace is not None
+    expected = check_trial(community, workspace)
+    batched = community.network.statistics.kind_count(*EXECUTION_KINDS)
+    assert batched < expected.per_label_messages()
+
+
+@pytest.mark.parametrize("mode", [TaskMode.DISJUNCTIVE, TaskMode.CONJUNCTIVE])
+def test_a_label_that_arrives_after_its_consumer_finished_is_late(mode):
+    """A disjunctive join fires on its fast input, so the slow branch's
+    label reaches its host after the join finished and counts as
+    unexpected there; a conjunctive join waits for the slow one.
+    Construction keeps one input of a disjunctive task, so the commitments
+    are made by hand."""
+
+    fast = Task("fast", inputs=["go"], outputs=["a"])
+    slow = Task("slow", inputs=["go"], outputs=["b"])
+    join = Task("join", inputs=["a", "b"], outputs=["done"], mode=mode)
+    community = Community()
+    community.add_host("host-0")
+    for index, (task, seconds) in enumerate(((fast, 5.0), (slow, 60.0), (join, 1.0))):
+        community.add_host(
+            f"host-{index + 1}", services=[ServiceDescription(task.name, duration=seconds)]
         )
-        assert workspace is not None
-        assert workspace.phase is WorkflowPhase.COMPLETED
-        results[batched] = community.network.statistics
-    batched_messages = results[True].kind_count(*EXECUTION_KINDS)
-    plain_messages = results[False].kind_count(*EXECUTION_KINDS)
-    assert batched_messages < plain_messages
-    assert results[True].kind_bytes(*EXECUTION_KINDS) < results[False].kind_bytes(
-        *EXECUTION_KINDS
-    )
+    commitments = {
+        "host-1": Commitment(
+            fast, "w", start=0.0, trigger_labels=frozenset({"go"}),
+            output_destinations={"a": ("host-3",)}, initiator="host-0",
+        ),
+        "host-2": Commitment(
+            slow, "w", start=0.0, trigger_labels=frozenset({"go"}),
+            output_destinations={"b": ("host-3",)}, initiator="host-0",
+        ),
+        "host-3": Commitment(
+            join, "w", start=0.0, input_sources={"a": "host-1", "b": "host-2"},
+            output_destinations={"done": ()}, initiator="host-0",
+        ),
+    }
+    for host_id, commitment in commitments.items():
+        host = community.host(host_id)
+        host.schedule_manager.add_commitment(commitment)
+        host.execution_manager.watch(commitment)
+    community.run_idle()
+
+    expected = check_against_model(community, Workflow([fast, slow, join]), "w")
+    late = mode is TaskMode.DISJUNCTIVE
+    assert expected.firings["join"].fired_at == (5.0 if late else 60.0)
+    assert expected.late_labels == int(late)
+    assert community.host("host-3").execution_manager.unexpected_labels == int(late)
 
 
 FAN_OUT = 6  # parallel stage tasks between the hub and the join
-LABEL_KINDS = ("LabelDataMessage", "LabelBatch")
-COMPLETION_KINDS = ("TaskCompleted", "TaskFailed", "WorkflowProgressReport")
 
 
-def run_fanout(batch_execution: bool):
+def run_fanout():
     """The 8-task hub -> six parallel stages -> join workflow on three hosts.
 
     ``host-0`` holds the know-how, ``host-1`` alone runs the hub and
-    ``host-2`` alone the stages and the join, so allocation is forced and
-    only the execution protocol differs between the two runs.
+    ``host-2`` alone the stages and the join, so allocation is forced.
     """
 
     hub = Task(
@@ -181,29 +243,21 @@ def run_fanout(batch_execution: bool):
     )
     community = Community()
     community.add_host(
-        "host-0",
-        fragments=[WorkflowFragment([task]) for task in (hub, *stages, join)],
-        batch_execution=batch_execution,
+        "host-0", fragments=[WorkflowFragment([task]) for task in (hub, *stages, join)]
     )
-    community.add_host(
-        "host-1",
-        services=[ServiceDescription("prepare", duration=60.0)],
-        batch_execution=batch_execution,
-    )
+    community.add_host("host-1", services=[ServiceDescription("prepare", duration=60.0)])
     community.add_host(
         "host-2",
         services=[
             ServiceDescription(task.name, duration=60.0) for task in (*stages, join)
         ],
-        batch_execution=batch_execution,
     )
     workspace = community.submit_specification(
         "host-0", Specification(triggers=["go"], goals=["done"])
     )
     community.run_until_completed(workspace)
-    assert workspace.phase is WorkflowPhase.COMPLETED
     assert len(workspace.workflow.task_names) == FAN_OUT + 2
-    return community.network.statistics
+    return community, workspace
 
 
 def test_fanout_workflow_batching_cuts_execution_messages_threefold():
@@ -211,16 +265,12 @@ def test_fanout_workflow_batching_cuts_execution_messages_threefold():
     and destination plus one completion per task, against one label batch
     per firing and destination plus one report per completion burst."""
 
-    batched = run_fanout(True)
-    plain = run_fanout(False)
-    assert 3 * batched.kind_count(*EXECUTION_KINDS) <= plain.kind_count(
-        *EXECUTION_KINDS
-    )
-    assert batched.kind_count(*LABEL_KINDS) < plain.kind_count(*LABEL_KINDS)
-    assert batched.kind_count(*COMPLETION_KINDS) < plain.kind_count(
-        *COMPLETION_KINDS
-    )
-    assert batched.kind_bytes(*EXECUTION_KINDS) < plain.kind_bytes(*EXECUTION_KINDS)
+    community, workspace = run_fanout()
+    expected = check_trial(community, workspace)
+    batched = community.network.statistics.kind_count(*EXECUTION_KINDS)
+    assert expected.label_batches() == 1  # the hub's six parts, to host-2
+    assert expected.per_label_messages() == FAN_OUT + FAN_OUT + 2
+    assert 3 * batched <= expected.per_label_messages()
 
 
 # ---------------------------------------------------------------------------

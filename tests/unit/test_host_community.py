@@ -53,7 +53,6 @@ class TestHostConfig:
             construction_mode="incremental",
             capability_aware=True,
             knowledge_refresh_interval=5.0,
-            batch_execution=False,
             fault_injection=True,
             enable_recovery=True,
             max_repair_attempts=5,
@@ -69,7 +68,6 @@ class TestHostConfig:
         assert workflow.robust and workflow.enable_recovery
         assert workflow.max_repair_attempts == 5
         assert host.auction_manager.robust
-        assert not host.execution_manager.batch_execution
         assert host.execution_manager.robust
         assert host.durability is not None and not host.durability.journal_outputs
 

@@ -10,12 +10,17 @@ from repro.net.messages import (
     CapabilityResponse,
     FragmentQuery,
     FragmentResponse,
-    LabelDataMessage,
+    LabelBatch,
+    LabelEntry,
+    LabelReplayRequest,
     Message,
+    ProgressQuery,
     TaskAward,
     TaskBidOffer,
     TaskCall,
-    TaskCompleted,
+    TaskCompletionRecord,
+    TaskFailureRecord,
+    WorkflowProgressReport,
     estimate_fragment_bytes,
     estimate_task_bytes,
 )
@@ -58,8 +63,15 @@ class TestSizes:
             CallForBidsBatch(sender="a", recipient="b", calls=(TaskCall(task),)),
             BidBatch(sender="a", recipient="b", bids=(TaskBidOffer("t"),)),
             AwardBatch(sender="a", recipient="b", awards=(TaskAward(task),)),
-            LabelDataMessage(sender="a", recipient="b", label="x"),
-            TaskCompleted(sender="a", recipient="b", task_name="t"),
+            LabelBatch(sender="a", recipient="b", entries=(LabelEntry("x"),)),
+            LabelReplayRequest(sender="a", recipient="b", labels=("x",)),
+            ProgressQuery(sender="a", recipient="b", task_names=("t",)),
+            WorkflowProgressReport(
+                sender="a", recipient="b", completions=(TaskCompletionRecord("t"),)
+            ),
+            WorkflowProgressReport(
+                sender="a", recipient="b", failures=(TaskFailureRecord("t"),)
+            ),
         ]
         for message in messages:
             assert message.size_bytes() > 0

@@ -18,6 +18,7 @@ from repro.execution.services import (
 from repro.host.community import Community
 from repro.host.workflow_manager import (
     LIVENESS_TIMEOUT,
+    MAX_DISCOVERY_ATTEMPTS,
     MAX_PROGRESS_QUERIES,
     PROGRESS_QUERY_TIMEOUT,
 )
@@ -26,11 +27,12 @@ from repro.net.faults import NO_FAULT, FaultDecision, FaultPlane, HostCrash
 from repro.net.messages import (
     AwardBatch,
     BidBatch,
+    FragmentQuery,
+    FragmentResponse,
     LabelBatch,
-    LabelDataMessage,
+    LabelEntry,
     LabelReplayRequest,
     ProgressQuery,
-    TaskCompleted,
     WorkflowProgressReport,
 )
 from repro.scheduling.commitments import Commitment
@@ -101,19 +103,23 @@ class TestServiceManager:
         assert manager.invocations == 1
 
 
-def make_execution_manager(services=None, batch_execution=False, robust=False):
+def make_execution_manager(services=None, robust=False):
     scheduler = EventScheduler()
     service_manager = ServiceManager("worker", services or [ServiceDescription("do", duration=5.0)])
     sent: list = []
-    manager = ExecutionManager(
-        "worker",
-        scheduler,
-        service_manager,
-        sent.append,
-        batch_execution=batch_execution,
-        robust=robust,
-    )
+    manager = ExecutionManager("worker", scheduler, service_manager, sent.append, robust=robust)
     return manager, scheduler, sent
+
+
+def label_batch(sender, workflow_id, label, value=1):
+    """A one-entry label delivery to ``worker``."""
+
+    return LabelBatch(
+        sender=sender,
+        recipient="worker",
+        workflow_id=workflow_id,
+        entries=(LabelEntry(label, value),),
+    )
 
 
 def make_commitment(**overrides):
@@ -136,21 +142,18 @@ class TestExecutionManager:
         manager.watch(make_commitment())
         scheduler.run()  # start window passes but input never arrives
         assert manager.completed_count == 0
-        manager.deliver_label(
-            LabelDataMessage(sender="alice", recipient="worker", workflow_id="w1", label="input", value=1)
-        )
+        manager.handle_label_batch(label_batch("alice", "w1", "input"))
         scheduler.run()
         assert manager.completed_count == 1
         kinds = {type(m).__name__ for m in sent}
-        assert kinds == {"LabelDataMessage", "TaskCompleted"}
+        assert kinds == {"LabelBatch", "WorkflowProgressReport"}
 
     def test_trigger_labels_count_as_available(self):
         manager, scheduler, sent = make_execution_manager()
         manager.watch(make_commitment(trigger_labels=frozenset({"input"}), input_sources={}))
         scheduler.run()
         assert manager.completed_count == 1
-        completed = [m for m in sent if isinstance(m, TaskCompleted)]
-        assert completed and completed[0].task_name == "do"
+        assert completion_reports(sent) == [("alice", "do")]
         assert scheduler.clock.now() == pytest.approx(15.0)  # start 10 + duration 5
 
     def test_disjunctive_task_needs_any_input(self):
@@ -160,18 +163,14 @@ class TestExecutionManager:
             input_sources={"x": "alice", "y": "bob"},
         )
         manager.watch(commitment)
-        manager.deliver_label(
-            LabelDataMessage(sender="bob", recipient="worker", workflow_id="w1", label="y", value=2)
-        )
+        manager.handle_label_batch(label_batch("bob", "w1", "y", value=2))
         scheduler.run()
         assert manager.completed_count == 1
 
     def test_wrong_workflow_labels_ignored(self):
         manager, scheduler, _ = make_execution_manager()
         manager.watch(make_commitment(trigger_labels=frozenset({"input"}), input_sources={}))
-        manager.deliver_label(
-            LabelDataMessage(sender="x", recipient="worker", workflow_id="other", label="input", value=1)
-        )
+        manager.handle_label_batch(label_batch("x", "other", "input"))
         assert manager.pending_for_workflow("w1")
         assert manager.pending_for_workflow("other") == []
 
@@ -186,7 +185,11 @@ class TestExecutionManager:
         scheduler.run()
         assert manager.failed_count == 1
         assert manager.completed_count == 0
-        assert not any(isinstance(m, TaskCompleted) for m in sent)
+        [report] = sent
+        assert report.completions == ()
+        [failure] = report.failures
+        assert (failure.task_name, failure.transient) == ("do", False)
+        assert failure.reason.endswith("no gas")
 
     def test_duplicate_watch_is_idempotent(self):
         manager, scheduler, _ = make_execution_manager()
@@ -206,44 +209,32 @@ class TestExecutionManager:
         )
         manager.watch(commitment)
         scheduler.run()
-        label_messages = [m for m in sent if isinstance(m, LabelDataMessage)]
+        label_messages = [m for m in sent if isinstance(m, LabelBatch)]
         assert {m.recipient for m in label_messages} == {"bob", "carol"}
 
     def test_unexpected_labels_counted(self):
         manager, scheduler, _ = make_execution_manager()
         assert manager.unexpected_labels == 0
-        manager.deliver_label(
-            LabelDataMessage(
-                sender="x", recipient="worker", workflow_id="w1", label="stray", value=1
-            )
-        )
+        manager.handle_label_batch(label_batch("x", "w1", "stray"))
         assert manager.unexpected_labels == 1
 
     def test_trigger_index_emptied_after_completion(self):
         manager, scheduler, _ = make_execution_manager()
         manager.watch(make_commitment())
         assert manager._watchers  # watching the 'input' label
-        manager.deliver_label(
-            LabelDataMessage(
-                sender="alice", recipient="worker", workflow_id="w1", label="input", value=1
-            )
-        )
+        manager.handle_label_batch(label_batch("alice", "w1", "input"))
         scheduler.run()
         assert manager.completed_count == 1
         # Index-key rule: the bucket emptied with its last watcher, and a
         # re-delivery of the same label now counts as unexpected.
         assert not manager._watchers
-        manager.deliver_label(
-            LabelDataMessage(
-                sender="alice", recipient="worker", workflow_id="w1", label="input", value=1
-            )
-        )
+        manager.handle_label_batch(label_batch("alice", "w1", "input"))
         assert manager.unexpected_labels == 1
 
 
 class TestBatchedExecutionProtocol:
     def test_outputs_batched_per_destination(self):
-        manager, scheduler, sent = make_execution_manager(batch_execution=True)
+        manager, scheduler, sent = make_execution_manager()
         commitment = make_commitment(
             task=Task("do", ["input"], ["out-a", "out-b"], duration=5.0),
             trigger_labels=frozenset({"input"}),
@@ -260,10 +251,9 @@ class TestBatchedExecutionProtocol:
         by_recipient = {m.recipient: [e.label for e in m.entries] for m in batches}
         assert by_recipient["bob"] == ["out-a", "out-b"]
         assert by_recipient["carol"] == ["out-a"]
-        assert not any(isinstance(m, LabelDataMessage) for m in sent)
 
     def test_progress_report_replaces_task_completed(self):
-        manager, scheduler, sent = make_execution_manager(batch_execution=True)
+        manager, scheduler, sent = make_execution_manager()
         manager.watch(
             make_commitment(trigger_labels=frozenset({"input"}), input_sources={})
         )
@@ -272,7 +262,6 @@ class TestBatchedExecutionProtocol:
         assert len(reports) == 1
         assert [c.task_name for c in reports[0].completions] == ["do"]
         assert reports[0].failures == ()
-        assert not any(isinstance(m, TaskCompleted) for m in sent)
 
     def test_pipeline_on_one_host_reports_once(self):
         """A local chain (A feeds B) coalesces into a single progress report."""
@@ -282,7 +271,6 @@ class TestBatchedExecutionProtocol:
                 CallableService("do", callable=lambda t, i: {"mid": 1}, duration=5.0),
                 CallableService("then", callable=lambda t, i: {"goal": 2}, duration=5.0),
             ],
-            batch_execution=True,
         )
         first = make_commitment(
             task=Task("do", ["input"], ["mid"], duration=5.0),
@@ -313,7 +301,6 @@ class TestBatchedExecutionProtocol:
                 CallableService("do", callable=lambda t, i: {"mid": 1}, duration=5.0),
                 CallableService("then", callable=broken, duration=5.0),
             ],
-            batch_execution=True,
         )
         first = make_commitment(
             task=Task("do", ["input"], ["mid"], duration=5.0),
@@ -342,7 +329,6 @@ class TestBatchedExecutionProtocol:
                 CallableService("do", callable=lambda t, i: {"mid": 7}, duration=1.0),
                 CallableService("then", callable=lambda t, i: dict(i), duration=1.0),
             ],
-            batch_execution=True,
         )
         producer = make_commitment(
             task=Task("do", ["input"], ["mid"], duration=1.0),
@@ -382,11 +368,12 @@ class TestLabelReplayProtocol:
                 labels=("output", "never-produced"),
             )
         )
-        assert len(sent) == 1
-        replay = sent[0]
-        assert isinstance(replay, LabelDataMessage)
-        assert (replay.recipient, replay.label) == ("bob", "output")
-        assert replay.produced_by == "worker"
+        # One one-entry batch per label found, skipping the unknown one.
+        [replay] = sent
+        assert isinstance(replay, LabelBatch)
+        assert (replay.recipient, replay.produced_by) == ("bob", "worker")
+        assert [entry.label for entry in replay.entries] == ["output"]
+        assert replay.size_bytes() == 64 + 88
 
     def test_replay_request_for_unknown_workflow_is_silent(self):
         manager, scheduler, sent = make_execution_manager()
@@ -429,15 +416,14 @@ class TestLabelReplayProtocol:
 
 
 def completion_reports(sent) -> list[tuple[str, str]]:
-    """(recipient, task) of every completion reported, in either protocol."""
+    """(recipient, task) of every completion reported."""
 
-    reports = []
-    for message in sent:
-        if isinstance(message, TaskCompleted):
-            reports.append((message.recipient, message.task_name))
-        elif isinstance(message, WorkflowProgressReport):
-            reports += [(message.recipient, c.task_name) for c in message.completions]
-    return reports
+    return [
+        (message.recipient, completion.task_name)
+        for message in sent
+        if isinstance(message, WorkflowProgressReport)
+        for completion in message.completions
+    ]
 
 
 class TestInputPulls:
@@ -466,12 +452,9 @@ class TestInputPulls:
         assert manager.invocations_abandoned == 1
         assert scheduler.clock.now() == 10.0 + INPUT_TIMEOUT
 
-    @pytest.mark.parametrize("batch_execution", [False, True], ids=["per-label", "batched"])
     @pytest.mark.parametrize("replay_first", [True, False], ids=["replay-first", "original-first"])
     @pytest.mark.parametrize("late_while_running", [False, True], ids=["after", "during"])
-    def test_a_pulled_label_fires_the_task_once(
-        self, batch_execution, replay_first, late_while_running
-    ):
+    def test_a_pulled_label_fires_the_task_once(self, replay_first, late_while_running):
         # The producer publishes the consumer's input; that delivery is still
         # in flight when the consumer's first pull reaches the producer.
         producer_scheduler = EventScheduler()
@@ -481,7 +464,6 @@ class TestInputPulls:
             producer_scheduler,
             ServiceManager("alice", [ServiceDescription("make")]),
             published.append,
-            batch_execution=batch_execution,
         )
         producer.watch(
             make_commitment(
@@ -496,27 +478,21 @@ class TestInputPulls:
         producer_scheduler.run()
         [original] = published
 
-        manager, scheduler, sent = make_execution_manager(
-            batch_execution=batch_execution, robust=True
-        )
+        manager, scheduler, sent = make_execution_manager(robust=True)
         manager.durability = HostDurability(InMemoryJournal())
         manager.watch(make_commitment())
         scheduler.run(until=10.0 + INPUT_PULLS[0] * INPUT_TIMEOUT)
         [request] = [m for m in sent if isinstance(m, LabelReplayRequest)]
         producer.handle_replay_request(request)
         [replay] = published[1:]
-        assert isinstance(replay, LabelDataMessage)
+        assert isinstance(replay, LabelBatch)
 
-        deliver = {
-            LabelBatch: manager.handle_label_batch,
-            LabelDataMessage: manager.deliver_label,
-        }
         first, late = (replay, original) if replay_first else (original, replay)
-        deliver[type(first)](first)
+        manager.handle_label_batch(first)
         # The late copy lands while the task executes, or after it completed.
         scheduler.run(until=scheduler.clock.now() + (1.0 if late_while_running else 10.0))
         assert manager.completed_count == (0 if late_while_running else 1)
-        deliver[type(late)](late)
+        manager.handle_label_batch(late)
         scheduler.run()
 
         records = manager.durability.records()
@@ -547,11 +523,7 @@ class TestInputPulls:
         pulls = started.pull_events
         assert len(pulls) == len(INPUT_PULLS)
         assert scope.pending == 2 + len(INPUT_PULLS)  # start window, expiry, pulls
-        manager.deliver_label(
-            LabelDataMessage(
-                sender="alice", recipient="worker", workflow_id="w-start", label="input", value=1
-            )
-        )
+        manager.handle_label_batch(label_batch("alice", "w-start", "input"))
         community.scheduler.run(until=10.0)
         assert started.started and started.pull_events == ()
         assert all(handle.cancelled for handle in pulls)
@@ -622,7 +594,7 @@ class TestProgressQuery:
     repaired."""
 
     def test_an_executor_answers_only_for_tasks_it_completed(self):
-        manager, scheduler, sent = make_execution_manager(batch_execution=True)
+        manager, scheduler, sent = make_execution_manager()
         for workflow_id, name in (("w1", "do"), ("w1", "other"), ("w2", "do")):
             manager.watch(
                 make_commitment(
@@ -803,3 +775,100 @@ class TestAllocationRepair:
         assert workspace.repaired_by == final.workflow_id
         assert final.excluded_tasks == set()
         assert final.workflow_id in plane.awarded
+
+
+class SilentRemote:
+    """A fault plane that loses one host's first ``rounds`` know-how answers
+    and counts the know-how queries each host is sent."""
+
+    def __init__(self, remote: str, rounds: int) -> None:
+        self.remote = remote
+        self.rounds = rounds
+        self.queries: dict[str, int] = {}
+
+    def intercept(self, message, now: float) -> FaultDecision:
+        if isinstance(message, FragmentQuery):
+            self.queries[message.recipient] = self.queries.get(message.recipient, 0) + 1
+        if isinstance(message, FragmentResponse) and message.sender == self.remote and self.rounds:
+            self.rounds -= 1
+            return FaultDecision(deliver=False)
+        return NO_FAULT
+
+
+def know_how_community() -> Community:
+    """``bob`` alone knows the one task (``x`` -> ``y``) that ``carol`` runs."""
+
+    community = Community()
+    robust = dict(fault_injection=True, enable_recovery=True)
+    community.add_host("alice", **robust)
+    community.add_host(
+        "bob",
+        fragments=[
+            WorkflowFragment([Task("t", ["x"], ["y"], service_type="svc", duration=5.0)])
+        ],
+        **robust,
+    )
+    community.add_host("carol", services=[ServiceDescription("svc", duration=5.0)], **robust)
+    return community
+
+
+class TestConstructionRepair:
+    """A revision whose discovery wrote off a silent remote and then fails
+    construction is repaired: that remote's know-how never reached the
+    plane, and the repair asks it again."""
+
+    def test_know_how_of_a_written_off_remote_is_asked_for_again(self):
+        community = know_how_community()
+        # bob's answers are lost through every discovery round of the first
+        # revision, so bob is written off and the goal is out of reach.
+        plane = SilentRemote("bob", MAX_DISCOVERY_ATTEMPTS)
+        community.network.install_fault_plane(plane)
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_idle()
+
+        assert workspace.phase is WorkflowPhase.FAILED
+        assert workspace.failure_reason.startswith("construction failed:")
+        manager = community.host("alice").workflow_manager
+        final = manager.final_workspace(workspace.workflow_id)
+        assert final is not workspace and final.phase is WorkflowPhase.COMPLETED
+        assert workspace.repaired_by == final.workflow_id
+        assert final.excluded_tasks == set() and final.completed_tasks == {"t"}
+        # carol answered the first round and is not asked again.
+        assert plane.queries == {"bob": MAX_DISCOVERY_ATTEMPTS + 1, "carol": 1}
+
+    def test_an_unsatisfiable_specification_is_not_repaired(self):
+        community = know_how_community()
+        workspace = community.submit_specification(
+            "alice", Specification(triggers=["x"], goals=["nowhere"])
+        )
+        community.run_idle()
+
+        assert workspace.phase is WorkflowPhase.FAILED
+        assert workspace.failure_reason.startswith("construction failed:")
+        # Every remote answered, so the plane holds all the community knows.
+        assert workspace.repaired_by is None
+        assert community.host("alice").workflow_manager.workspaces() == [workspace]
+
+    def test_a_failure_after_frontier_discovery_is_not_repaired(self):
+        # Frontier discovery stops once alice's own know-how solves the
+        # specification, so bob is never asked for everything; the task's
+        # service is offered by nobody, and a repair would only fail again.
+        community = Community()
+        options = dict(
+            construction_mode="incremental",
+            capability_aware=True,
+            fault_injection=True,
+            enable_recovery=True,
+        )
+        community.add_host(
+            "alice",
+            fragments=[WorkflowFragment([Task("t", ["x"], ["y"], service_type="none")])],
+            **options,
+        )
+        community.add_host("bob", services=[ServiceDescription("svc")], **options)
+        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_idle()
+
+        assert workspace.failure_reason.startswith("construction failed:")
+        assert not workspace.did_full_discovery
+        assert community.host("alice").workflow_manager.workspaces() == [workspace]

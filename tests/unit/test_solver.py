@@ -409,15 +409,14 @@ class TestSolverConfigurationHooks:
         workspace = community.submit_problem("h", ["L0"], ["L2"])
         community.run_until_allocated(workspace)
         original_graph = workspace.supergraph
-        from repro.net.messages import TaskFailed
+        from repro.net.messages import TaskFailureRecord, WorkflowProgressReport
 
-        manager.handle_task_failed(
-            TaskFailed(
+        manager.handle_progress_report(
+            WorkflowProgressReport(
                 sender="h",
                 recipient="h",
                 workflow_id=workspace.workflow_id,
-                task_name="t0",
-                reason="boom",
+                failures=(TaskFailureRecord(task_name="t0", reason="boom"),),
             )
         )
         assert workspace.repaired_by is not None
