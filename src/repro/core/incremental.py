@@ -10,12 +10,11 @@ coloured region.
 
 :class:`IncrementalConstructor` implements that variant against an abstract
 :class:`FragmentSource`.  A fragment source may be a local knowledge set
-(used in tests and ablations) or a remote community reached through the
-discovery protocol (see :mod:`repro.discovery.knowhow`), in which case every
-query translates into network messages.  The constructor keeps statistics on
-how many queries were issued and how many fragments were actually
-transferred, which the ablation benchmarks compare against the
-collect-everything baseline.
+(used in tests and ablations) or any other store that answers label-targeted
+queries.  The constructor keeps statistics on how many queries were issued
+and how many fragments were actually transferred, which the discovery
+ablation compares against the collect-everything baseline that the
+middleware's discovery protocol (:mod:`repro.discovery.knowhow`) runs.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ def compute_frontier_labels(
     The forward frontier consists of every green label (its consumers may be
     missing locally); the backward frontier consists of goal labels and of
     inputs of locally-known tasks that are not yet green (their producers may
-    be missing locally).  The distributed incremental mode of the workflow
-    manager uses the same computation to decide which labels to query the
-    community about next.
+    be missing locally).  :class:`IncrementalConstructor` queries its source
+    about these labels in each round.
     """
 
     from .construction import Color  # local import to avoid cycle at module load
@@ -64,11 +62,10 @@ def compute_frontier_labels(
 class FragmentSource(Protocol):
     """Where the incremental constructor pulls know-how from.
 
-    Implementations answer two kinds of queries, mirroring the discovery
-    protocol: fragments containing a task that *consumes* a label (used to
-    push the coloured frontier forward from the triggers) and fragments
-    containing a task that *produces* a label (used to seed the search
-    around the goals).  ``exclude`` carries the ids of fragments already
+    Implementations answer two kinds of label-targeted queries: fragments
+    containing a task that *consumes* a label (used to push the coloured
+    frontier forward from the triggers) and fragments containing a task
+    that *produces* a label (used to seed the search around the goals).  ``exclude`` carries the ids of fragments already
     held locally so they are not transferred twice.
     """
 
@@ -208,8 +205,9 @@ class IncrementalConstructor:
         """Run incremental construction for ``specification``.
 
         ``initial_fragments`` model the know-how already held by the
-        initiating host; ``supergraph`` lets a workflow manager workspace
-        reuse the graph accumulated by earlier problems.
+        initiating host; ``supergraph`` lets a caller reuse the graph
+        accumulated by earlier problems, such as a workflow manager's
+        knowledge plane.
         """
 
         graph = supergraph if supergraph is not None else Supergraph()

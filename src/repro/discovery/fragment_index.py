@@ -5,17 +5,16 @@
 :class:`~repro.core.fragments.KnowledgeSet` (label → producing/consuming
 fragments) with what the shared knowledge plane needs:
 
-* **Label keys.**  The inherited produced/consumed-label keys are what
-  ``matching_fragments`` answers wire queries from, in O(matches) instead
-  of O(fragments).
+* **Label keys.**  The inherited produced/consumed-label keys answer
+  "which fragments produce/consume this label" (the incremental variant's
+  :class:`~repro.core.incremental.LocalFragmentSource` asks them); wire
+  queries do not, since every know-how query asks for everything the
+  initiator does not hold.
 * **Ingestion sequence numbers.**  Every fragment receives a monotonically
   increasing sequence number when it is first added; :attr:`version` is the
-  highest number handed out so far.  A remote that has previously performed
-  a full sync at version ``v`` can ask for "everything since ``v``"
-  (:meth:`fragments_since`) and receive only the knowledge it has not seen,
-  which is what the delta fields on
-  :class:`~repro.net.messages.FragmentQuery` /
-  :class:`~repro.net.messages.FragmentResponse` carry on the wire.
+  highest number handed out so far, and :meth:`fragments_since` returns
+  only the knowledge ingested after a given version.  The workflow manager
+  seeds its knowledge plane from its own host's fragments this way.
 * **Cheap removal.**  Obsolete know-how is dropped from every index in
   O(fragment) instead of rebuilding the whole set.
 """
@@ -53,8 +52,8 @@ class FragmentIndex(KnowledgeSet):
         """Remove a fragment from every index; returns whether it existed.
 
         The sequence number of a removed fragment is retired, never reused:
-        :attr:`version` stays monotone, and a later delta query simply no
-        longer sees the forgotten know-how.
+        :attr:`version` stays monotone, and a later :meth:`fragments_since`
+        simply no longer returns the forgotten know-how.
         """
 
         fragment = self._fragments.pop(fragment_id, None)
@@ -83,11 +82,6 @@ class FragmentIndex(KnowledgeSet):
         """The sequence number of the most recently ingested fragment."""
 
         return self._next_sequence
-
-    def sequence_of(self, fragment_id: str) -> int:
-        """Ingestion sequence number of a stored fragment (0 if unknown)."""
-
-        return self._sequence.get(fragment_id, 0)
 
     def fragments_since(self, version: int) -> list[WorkflowFragment]:
         """Fragments ingested after ``version``, in ingestion order.

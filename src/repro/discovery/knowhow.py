@@ -2,33 +2,22 @@
 
 The Fragment Manager "is responsible for maintaining a host's database of
 workflow fragments and responding to knowhow queries during workflow
-construction" (paper, Section 4.2).  Queries come in two flavours matching
-the two construction strategies:
+construction" (paper, Section 4.2).  Every query is the batch algorithm's
+(Section 3.1) "send me everything you know": the answer is every stored
+fragment, in ingestion order, except those the query's exclusion list
+names, which the initiator's knowledge plane already holds.  The one-pass
+scan over the stored fragments is the oracle in
+``tests/reference/knowhow.py``.
 
-* *collect everything* (``want_all=True``) — used by the batch algorithm of
-  Section 3.1, which gathers the entire community knowledge before
-  colouring;
-* *targeted* — used by the incremental variant, which only asks for
-  fragments producing or consuming the labels at the boundary of the
-  coloured region, excluding fragments the initiator already holds.
-
-Both flavours additionally honour the *delta* field of a query
-(``since_version``): the manager assigns every fragment a monotonically
-increasing ingestion sequence number (see
-:class:`~repro.discovery.fragment_index.FragmentIndex`), reports its
-current :attr:`version` on every response, and a querier that already holds
-everything up to version ``v`` receives only fragments ingested after
-``v``.  Repeat workflows on a host that stays in sync with the community
-therefore cost O(new knowledge), not O(community knowledge).
-
-Queries are answered from the inverted label index; the one-pass linear
-scan it replaced is the oracle in ``tests/reference/knowhow.py``.
+The manager also numbers every ingestion
+(:class:`~repro.discovery.fragment_index.FragmentIndex`), so its own host
+seeds the knowledge plane with only the know-how added since the previous
+submission (:meth:`FragmentManager.fragments_since`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Iterable
 
 from ..core.fragments import WorkflowFragment
@@ -41,11 +30,9 @@ _epoch_counter = itertools.count(1)
 class FragmentManager:
     """Stores and serves the workflow fragments known to one host.
 
-    :attr:`epoch` identifies this database *instance* (process-unique).
-    Delta floors recorded by remote hosts are only meaningful against the
-    instance that issued them: a new device reusing a departed host's id
-    gets a fresh epoch, so stale floors are detected and ignored rather
-    than silently hiding the new device's knowledge.
+    :attr:`epoch` identifies this database *instance* (process-unique); a
+    durable host journals it, and a restarted or replacement instance gets
+    a fresh one.
     """
 
     def __init__(
@@ -94,7 +81,7 @@ class FragmentManager:
 
     @property
     def version(self) -> int:
-        """Monotone counter of fragment ingestions (the delta-query epoch)."""
+        """Monotone counter of fragment ingestions."""
 
         return self._knowledge.version
 
@@ -116,54 +103,17 @@ class FragmentManager:
 
     # -- query answering ---------------------------------------------------------
     def matching_fragments(self, query: FragmentQuery) -> list[WorkflowFragment]:
-        """The fragments this host would return for ``query``.
+        """Every stored fragment ``query`` does not exclude, in ingestion order."""
 
-        The result is ordered by ingestion sequence and honours all three
-        narrowing fields: the label sets (unless ``want_all``), the
-        exclusion list, and the delta floor ``since_version``.  A floor
-        recorded against a different database instance
-        (``query.since_epoch`` set but not this manager's :attr:`epoch`)
-        is ignored — the querier's knowledge of *this* instance is empty.
-        """
-
-        if query.since_epoch >= 0 and query.since_epoch != self.epoch:
-            query = replace(query, since_version=0, since_epoch=-1)
-        knowledge = self._knowledge
-        if query.want_all:
-            candidates = knowledge.fragments_since(query.since_version)
-        else:
-            by_id: dict[str, WorkflowFragment] = {}
-            for label in query.consuming:
-                for fragment in knowledge.fragments_consuming(label):
-                    by_id[fragment.fragment_id] = fragment
-            for label in query.producing:
-                for fragment in knowledge.fragments_producing(label):
-                    by_id[fragment.fragment_id] = fragment
-            candidates = sorted(
-                by_id.values(),
-                key=lambda f: knowledge.sequence_of(f.fragment_id),
-            )
-            if query.since_version > 0:
-                candidates = [
-                    fragment
-                    for fragment in candidates
-                    if knowledge.sequence_of(fragment.fragment_id)
-                    > query.since_version
-                ]
-        if not query.exclude_fragment_ids:
-            return candidates
+        excluded = query.exclude_fragment_ids
         return [
             fragment
-            for fragment in candidates
-            if fragment.fragment_id not in query.exclude_fragment_ids
+            for fragment in self._knowledge
+            if fragment.fragment_id not in excluded
         ]
 
     def handle_query(self, query: FragmentQuery) -> FragmentResponse:
-        """Build the wire response for an incoming know-how query.
-
-        The response carries this manager's current :attr:`version` so the
-        querier can record a high-water mark and issue delta queries later.
-        """
+        """Build the wire response for an incoming know-how query."""
 
         self.queries_answered += 1
         fragments = tuple(self.matching_fragments(query))
@@ -173,8 +123,6 @@ class FragmentManager:
             recipient=query.sender,
             fragments=fragments,
             workflow_id=query.workflow_id,
-            knowledge_version=self.version,
-            knowledge_epoch=self.epoch,
         )
 
     def __repr__(self) -> str:

@@ -220,10 +220,11 @@ class Community:
     def restart_host(self, host_id: str) -> Host | None:
         """Bring a crashed host back, resuming from its durable state.
 
-        The replacement is rebuilt from the recorded recipe; its fragment
-        manager starts a new database *epoch*, so initiators that held
-        delta-sync floors against the dead instance fall back to full
-        queries instead of trusting stale versions.
+        The replacement is rebuilt from the recorded recipe (its fragment
+        manager starts a new database *epoch*).  Initiators that learned
+        its know-how before the crash keep it in their knowledge planes and
+        do not ask the host again; the restarted host trusts no remote, so
+        its next discovery asks every one.
 
         With durability on, the host's journal + snapshot are replayed and
         the new incarnation resumes mid-workflow: commitments are restored,

@@ -14,7 +14,6 @@ option is one field here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -27,12 +26,12 @@ if TYPE_CHECKING:
 class HostConfig:
     """How one host's middleware behaves; the defaults are the fast paths.
 
-    Construction (the host as initiator):
+    Construction (the host as initiator) follows Section 3.1's batch
+    algorithm: gather the community's know-how, then colour.  Each remote
+    is asked once, for every fragment the host's knowledge plane does not
+    hold; a remote that answered is trusted for the community's lifetime,
+    so a departed host id reused by a new device is not asked again.
 
-    construction_mode:
-        Discovery strategy: ``"batch"`` gathers the whole community's
-        know-how before colouring (Section 3.1); ``"incremental"`` asks
-        only for fragments at the frontier of the coloured region.
     capability_aware:
         Learn which services the community offers before construction,
         so tasks nobody can perform are filtered out of the supergraph.
@@ -42,11 +41,6 @@ class HostConfig:
         many hosts; cache keys include the graph's identity), a registry
         name such as ``"coloring"`` or ``"memoized"``, or ``None`` for the
         default memoized solver.
-    knowledge_refresh_interval:
-        Simulated seconds a remote's know-how sync stays trusted before
-        the host queries it again: ``inf`` trusts it for the community's
-        lifetime, ``0.0`` re-polls (with delta queries) on every
-        submission.
 
     Robustness:
 
@@ -63,8 +57,9 @@ class HostConfig:
     enable_recovery:
         Repair a failed revision by constructing and auctioning a new
         one: a task failed during execution, an auction left a task
-        unallocated, or construction failed after discovery wrote off a
-        silent remote.
+        unallocated, or construction failed while some remote's know-how
+        was missing from the plane (discovery wrote the remote off as
+        silent, or this host restarted since the remote answered).
     max_repair_attempts:
         Repair revisions tried before a workflow is declared failed.
     durability:
@@ -80,10 +75,8 @@ class HostConfig:
         only the lifecycle journal.
     """
 
-    construction_mode: str = "batch"
     capability_aware: bool = False
     solver: Solver | str | None = None
-    knowledge_refresh_interval: float = math.inf
     fault_injection: bool = False
     enable_recovery: bool = False
     max_repair_attempts: int = 3

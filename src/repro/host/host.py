@@ -159,13 +159,11 @@ class Host:
             self._send,
             fragments=self.fragment_manager,
             auction=self.auction_manager,
-            construction_mode=config.construction_mode,
             capability_aware=config.capability_aware,
             local_services=self.service_manager,
             enable_recovery=config.enable_recovery,
             max_repair_attempts=config.max_repair_attempts,
             solver=config.solver,
-            knowledge_refresh_interval=config.knowledge_refresh_interval,
             robust=config.fault_injection,
             durability=durability,
         )

@@ -7,49 +7,44 @@ job of allocating each task to a suitable host."  It keeps a separate
 :class:`~repro.host.workspace.Workspace` per open workflow so multiple
 problems can be in flight concurrently.
 
-Two discovery strategies are supported, matching Section 3.1:
-
-* ``batch`` — ask every participant for *all* of its fragments, build the
-  supergraph once every response has arrived, then colour it.  This is the
-  strategy used in the paper's evaluation.
-* ``incremental`` — repeatedly ask participants only for fragments touching
-  the labels at the boundary of the coloured region, re-running the
-  colouring after each round, until a feasible workflow emerges or the
-  community has nothing new to offer.
+Discovery is the batch algorithm of Section 3.1, the one the paper's
+evaluation runs: ask every participant for all of its fragments, build the
+supergraph once every response has arrived, then colour it.  The
+incremental variant, which asks only about the labels at the boundary of
+the coloured region, is a library algorithm
+(:class:`~repro.core.incremental.IncrementalConstructor`) that the
+discovery ablation measures.
 
 **The shared knowledge plane.**  By default every workspace of a manager
 shares one long-lived :class:`~repro.core.supergraph.Supergraph` (and hence
 the solver's memoized colouring cache, which is keyed by graph identity).
 Workspace-local state — phase, exclusions, statistics, timing — stays
 per-workspace; only the accumulated community knowledge is shared.  The
-manager keeps two high-water marks against that plane:
+manager keeps two marks against that plane:
 
 * its own fragment manager's ingestion version, so ``submit()`` seeds only
   local know-how added since the previous submission;
-* per-remote *full-sync* versions: after a ``want_all`` round the remote's
-  reported fragment-set version is recorded, later full queries become
-  delta queries ("everything since version v"), and a remote whose sync is
-  younger than ``knowledge_refresh_interval`` simulated seconds is not
-  queried at all.  Repeat workflows on a host therefore cost traffic and
-  recolouring proportional to *new* knowledge, not community size.
+* the set of *synced* remotes.  A know-how query asks a remote for
+  everything the plane does not hold (its exclusion list is the plane's
+  fragment ids); once the remote has answered, the plane holds all it
+  knew, and it is not queried again for the lifetime of the community.
+  Repeat workflows on a host therefore cost traffic and recolouring
+  proportional to *new* knowledge, not community size.
 
-Pass ``knowledge_refresh_interval=0.0`` to re-poll the community (with
-delta queries) on every submission.  One semantic difference from a
-graph per workspace is that knowledge, once learned, persists: fragments
-collected for an earlier workflow remain available even if the
-contributing host has since left the community.  The equivalence
-property suite compares every workspace with a fresh supergraph of the
-same fragments.
+One semantic difference from a graph per workspace is that knowledge, once
+learned, persists: fragments collected for an earlier workflow remain
+available even if the contributing host has since left the community, and
+a new device that reuses a departed host's id is not asked again.  The
+equivalence property suite compares every workspace with a fresh
+supergraph of the same fragments.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from typing import Callable, Iterable
 
 from ..allocation.auction import AllocationOutcome, AuctionManager
-from ..core.incremental import compute_frontier_labels
 from ..core.solver import Solver, make_solver
 from ..core.specification import Specification
 from ..core.supergraph import Supergraph
@@ -104,21 +99,13 @@ class WorkflowManager:
         network.
     auction:
         The host's auction manager, used for the allocation phase.
-    construction_mode:
-        ``"batch"`` (collect everything first) or ``"incremental"``.
     solver:
         Construction strategy (a :class:`~repro.core.solver.Solver`
         instance, a registry name like ``"coloring"`` or ``"memoized"``, or
         ``None`` for the default memoized solver).  With the memoized
-        solver, re-solves of the same workspace — the per-round colourings
-        of incremental discovery, and the final construction after
-        discovery — reuse the cached green region and recolor only the
+        solver, later solves on the shared plane — a repair, a repeat
+        workflow — reuse the cached green region and recolor only the
         fragments that arrived in between.
-    knowledge_refresh_interval:
-        Minimum simulated-seconds age of a remote's full sync before that
-        remote is re-queried.  The default (``inf``) trusts a completed
-        sync for the lifetime of the community; ``0.0`` re-polls (with
-        delta queries) on every submission.
     """
 
     def __init__(
@@ -128,24 +115,19 @@ class WorkflowManager:
         send: SendFunction,
         fragments: FragmentManager,
         auction: AuctionManager,
-        construction_mode: str = "batch",
         capability_aware: bool = False,
         local_services: ServiceManager | None = None,
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
         solver: Solver | str | None = None,
-        knowledge_refresh_interval: float = math.inf,
         robust: bool = False,
         durability=None,
     ) -> None:
-        if construction_mode not in ("batch", "incremental"):
-            raise ValueError("construction_mode must be 'batch' or 'incremental'")
         self.host_id = host_id
         self.scheduler = scheduler
         self._send = send
         self.fragments = fragments
         self.auction = auction
-        self.construction_mode = construction_mode
         self.capability_aware = capability_aware
         self.local_services = local_services
         self.enable_recovery = enable_recovery
@@ -153,15 +135,12 @@ class WorkflowManager:
         self.durability = durability
         self.capabilities = CapabilityDirectory()
         self.solver = make_solver(solver)
-        self.knowledge_refresh_interval = knowledge_refresh_interval
         #: The host's knowledge plane: one supergraph for every workspace.
         self.supergraph = Supergraph()
         self._seeded_local_version = 0
-        #: remote host -> (version, sim time, database epoch) of its last
-        #: full sync.  The epoch ties the version to one database instance;
-        #: a new device reusing the host id answers with a different epoch,
-        #: which resets the floor (see FragmentManager.epoch).
-        self._synced_remotes: dict[str, tuple[int, float, int]] = {}
+        #: Remotes that answered a discovery round: the plane holds all
+        #: they knew, so they are not queried again.
+        self._synced_remotes: set[str] = set()
         #: Fault hardening (``fault_injection``): discovery queries are
         #: retried with backoff and silent remotes eventually written off,
         #: and an executing workflow that makes no progress for
@@ -261,139 +240,38 @@ class WorkflowManager:
     def _remote_participants(self, workspace: Workspace) -> list[str]:
         return sorted(workspace.participants - {self.host_id})
 
-    def _is_freshly_synced(self, remote: str) -> bool:
-        """True when ``remote``'s last full sync is young enough to trust."""
-
-        sync = self._synced_remotes.get(remote)
-        if sync is None:
-            return False
-        age = self.scheduler.clock.now() - sync[1]
-        return age < self.knowledge_refresh_interval
-
-    def _stale_remotes(self, remotes: list[str]) -> list[str]:
-        """The remotes whose knowledge the shared plane does not already hold."""
-
-        return [r for r in remotes if not self._is_freshly_synced(r)]
-
-    def _sync_floor(self, remote: str) -> tuple[int, int]:
-        """(version, epoch) delta floor for a query to ``remote``.
-
-        ``(0, -1)`` means "send everything".  The epoch lets the responder
-        reject a floor recorded against a previous database instance.
-        """
-
-        sync = self._synced_remotes.get(remote)
-        return (sync[0], sync[2]) if sync is not None else (0, -1)
-
-    def _exclusions_for(
-        self, workspace: Workspace, floor_version: int
-    ) -> frozenset[str]:
-        """Exclusion list for a query whose delta floor is ``floor_version``.
-
-        With no floor the full held-fragment set is sent — first contact
-        with a remote, where exclusions are what prevents re-transferring
-        knowledge learned from third parties.  With a floor, everything at
-        or below it cannot be returned anyway; the rare third-party
-        fragment the remote ingested since then is deduplicated on merge,
-        so the list is dropped instead of growing with the plane's lifetime
-        knowledge.
-        """
-
-        if floor_version > 0:
-            return frozenset()
-        return workspace.supergraph.fragment_ids
-
     def _start_discovery(self, workspace: Workspace) -> None:
         workspace.enter_phase(WorkflowPhase.DISCOVERY, self.scheduler.clock.now())
         remotes = self._remote_participants(workspace)
-        if not remotes:
+        unsynced = [r for r in remotes if r not in self._synced_remotes]
+        workspace.remotes_skipped += len(remotes) - len(unsynced)
+        if not unsynced:
+            # The shared plane already holds every participant's knowledge
+            # (or there is no one to ask): no traffic needed.
             self._after_discovery(workspace)
             return
-        if self.construction_mode == "batch":
-            self._query_all_fragments(workspace, remotes)
-        else:
-            self._query_frontier(workspace, remotes)
+        self._query_fragments(workspace, unsynced)
 
-    def _query_all_fragments(self, workspace: Workspace, remotes: list[str]) -> None:
-        workspace.did_full_discovery = True
-        stale = self._stale_remotes(remotes)
-        workspace.remotes_skipped += len(remotes) - len(stale)
-        if not stale:
-            # Every participant completed a full sync into the shared plane
-            # recently enough: the graph already holds the community's
-            # knowledge, no traffic needed.
-            self._after_discovery(workspace)
-            return
+    def _query_fragments(self, workspace: Workspace, remotes: list[str]) -> None:
+        """One discovery round: ask each of ``remotes`` for its know-how."""
+
         workspace.discovery_rounds += 1
-        workspace.awaiting_fragment_responses = set(stale)
-        workspace.awaiting_full_sync = set(stale)
-        for remote in stale:
-            self._send_full_query(workspace, remote)
+        workspace.awaiting_fragment_responses = set(remotes)
+        for remote in remotes:
+            self._send_fragment_query(workspace, remote)
         self._arm_discovery_timer(workspace, attempt=1)
 
-    def _send_full_query(self, workspace: Workspace, remote: str) -> None:
-        floor_version, floor_epoch = self._sync_floor(remote)
+    def _send_fragment_query(self, workspace: Workspace, remote: str) -> None:
+        """Ask ``remote`` for everything the plane does not already hold."""
+
         self._send(
             FragmentQuery(
                 sender=self.host_id,
                 recipient=remote,
-                want_all=True,
-                exclude_fragment_ids=self._exclusions_for(workspace, floor_version),
+                exclude_fragment_ids=workspace.supergraph.fragment_ids,
                 workflow_id=workspace.workflow_id,
-                since_version=floor_version,
-                since_epoch=floor_epoch,
             )
         )
-
-    def _query_frontier(self, workspace: Workspace, remotes: list[str]) -> None:
-        result = self.solver.solve(workspace.supergraph, workspace.specification)
-        if result.succeeded:
-            self._after_discovery(workspace)
-            return
-        stale = self._stale_remotes(remotes)
-        if not stale:
-            # The shared plane already holds everything the community knows;
-            # asking again cannot change the verdict.
-            workspace.remotes_skipped += len(remotes)
-            workspace.did_full_discovery = True
-            self._after_discovery(workspace)
-            return
-        frontier = compute_frontier_labels(
-            workspace.supergraph, workspace.specification, result
-        )
-        new_labels = frontier - workspace.queried_labels
-        if not new_labels:
-            if workspace.did_full_discovery:
-                # The whole community has already been asked for everything;
-                # run construction one last time so the workspace records the
-                # definitive failure reason, then stop.
-                self._after_discovery(workspace)
-                return
-            # Nothing left to ask about: fall back to one batch round so the
-            # failure reason reflects the whole community's knowledge.
-            self._query_all_fragments(workspace, remotes)
-            return
-        workspace.queried_labels |= new_labels
-        workspace.discovery_rounds += 1
-        workspace.remotes_skipped += len(remotes) - len(stale)
-        workspace.awaiting_fragment_responses = set(stale)
-        for remote in stale:
-            floor_version, floor_epoch = self._sync_floor(remote)
-            self._send(
-                FragmentQuery(
-                    sender=self.host_id,
-                    recipient=remote,
-                    consuming=frozenset(new_labels),
-                    producing=frozenset(new_labels),
-                    exclude_fragment_ids=self._exclusions_for(
-                        workspace, floor_version
-                    ),
-                    workflow_id=workspace.workflow_id,
-                    since_version=floor_version,
-                    since_epoch=floor_epoch,
-                )
-            )
-        self._arm_discovery_timer(workspace, attempt=1)
 
     # -- discovery fault hardening ---------------------------------------------------
     def _arm_discovery_timer(self, workspace: Workspace, attempt: int) -> None:
@@ -418,11 +296,10 @@ class WorkflowManager:
         """A discovery round expired: re-query the silent, or write them off.
 
         Up to ``MAX_DISCOVERY_ATTEMPTS`` rounds the missing remotes are
-        re-queried (full queries — a superset of whatever the round asked,
-        deduplicated on merge).  After that the silent remotes are treated
-        as departed: discovery proceeds on the knowledge that did arrive,
-        so a crashed participant costs its know-how, never the workflow.
-        If construction then fails, the repair asks them again.
+        re-queried.  After that the silent remotes are treated as departed:
+        discovery proceeds on the knowledge that did arrive, so a crashed
+        participant costs its know-how, never the workflow.  If
+        construction then fails, the repair asks them again.
         """
 
         self._discovery_timers.pop(workflow_id, None)
@@ -438,7 +315,7 @@ class WorkflowManager:
                 missing_capabilities
             )
             for remote in missing_fragments:
-                self._send_full_query(workspace, remote)
+                self._send_fragment_query(workspace, remote)
             if missing_capabilities:
                 service_types = self._queried_service_types(workspace)
                 for remote in missing_capabilities:
@@ -453,13 +330,9 @@ class WorkflowManager:
             self._arm_discovery_timer(workspace, attempt + 1)
             return
         workspace.awaiting_fragment_responses -= set(missing_fragments)
-        workspace.awaiting_full_sync -= set(missing_fragments)
         workspace.awaiting_capability_responses -= set(missing_capabilities)
         if missing_fragments and not workspace.awaiting_fragment_responses:
-            if self.construction_mode == "batch":
-                self._after_discovery(workspace)
-            else:
-                self._query_frontier(workspace, self._remote_participants(workspace))
+            self._after_discovery(workspace)
         elif missing_capabilities and not workspace.awaiting_capability_responses:
             self._run_construction(workspace)
 
@@ -490,25 +363,13 @@ class WorkflowManager:
             self.durability.discovery_response(
                 workspace.workflow_id, response.sender, response.fragments
             )
-        if response.sender in workspace.awaiting_full_sync:
-            workspace.awaiting_full_sync.discard(response.sender)
-            # A full (want_all) answer means the plane now holds everything
-            # the sender knew up to its reported version: record the
-            # high-water mark for future delta queries.
-            if response.knowledge_version >= 0:
-                self._synced_remotes[response.sender] = (
-                    response.knowledge_version,
-                    self.scheduler.clock.now(),
-                    response.knowledge_epoch,
-                )
-        workspace.awaiting_fragment_responses.discard(response.sender)
-        if not was_awaited or workspace.awaiting_fragment_responses:
+        if not was_awaited:
             return
-        if self.construction_mode == "batch":
+        # The plane now holds everything the sender knew.
+        self._synced_remotes.add(response.sender)
+        workspace.awaiting_fragment_responses.discard(response.sender)
+        if not workspace.awaiting_fragment_responses:
             self._after_discovery(workspace)
-        else:
-            remotes = self._remote_participants(workspace)
-            self._query_frontier(workspace, remotes)
 
     # -- capability discovery ----------------------------------------------------------
     def _after_discovery(self, workspace: Workspace) -> None:
@@ -621,10 +482,10 @@ class WorkflowManager:
                 f"construction failed: {result.reason}", self.scheduler.clock.now()
             )
             self._notify_allocated(workspace)
-            # A remote this discovery asked for everything but that has no
-            # full sync (written off as silent) never put its know-how into
+            # A remote that never answered (written off as silent, or not
+            # asked since this host restarted) never put its know-how into
             # the plane; the repair's discovery asks it, and only it, again.
-            if workspace.did_full_discovery and any(
+            if any(
                 remote not in self._synced_remotes
                 for remote in self._remote_participants(workspace)
             ):
@@ -985,16 +846,10 @@ class WorkflowManager:
             if not silent:
                 self._after_discovery(workspace)
                 return
-            # Full queries to the remotes the crashed round never heard
-            # from; the exclusion list carries the restored graph's ids, so
-            # replayed knowledge is not re-transferred.
-            workspace.did_full_discovery = True
-            workspace.discovery_rounds += 1
-            workspace.awaiting_fragment_responses = set(silent)
-            workspace.awaiting_full_sync = set(silent)
-            for remote in silent:
-                self._send_full_query(workspace, remote)
-            self._arm_discovery_timer(workspace, attempt=1)
+            # Query the remotes the crashed round never heard from; the
+            # exclusion list carries the restored graph's ids, so replayed
+            # knowledge is not re-transferred.
+            self._query_fragments(workspace, silent)
             return
         if record.allocation:
             # Real-world torn crash between the journaled auction outcome
@@ -1034,6 +889,6 @@ class WorkflowManager:
 
     def __repr__(self) -> str:
         return (
-            f"WorkflowManager(host={self.host_id!r}, mode={self.construction_mode!r}, "
+            f"WorkflowManager(host={self.host_id!r}, "
             f"workspaces={len(self._workspaces)})"
         )

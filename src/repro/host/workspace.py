@@ -74,18 +74,15 @@ class Workspace:
 
     # Discovery bookkeeping.  ``fragments_reused`` counts the fragments the
     # shared knowledge plane already held at submission; ``remotes_skipped``
-    # counts remote queries avoided because the sender was fully synced.
+    # counts remote queries avoided because the remote had already answered.
     awaiting_fragment_responses: set[str] = field(default_factory=set)
-    awaiting_full_sync: set[str] = field(default_factory=set)
     fragment_responses_received: int = 0
     fragments_collected: int = 0
     fragments_reused: int = 0
     remotes_skipped: int = 0
     discovery_rounds: int = 0
-    queried_labels: set[str] = field(default_factory=set)
     awaiting_capability_responses: set[str] = field(default_factory=set)
     capability_responses_received: int = 0
-    did_full_discovery: bool = False
 
     # Execution bookkeeping.  ``unexpected_labels`` accumulates the
     # unexpected-delivery counts executors piggyback on their progress

@@ -17,9 +17,9 @@ on-demand behaviour.
 
 The model intentionally keeps the same *shape* of costs as the real medium:
 small control messages cost roughly the per-hop overhead while fragment
-transfers scale with their payload, so protocol-level trade-offs (batch vs.
-incremental discovery, number of participants) show up the same way they do
-on real hardware.
+transfers scale with their payload, so protocol-level trade-offs (how much
+know-how a query transfers, number of participants) show up the same way
+they do on real hardware.
 
 Scaling architecture
 --------------------

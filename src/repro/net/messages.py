@@ -101,54 +101,26 @@ class Message:
 
 @dataclass(frozen=True, repr=False)
 class FragmentQuery(Message):
-    """Ask a host for fragments relevant to a set of labels.
+    """The batch algorithm's "send me everything you know" query.
 
-    ``consuming`` and ``producing`` list labels the initiator wants
-    fragments for; ``exclude_fragment_ids`` lists fragments it already
-    holds.  ``want_all`` models the batch algorithm's "send me everything
-    you know" query.  ``since_version`` is the delta floor of the shared
-    knowledge plane: a querier that previously completed a full sync with
-    the recipient at fragment-set version ``v`` passes ``since_version=v``
-    and receives only fragments the recipient ingested after ``v``.
-    ``since_epoch`` names the responder database *instance* the floor was
-    recorded against (see
-    :attr:`~repro.discovery.knowhow.FragmentManager.epoch`); a responder
-    whose epoch differs ignores the floor, so a version recorded against a
-    departed host cannot hide the knowledge of a new host reusing its id.
-    ``since_epoch=-1`` skips the check (a trusted floor).
+    ``exclude_fragment_ids`` lists the fragments the initiator's knowledge
+    plane already holds, so the answer carries only what it lacks.
     """
 
-    consuming: frozenset[str] = frozenset()
-    producing: frozenset[str] = frozenset()
     exclude_fragment_ids: frozenset[str] = frozenset()
-    want_all: bool = False
     workflow_id: str = ""
-    since_version: int = 0
-    since_epoch: int = -1
 
     def _payload_bytes(self) -> int:
-        return (
-            _LABEL_BYTES * (len(self.consuming) + len(self.producing))
-            + 8 * len(self.exclude_fragment_ids)
-            + (8 if self.since_version else 0)
-        )
+        return 8 * len(self.exclude_fragment_ids)
 
 
 @dataclass(frozen=True, repr=False)
 class FragmentResponse(Message):
-    """A host's answer to a :class:`FragmentQuery`: the matching fragments.
-
-    ``knowledge_version`` is the responder's fragment-set version at answer
-    time (see :class:`~repro.discovery.fragment_index.FragmentIndex`) and
-    ``knowledge_epoch`` its database-instance epoch; a querier that asked
-    for everything records the pair as the high-water mark for future delta
-    queries.  ``-1`` means the responder did not report them.
-    """
+    """A host's answer to a :class:`FragmentQuery`: every fragment it holds
+    that the query did not exclude, in ingestion order."""
 
     fragments: tuple[WorkflowFragment, ...] = ()
     workflow_id: str = ""
-    knowledge_version: int = -1
-    knowledge_epoch: int = -1
 
     def _payload_bytes(self) -> int:
         return 8 + sum(estimate_fragment_bytes(f) for f in self.fragments)

@@ -1,26 +1,27 @@
-"""Integration tests: failure injection and the incremental discovery mode."""
+"""Integration tests: failure injection, and Section 3.1's incremental
+variant run against a community's know-how."""
 
 import pytest
 
 from repro.core import Task, WorkflowFragment
+from repro.core.incremental import construct_incrementally
+from repro.core.specification import Specification
 from repro.execution import CallableService, ServiceDescription
 from repro.host import Community, WorkflowPhase
 from repro.scheduling import ParticipantPreferences
 
 
-def build_chain_community(construction_mode: str = "batch") -> Community:
+def build_chain_community() -> Community:
     community = Community()
     community.add_host(
         "one",
         fragments=[WorkflowFragment([Task("t1", ["a"], ["b"], duration=1)], fragment_id="i/f1")],
         services=[ServiceDescription("t1", duration=1)],
-        construction_mode=construction_mode,
     )
     community.add_host(
         "two",
         fragments=[WorkflowFragment([Task("t2", ["b"], ["c"], duration=1)], fragment_id="i/f2")],
         services=[ServiceDescription("t2", duration=1)],
-        construction_mode=construction_mode,
     )
     community.add_host(
         "three",
@@ -29,67 +30,66 @@ def build_chain_community(construction_mode: str = "batch") -> Community:
             WorkflowFragment([Task("noise", ["p"], ["q"], duration=1)], fragment_id="i/noise"),
         ],
         services=[ServiceDescription("t3", duration=1)],
-        construction_mode=construction_mode,
     )
     return community
 
 
+def incremental_from(community, initiator, triggers, goals):
+    """The incremental variant as ``initiator`` would run it: starting from
+    its own know-how and pulling the rest of the community's on demand."""
+
+    remote = [
+        fragment
+        for host in community
+        if host.host_id != initiator
+        for fragment in host.fragment_manager.all_fragments()
+    ]
+    return construct_incrementally(
+        remote,
+        Specification(triggers=triggers, goals=goals),
+        initial_fragments=community.host(initiator).fragment_manager.all_fragments(),
+    )
+
+
 class TestIncrementalDiscoveryMode:
+    """The middleware discovers know-how in one batch round; the
+    incremental variant of Section 3.1 stays a library algorithm
+    (:class:`IncrementalConstructor`), checked here against the same
+    communities."""
+
     def test_incremental_initiator_solves_the_chain(self):
-        community = build_chain_community(construction_mode="incremental")
-        workspace = community.submit_problem("one", ["a"], ["d"])
-        community.run_until_completed(workspace)
-        assert workspace.phase is WorkflowPhase.COMPLETED
-        assert workspace.workflow.task_names == {"t1", "t2", "t3"}
+        result = incremental_from(build_chain_community(), "one", ["a"], ["d"])
+        assert result.succeeded
+        assert result.workflow.task_names == {"t1", "t2", "t3"}
 
     def test_incremental_mode_uses_multiple_discovery_rounds(self):
         # A longer chain: the middle fragment is neither adjacent to the
-        # initiator's coloured frontier nor a producer of the goal, so it can
-        # only be found in a second round of targeted queries.
+        # initiator's coloured frontier nor a producer of the goal or of its
+        # producer's input, so it can only be found in a second round of
+        # targeted queries.
         community = Community()
-        community.add_host(
-            "one",
-            fragments=[WorkflowFragment([Task("t1", ["a"], ["b"], duration=1)])],
-            services=[ServiceDescription("t1", duration=1)],
-            construction_mode="incremental",
-        )
-        community.add_host(
-            "two",
-            fragments=[WorkflowFragment([Task("t2", ["b"], ["c"], duration=1)])],
-            services=[ServiceDescription("t2", duration=1)],
-        )
-        community.add_host(
-            "three",
-            fragments=[WorkflowFragment([Task("t3", ["c"], ["d"], duration=1)])],
-            services=[ServiceDescription("t3", duration=1)],
-        )
-        community.add_host(
-            "four",
-            fragments=[WorkflowFragment([Task("t4", ["d"], ["e"], duration=1)])],
-            services=[ServiceDescription("t4", duration=1)],
-        )
-        workspace = community.submit_problem("one", ["a"], ["e"])
-        community.run_until_completed(workspace)
-        assert workspace.phase is WorkflowPhase.COMPLETED
-        assert workspace.discovery_rounds >= 2
+        for index, (source, target) in enumerate(zip("abcde", "bcdef"), start=1):
+            community.add_host(
+                f"host-{index}",
+                fragments=[WorkflowFragment([Task(f"t{index}", [source], [target], duration=1)])],
+            )
+        result = incremental_from(community, "host-1", ["a"], ["f"])
+        assert result.succeeded
+        assert result.incremental.rounds >= 2
 
     def test_incremental_failure_still_terminates(self):
-        community = build_chain_community(construction_mode="incremental")
-        workspace = community.submit_problem("one", ["a"], ["unobtainable"])
-        community.run_until_allocated(workspace)
-        assert workspace.phase is WorkflowPhase.FAILED
+        result = incremental_from(build_chain_community(), "one", ["a"], ["unobtainable"])
+        assert not result.succeeded
 
     def test_batch_and_incremental_find_equivalent_workflows(self):
-        batch = build_chain_community(construction_mode="batch")
-        incremental = build_chain_community(construction_mode="incremental")
+        batch = build_chain_community()
         ws_batch = batch.submit_problem("one", ["a"], ["d"])
-        ws_incr = incremental.submit_problem("one", ["a"], ["d"])
         batch.run_until_allocated(ws_batch)
-        incremental.run_until_allocated(ws_incr)
-        assert ws_batch.workflow.task_names == ws_incr.workflow.task_names
+        incremental = incremental_from(build_chain_community(), "one", ["a"], ["d"])
+        assert ws_batch.workflow.task_names == incremental.workflow.task_names
         # The incremental initiator never needed the irrelevant fragment.
         assert "i/noise" in ws_batch.supergraph.fragment_ids
-        assert "i/noise" not in ws_incr.supergraph.fragment_ids
+        assert "i/noise" not in incremental.supergraph.fragment_ids
 
 
 class TestParticipantDeparture:

@@ -1,12 +1,13 @@
-"""Property: indexed fragment discovery ≡ the linear reference scan.
+"""Property: know-how answers ≡ a one-pass scan of the ingestion order.
 
-The :class:`~repro.discovery.knowhow.FragmentManager` answers know-how
-queries from an inverted index (:class:`FragmentIndex`); the original
-one-pass-over-everything scan is the oracle in ``tests/reference/knowhow.py``.
-The two must agree *exactly* — same fragments, same order — for every
-combination of the query's narrowing fields (label sets, ``want_all``,
-exclusion list, delta floor), including after removals and re-additions,
-which is what these properties drive randomly.
+The :class:`~repro.discovery.knowhow.FragmentManager` answers every query
+with the fragments it stores that the query does not exclude, in ingestion
+order.  The oracle in ``tests/reference/knowhow.py`` scans the order in
+which the test added them.  The two must agree *exactly* — same fragments,
+same order — for any exclusion list, also after a removal and a
+re-addition (which moves the fragment to the end), and
+:meth:`~repro.discovery.knowhow.FragmentManager.fragments_since` must cut
+that order at every version.
 """
 
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from repro.discovery.knowhow import FragmentManager
 from repro.net.messages import FragmentQuery
 
 from ..reference.knowhow import matching_linear
-from .strategies import LABELS, knowledge_sets
+from .strategies import knowledge_sets
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -26,14 +27,7 @@ def _ids(fragments) -> list[str]:
 
 
 @st.composite
-def queries(draw, max_version: int = 12) -> FragmentQuery:
-    want_all = draw(st.booleans())
-    consuming = frozenset(
-        draw(st.lists(st.sampled_from(LABELS), max_size=4, unique=True))
-    )
-    producing = frozenset(
-        draw(st.lists(st.sampled_from(LABELS), max_size=4, unique=True))
-    )
+def queries(draw) -> FragmentQuery:
     exclude = frozenset(
         draw(
             st.lists(
@@ -45,15 +39,8 @@ def queries(draw, max_version: int = 12) -> FragmentQuery:
             )
         )
     )
-    since = draw(st.integers(min_value=0, max_value=max_version))
     return FragmentQuery(
-        sender="asker",
-        recipient="answerer",
-        want_all=want_all,
-        consuming=consuming,
-        producing=producing,
-        exclude_fragment_ids=exclude,
-        since_version=since,
+        sender="asker", recipient="answerer", exclude_fragment_ids=exclude
     )
 
 
@@ -62,7 +49,7 @@ def queries(draw, max_version: int = 12) -> FragmentQuery:
 def test_indexed_matching_equals_linear_scan(fragments, query):
     manager = FragmentManager("host", fragments)
     assert _ids(manager.matching_fragments(query)) == _ids(
-        matching_linear(manager.knowledge, query)
+        matching_linear(fragments, query)
     )
 
 
@@ -78,34 +65,26 @@ def test_equivalence_survives_removal_and_readdition(fragments, query, data):
     victim = data.draw(st.sampled_from(sorted(manager.fragment_ids)))
     assert manager.remove_fragment(victim)
     assert victim not in manager.fragment_ids
-    readd = data.draw(st.booleans())
-    if readd:
+    ingested = [f for f in fragments if f.fragment_id != victim]
+    if data.draw(st.booleans()):
         fragment = next(f for f in fragments if f.fragment_id == victim)
         manager.add_fragment(fragment)
+        ingested.append(fragment)
         # Re-ingestion assigns a fresh sequence number.
         assert manager.version == version + 1
-        assert manager.knowledge.sequence_of(victim) == manager.version
+        assert _ids(manager.fragments_since(version)) == [victim]
     assert _ids(manager.matching_fragments(query)) == _ids(
-        matching_linear(manager.knowledge, query)
+        matching_linear(ingested, query)
     )
 
 
 @SETTINGS
 @given(fragments=knowledge_sets(max_fragments=12))
 def test_delta_floor_partitions_the_database(fragments):
-    """since_version=v returns exactly the fragments ingested after v."""
+    """fragments_since(v) is everything after the first v ingestions."""
 
     manager = FragmentManager("host", fragments)
-    everything = manager.all_fragments()
+    ingested = _ids(fragments)
+    assert manager.version == len(ingested)
     for version in range(manager.version + 1):
-        since = manager.fragments_since(version)
-        expected = [
-            f
-            for f in everything
-            if manager.knowledge.sequence_of(f.fragment_id) > version
-        ]
-        assert [f.fragment_id for f in since] == [f.fragment_id for f in expected]
-    assert manager.fragments_since(manager.version) == []
-    assert [f.fragment_id for f in manager.fragments_since(0)] == [
-        f.fragment_id for f in everything
-    ]
+        assert _ids(manager.fragments_since(version)) == ingested[version:]

@@ -1,6 +1,7 @@
 """Unit tests for the discovery substrate: Fragment Manager and capabilities."""
 
 from repro.core.fragments import WorkflowFragment
+from repro.core.incremental import LocalFragmentSource
 from repro.core.tasks import Task
 from repro.discovery.capability import CapabilityDirectory, make_capability_query
 from repro.discovery.knowhow import FragmentManager
@@ -31,7 +32,7 @@ class TestFragmentManager:
 
     def test_want_all_query(self):
         manager = make_manager()
-        query = FragmentQuery(sender="mgr", recipient="chef", want_all=True, workflow_id="w")
+        query = FragmentQuery(sender="mgr", recipient="chef", workflow_id="w")
         response = manager.handle_query(query)
         assert len(response.fragments) == 2
         assert response.recipient == "mgr"
@@ -40,20 +41,17 @@ class TestFragmentManager:
         assert manager.fragments_served == 2
 
     def test_targeted_query_by_label(self):
-        manager = make_manager()
-        consuming = manager.matching_fragments(
-            FragmentQuery(sender="m", recipient="chef", consuming=frozenset({"b"}))
-        )
+        # The index's label keys answer the incremental variant's queries.
+        source = LocalFragmentSource(make_manager().knowledge)
+        consuming = source.fragments_consuming("b", exclude=frozenset())
         assert {f.fragment_id for f in consuming} == {"f2"}
-        producing = manager.matching_fragments(
-            FragmentQuery(sender="m", recipient="chef", producing=frozenset({"b"}))
-        )
+        producing = source.fragments_producing("b", exclude=frozenset())
         assert {f.fragment_id for f in producing} == {"f1"}
 
     def test_exclusion_list_respected(self):
         manager = make_manager()
         query = FragmentQuery(
-            sender="m", recipient="chef", want_all=True, exclude_fragment_ids=frozenset({"f1"})
+            sender="m", recipient="chef", exclude_fragment_ids=frozenset({"f1"})
         )
         assert {f.fragment_id for f in manager.matching_fragments(query)} == {"f2"}
 

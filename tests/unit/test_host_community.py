@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Task, WorkflowFragment
 from repro.core.errors import OpenWorkflowError
+from repro.core.solver import ColoringSolver
 from repro.execution import ServiceDescription
 from repro.experiments.trials import build_trial_community
 from repro.host import Community, HostConfig, WorkflowPhase
@@ -50,9 +51,8 @@ class TestCommunityMembership:
 class TestHostConfig:
     def test_every_manager_is_built_from_the_config(self):
         config = HostConfig(
-            construction_mode="incremental",
             capability_aware=True,
-            knowledge_refresh_interval=5.0,
+            solver="coloring",
             fault_injection=True,
             enable_recovery=True,
             max_repair_attempts=5,
@@ -62,9 +62,8 @@ class TestHostConfig:
         host = Community().add_host("a", config=config)
         assert host.config is config
         workflow = host.workflow_manager
-        assert workflow.construction_mode == "incremental"
         assert workflow.capability_aware
-        assert workflow.knowledge_refresh_interval == 5.0
+        assert type(workflow.solver) is ColoringSolver
         assert workflow.robust and workflow.enable_recovery
         assert workflow.max_repair_attempts == 5
         assert host.auction_manager.robust
@@ -80,7 +79,7 @@ class TestHostConfig:
 
     def test_restart_rebuilds_the_host_from_its_config(self):
         community = Community()
-        config = HostConfig(construction_mode="incremental", fault_injection=True)
+        config = HostConfig(capability_aware=True, fault_injection=True)
         community.add_host("a", config=config)
         community.crash_host("a")
         assert community.restart_host("a").config is config
@@ -101,7 +100,7 @@ class TestHostDispatch:
         alice = community.host("alice")
         bob = community.host("bob")
         community.network.send(
-            FragmentQuery(sender="alice", recipient="bob", want_all=True, workflow_id="w")
+            FragmentQuery(sender="alice", recipient="bob", workflow_id="w")
         )
         community.run_idle()
         assert bob.fragment_manager.queries_answered == 1

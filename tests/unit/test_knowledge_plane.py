@@ -1,15 +1,15 @@
 """Unit tests for the shared knowledge plane (PR 3).
 
-Covers the pieces individually: the versioned fragment index and delta
-queries, the batched supergraph merge, the workflow manager's supergraph
-reuse and synced-remote skipping, the memoized message sizes, the per-kind
-byte counters, and the traffic report.
+Covers the pieces individually: the versioned fragment index and the
+exclusion list that keeps a query to what the asker lacks, the batched
+supergraph merge, the workflow manager's supergraph reuse and
+synced-remote skipping, the memoized message sizes, the per-kind byte
+counters, and the traffic report.
 """
-
-import math
 
 from repro.analysis.reporting import traffic_table
 from repro.core.fragments import WorkflowFragment
+from repro.core.incremental import IncrementalConstructor, LocalFragmentSource
 from repro.core.supergraph import Supergraph
 from repro.core.tasks import Task
 from repro.discovery.knowhow import FragmentManager
@@ -24,19 +24,17 @@ def fragment(name: str, inputs, outputs, fragment_id=None) -> WorkflowFragment:
     )
 
 
-def chain_community(**host_kwargs) -> Community:
+def chain_community() -> Community:
     community = Community()
     community.add_host(
         "one",
         fragments=[fragment("t1", ["a"], ["b"], "f1")],
         services=[ServiceDescription("t1", duration=1)],
-        **host_kwargs,
     )
     community.add_host(
         "two",
         fragments=[fragment("t2", ["b"], ["c"], "f2")],
         services=[ServiceDescription("t2", duration=1)],
-        **host_kwargs,
     )
     return community
 
@@ -54,21 +52,15 @@ class TestDeltaQueries:
         assert manager.version == 2  # versions are never reused
 
     def test_want_all_delta_returns_only_new_fragments(self):
+        # An asker that already holds f1 names it in the exclusion list, so
+        # the answer to "everything" is only what was added since.
         manager = FragmentManager("h")
         manager.add_fragment(fragment("t1", ["a"], ["b"], "f1"))
-        floor = manager.version
         manager.add_fragment(fragment("t2", ["b"], ["c"], "f2"))
         query = FragmentQuery(
-            sender="asker", recipient="h", want_all=True, since_version=floor
+            sender="asker", recipient="h", exclude_fragment_ids=frozenset({"f1"})
         )
         assert [f.fragment_id for f in manager.matching_fragments(query)] == ["f2"]
-
-    def test_response_reports_knowledge_version(self):
-        manager = FragmentManager("h", [fragment("t1", ["a"], ["b"], "f1")])
-        response = manager.handle_query(
-            FragmentQuery(sender="asker", recipient="h", want_all=True)
-        )
-        assert response.knowledge_version == manager.version == 1
 
 
 class TestBatchedIngestion:
@@ -119,31 +111,20 @@ class TestSharedSupergraphReuse:
         assert first.supergraph is manager.supergraph
         assert second.supergraph is manager.supergraph
 
-    def test_refresh_interval_zero_repolls_with_delta_queries(self):
-        community = chain_community(knowledge_refresh_interval=0.0)
-        first = community.submit_problem("one", ["a"], ["c"])
-        community.run_until_allocated(first)
-        stats = community.network.statistics
-        queries_after_first = stats.kind_count("FragmentQuery")
-        bytes_after_first = stats.kind_bytes("FragmentResponse")
-        second = community.submit_problem("one", ["a"], ["c"])
-        community.run_until_allocated(second)
-        # Re-polled: one more query round ...
-        assert stats.kind_count("FragmentQuery") == queries_after_first + 1
-        # ... but the delta floor keeps the response empty (envelope only).
-        assert stats.kind_bytes("FragmentResponse") - bytes_after_first <= 80
-        assert second.fragments_collected == 0
-
     def test_incremental_mode_short_circuits_on_synced_plane(self):
-        community = chain_community(construction_mode="incremental")
+        # The incremental variant, run over the plane a first workflow
+        # synced, finds everything it needs there and pulls nothing.
+        community = chain_community()
         first = community.submit_problem("one", ["a"], ["c"])
         community.run_until_allocated(first)
-        stats = community.network.statistics
-        queries_after_first = stats.kind_count("FragmentQuery")
-        second = community.submit_problem("one", ["a"], ["c"])
-        community.run_until_allocated(second)
-        assert second.phase is WorkflowPhase.EXECUTING
-        assert stats.kind_count("FragmentQuery") == queries_after_first
+        source = LocalFragmentSource(community.host("two").fragment_manager.knowledge)
+        result = IncrementalConstructor(source, seed_with_goal_producers=False).construct(
+            first.specification,
+            supergraph=community.host("one").workflow_manager.supergraph,
+        )
+        assert result.succeeded
+        assert result.incremental.rounds == 0
+        assert source.query_count == 0
 
     def test_unsolvable_repeat_fails_without_traffic(self):
         community = chain_community()
@@ -183,26 +164,30 @@ class TestSharedSupergraphReuse:
         assert summary["fragments_reused"] == 2
         assert summary["remotes_skipped"] == 1
 
-    def test_rejoining_host_id_resets_the_sync_floor(self):
-        # A new device reusing a departed host's id has a fresh database
-        # epoch: the stale delta floor must not hide its knowledge.
-        community = chain_community(knowledge_refresh_interval=0.0)
+    def test_a_reused_host_id_is_not_asked_again(self):
+        # A synced remote is trusted for the community's lifetime, so a new
+        # device that takes a departed host's id is not asked.
+        community = chain_community()
         first = community.submit_problem("one", ["a"], ["c"])
         community.run_until_allocated(first)
-        assert first.phase is WorkflowPhase.EXECUTING
         community.remove_host("two")
         community.add_host(
             "two",
             fragments=[fragment("t4", ["a"], ["d"], "f4")],
             services=[ServiceDescription("t4", duration=1)],
         )
+        queries = community.network.statistics.kind_count("FragmentQuery")
         second = community.submit_problem("one", ["a"], ["d"])
         community.run_until_completed(second)
-        assert second.phase is WorkflowPhase.COMPLETED
-        assert "f4" in second.supergraph.fragment_ids
+        assert second.phase is WorkflowPhase.FAILED
+        assert second.remotes_skipped == 1
+        assert "f4" not in second.supergraph.fragment_ids
+        assert community.network.statistics.kind_count("FragmentQuery") == queries
 
-    def test_query_to_synced_remote_omits_exclusion_list(self):
-        community = chain_community(knowledge_refresh_interval=0.0)
+    def test_queries_exclude_what_the_plane_holds(self):
+        # Every know-how query lists the plane's fragment ids: one's own f1
+        # at first contact with two, and f2 too when three joins later.
+        community = chain_community()
         queries: list[FragmentQuery] = []
         original_send = community.network.send
 
@@ -214,19 +199,26 @@ class TestSharedSupergraphReuse:
         community.network.send = spy
         first = community.submit_problem("one", ["a"], ["c"])
         community.run_until_allocated(first)
-        second = community.submit_problem("one", ["a"], ["c"])
+        community.add_host("three", fragments=[fragment("t3", ["c"], ["d"], "f3")])
+        second = community.submit_problem("one", ["a"], ["d"])
         community.run_until_allocated(second)
-        assert len(queries) == 2
-        assert queries[0].since_version == 0
-        assert queries[0].exclude_fragment_ids  # first contact: full list
-        assert queries[1].since_version > 0
-        assert queries[1].since_epoch >= 0
-        assert queries[1].exclude_fragment_ids == frozenset()
+        assert [query.recipient for query in queries] == ["two", "three"]
+        assert queries[0].exclude_fragment_ids == {"f1"}
+        assert queries[1].exclude_fragment_ids == {"f1", "f2"}
 
     def test_default_refresh_interval_is_infinite(self):
+        # A sync never goes stale: however much simulated time passes, a
+        # remote that answered is not asked again.
         community = chain_community()
-        manager = community.host("one").workflow_manager
-        assert manager.knowledge_refresh_interval == math.inf
+        community.submit_problem("one", ["a"], ["c"])
+        community.run_idle()
+        queries = community.network.statistics.kind_count("FragmentQuery")
+        community.clock.advance(1e9)
+        second = community.submit_problem("one", ["a"], ["c"])
+        community.run_until_allocated(second)
+        assert second.phase is WorkflowPhase.EXECUTING
+        assert second.remotes_skipped == 1
+        assert community.network.statistics.kind_count("FragmentQuery") == queries
 
 
 class TestMemoizedMessageSizes:
@@ -250,12 +242,12 @@ class TestMemoizedMessageSizes:
         assert first == second > 0
         assert calls == 1
 
-    def test_since_version_adds_to_query_size(self):
-        plain = FragmentQuery(sender="a", recipient="b", want_all=True)
-        delta = FragmentQuery(
-            sender="a", recipient="b", want_all=True, since_version=7
+    def test_each_excluded_id_adds_eight_bytes_to_a_query(self):
+        plain = FragmentQuery(sender="a", recipient="b")
+        excluding = FragmentQuery(
+            sender="a", recipient="b", exclude_fragment_ids=frozenset({"f1", "f2"})
         )
-        assert delta.size_bytes() == plain.size_bytes() + 8
+        assert excluding.size_bytes() == plain.size_bytes() + 16
 
 
 class TestByteCounters:

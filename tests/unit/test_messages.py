@@ -33,7 +33,7 @@ class TestEnvelope:
         assert first.msg_id != second.msg_id
 
     def test_kind_and_repr(self):
-        msg = FragmentQuery(sender="a", recipient="b", want_all=True)
+        msg = FragmentQuery(sender="a", recipient="b")
         assert msg.kind == "FragmentQuery"
         assert "a->b" in repr(msg)
 
@@ -48,7 +48,7 @@ class TestSizes:
 
     def test_fragment_response_size_dominates_query(self):
         fragment = WorkflowFragment([Task("t", ["a"], ["b"])])
-        query = FragmentQuery(sender="a", recipient="b", consuming=frozenset({"x"}))
+        query = FragmentQuery(sender="a", recipient="b", exclude_fragment_ids=frozenset({"x"}))
         response = FragmentResponse(sender="b", recipient="a", fragments=(fragment,))
         assert response.size_bytes() > query.size_bytes()
 

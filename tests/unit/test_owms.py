@@ -163,14 +163,15 @@ class TestOpenWorkflowSystem:
         assert system.config == HostConfig(capability_aware=True, durability="memory")
         plain = system.add_device("plain")
         hardened = system.add_device(
-            "hardened", fault_injection=True, construction_mode="incremental"
+            "hardened", fault_injection=True, max_repair_attempts=5
         )
         assert plain.config is system.config
         assert hardened.config == HostConfig(
             capability_aware=True,
             durability="memory",
             fault_injection=True,
-            construction_mode="incremental",
+            max_repair_attempts=5,
         )
         assert hardened.workflow_manager.robust
+        assert hardened.workflow_manager.max_repair_attempts == 5
         assert hardened.durability is not None

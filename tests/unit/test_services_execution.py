@@ -795,12 +795,13 @@ class SilentRemote:
         return NO_FAULT
 
 
-def know_how_community() -> Community:
-    """``bob`` alone knows the one task (``x`` -> ``y``) that ``carol`` runs."""
+def know_how_community(**initiator) -> Community:
+    """``bob`` alone knows the one task (``x`` -> ``y``) that ``carol`` runs;
+    ``initiator`` adds options to the initiator ``alice``."""
 
     community = Community()
     robust = dict(fault_injection=True, enable_recovery=True)
-    community.add_host("alice", **robust)
+    community.add_host("alice", **robust, **initiator)
     community.add_host(
         "bob",
         fragments=[
@@ -813,9 +814,10 @@ def know_how_community() -> Community:
 
 
 class TestConstructionRepair:
-    """A revision whose discovery wrote off a silent remote and then fails
-    construction is repaired: that remote's know-how never reached the
-    plane, and the repair asks it again."""
+    """A revision that fails construction while some remote never answered
+    (written off as silent, or not asked since the initiator restarted) is
+    repaired: that remote's know-how never reached the plane, and the
+    repair asks it again."""
 
     def test_know_how_of_a_written_off_remote_is_asked_for_again(self):
         community = know_how_community()
@@ -849,26 +851,28 @@ class TestConstructionRepair:
         assert workspace.repaired_by is None
         assert community.host("alice").workflow_manager.workspaces() == [workspace]
 
-    def test_a_failure_after_frontier_discovery_is_not_repaired(self):
-        # Frontier discovery stops once alice's own know-how solves the
-        # specification, so bob is never asked for everything; the task's
-        # service is offered by nobody, and a repair would only fail again.
-        community = Community()
-        options = dict(
-            construction_mode="incremental",
-            capability_aware=True,
-            fault_injection=True,
-            enable_recovery=True,
-        )
-        community.add_host(
-            "alice",
-            fragments=[WorkflowFragment([Task("t", ["x"], ["y"], service_type="none")])],
-            **options,
-        )
-        community.add_host("bob", services=[ServiceDescription("svc")], **options)
-        workspace = community.submit_specification("alice", PROGRESS_SPEC)
+    def test_a_restored_revision_that_fails_construction_is_repaired(self):
+        community = know_how_community(durability="memory")
+        first = community.submit_specification("alice", PROGRESS_SPEC)
+        community.run_idle()
+        assert first.phase is WorkflowPhase.COMPLETED
+        # The second workflow skips both synced remotes and is constructed
+        # at once; alice crashes while it is being allocated.
+        second = community.submit_specification("alice", PROGRESS_SPEC)
+        assert second.remotes_skipped == 2
+        assert second.phase is WorkflowPhase.ALLOCATION
+        queries = community.network.statistics.kind_count("FragmentQuery")
+        community.crash_host("alice")
+        community.restart_host("alice")
         community.run_idle()
 
-        assert workspace.failure_reason.startswith("construction failed:")
-        assert not workspace.did_full_discovery
-        assert community.host("alice").workflow_manager.workspaces() == [workspace]
+        # Construction re-ran over alice's own know-how (none) and the
+        # revision's journaled responses (none), so it failed; the restarted
+        # alice trusts no remote, and the repair asks every one again.
+        manager = community.host("alice").workflow_manager
+        restored = manager.workspace(second.workflow_id)
+        assert restored.failure_reason.startswith("construction failed:")
+        final = manager.final_workspace(second.workflow_id)
+        assert final is not restored and final.phase is WorkflowPhase.COMPLETED
+        assert final.completed_tasks == {"t"}
+        assert community.network.statistics.kind_count("FragmentQuery") == queries + 2
