@@ -18,11 +18,9 @@ based allocation, and decentralized execution.
 
 from .core import (
     Color,
-    ColoringSolver,
     ConstructionResult,
     KnowledgeSet,
     Label,
-    MemoizedColoringSolver,
     OpenWorkflowError,
     Solver,
     Specification,
@@ -37,7 +35,6 @@ from .core import (
     construct_workflow,
     disjunctive,
     is_feasible,
-    make_solver,
     specification,
 )
 from .durability import DurabilityBackend, InMemoryJournal
@@ -51,15 +48,12 @@ __version__ = "1.0.0"
 __all__ = [
     "CallableService",
     "Color",
-    "ColoringSolver",
     "Commitment",
     "Community",
     "ConstructionResult",
     "DurabilityBackend",
     "Host",
     "InMemoryJournal",
-    "MemoizedColoringSolver",
-    "Solver",
     "KnowledgeSet",
     "Label",
     "ManualService",
@@ -68,6 +62,7 @@ __all__ = [
     "ParticipantPreferences",
     "ServiceDescription",
     "SolveReport",
+    "Solver",
     "Specification",
     "Supergraph",
     "Task",
@@ -82,7 +77,6 @@ __all__ = [
     "construct_workflow",
     "disjunctive",
     "is_feasible",
-    "make_solver",
     "specification",
     "__version__",
 ]

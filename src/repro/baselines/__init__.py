@@ -1,23 +1,19 @@
 """Baseline comparators: static workflow engine and a centralized planner.
 
-Both baselines also implement the :class:`~repro.core.solver.Solver`
-strategy interface (:class:`PlannerSolver`, :class:`StaticSolver`) so the
-ablation benchmarks swap strategies behind the workflow manager's
-``solver=`` hook instead of maintaining separate code paths.
+The baselines are not construction strategies of the middleware: the
+workflow manager always runs Algorithm 1.
+:func:`~repro.experiments.ablations.run_baseline_comparison` and the
+ablation benchmarks call :class:`StaticWorkflowEngine` and
+:class:`ForwardChainingPlanner` directly, next to open workflow
+construction over the same knowledge.
 """
 
-from .planner import ForwardChainingPlanner, PlannerResult, PlannerSolver
-from .static_engine import (
-    StaticExecutionReport,
-    StaticSolver,
-    StaticWorkflowEngine,
-)
+from .planner import ForwardChainingPlanner, PlannerResult
+from .static_engine import StaticExecutionReport, StaticWorkflowEngine
 
 __all__ = [
     "ForwardChainingPlanner",
     "PlannerResult",
-    "PlannerSolver",
     "StaticExecutionReport",
-    "StaticSolver",
     "StaticWorkflowEngine",
 ]

@@ -17,13 +17,10 @@ open workflow constructor.  It serves two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Iterable
 
-from ..core.construction import ConstructionResult, WorkflowConstructor
 from ..core.fragments import KnowledgeSet
-from ..core.solver import Solver, TaskFilter
 from ..core.specification import Specification
-from ..core.supergraph import Supergraph
 from ..core.tasks import Task
 
 
@@ -59,14 +56,6 @@ class ForwardChainingPlanner:
         if not isinstance(knowledge, KnowledgeSet):
             knowledge = KnowledgeSet(knowledge)
         self._tasks: dict[str, Task] = {t.name: t for t in knowledge.all_tasks()}
-
-    @classmethod
-    def from_tasks(cls, tasks: Iterable[Task]) -> "ForwardChainingPlanner":
-        """Build a planner directly over a task table (e.g. a supergraph's)."""
-
-        planner = cls(KnowledgeSet())
-        planner._tasks = {t.name: t for t in tasks}
-        return planner
 
     def plan(self, specification: Specification) -> PlannerResult:
         """Search for a plan satisfying ``specification``."""
@@ -134,60 +123,3 @@ class ForwardChainingPlanner:
 
     def __repr__(self) -> str:
         return f"ForwardChainingPlanner(tasks={len(self._tasks)})"
-
-
-class PlannerSolver(Solver):
-    """Adapts forward chaining to the :class:`~repro.core.solver.Solver` API.
-
-    Feasibility and task selection come from breadth-first forward chaining
-    over the supergraph's task table; a valid workflow graph is then
-    extracted by running the colouring constructor *restricted to the
-    planner's chosen tasks*, so the ablation benchmarks can swap this
-    strategy into the workflow manager and compare it against the colouring
-    solvers through one code path.  ``exploration_iterations`` on the result
-    reports the planner's task expansions rather than colouring worklist
-    pops.
-    """
-
-    name = "forward-chaining"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._constructor = WorkflowConstructor()
-
-    def solve(
-        self,
-        supergraph: Supergraph,
-        specification: Specification,
-        task_filter: TaskFilter | None = None,
-        filter_token: Hashable | None = None,
-    ) -> ConstructionResult:
-        # Zero-input tasks are applicable to forward chaining but can never
-        # be coloured green (the exploration guard requires a green parent),
-        # so they are excluded here to keep the two strategies' feasibility
-        # verdicts — and therefore the ablation comparison — aligned.
-        tasks = [
-            task
-            for task in supergraph.tasks.values()
-            if task.inputs and (task_filter is None or task_filter(task))
-        ]
-        planner = ForwardChainingPlanner.from_tasks(tasks)
-        plan_result = planner.plan(specification)
-        if not plan_result.succeeded:
-            result = self._constructor.construct(
-                supergraph, specification, task_filter=task_filter
-            )
-            result.statistics.exploration_iterations = plan_result.expansions
-            return self._record(result)
-        selected = frozenset(plan_result.plan)
-
-        def planned(task: Task) -> bool:
-            return task.name in selected and (
-                task_filter is None or task_filter(task)
-            )
-
-        result = self._constructor.construct(
-            supergraph, specification, task_filter=planned
-        )
-        result.statistics.exploration_iterations = plan_result.expansions
-        return self._record(result)

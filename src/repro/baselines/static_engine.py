@@ -14,17 +14,9 @@ benchmarks quantify that gap on the catering scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ..core.construction import (
-    ColoringState,
-    ConstructionResult,
-    ConstructionStatistics,
-)
 from ..core.errors import ExecutionError
-from ..core.solver import Solver, TaskFilter
-from ..core.specification import Specification
-from ..core.supergraph import Supergraph
 from ..core.tasks import Task
 from ..core.workflow import Workflow
 
@@ -139,81 +131,5 @@ class StaticWorkflowEngine:
             raise ExecutionError(f"static workflow blocked at: {blocked}")
         return report
 
-    def as_solver(self) -> "StaticSolver":
-        """This engine's fixed workflow exposed through the Solver API."""
-
-        return StaticSolver(self)
-
     def __repr__(self) -> str:
         return f"StaticWorkflowEngine(tasks={sorted(self.workflow.task_names)})"
-
-
-class StaticSolver(Solver):
-    """Adapts a fixed, pre-specified workflow to the Solver API.
-
-    This is the conventional-engine ablation point: ``solve`` ignores the
-    supergraph entirely and answers with the deployment-time workflow when
-    it happens to satisfy the specification (inset covered by the triggers,
-    every goal among its sinks), and fails otherwise.  It quantifies the
-    gap the open workflow paradigm fills — the static graph cannot adapt to
-    what the community actually knows.
-    """
-
-    name = "static"
-
-    def __init__(self, engine: StaticWorkflowEngine) -> None:
-        super().__init__()
-        self._engine = engine
-
-    def solve(
-        self,
-        supergraph: Supergraph,
-        specification: Specification,
-        task_filter: TaskFilter | None = None,
-        filter_token: Hashable | None = None,
-    ) -> ConstructionResult:
-        workflow = self._engine.workflow
-        stats = ConstructionStatistics(
-            supergraph_tasks=len(supergraph.task_names),
-            supergraph_labels=len(supergraph.labels),
-            supergraph_edges=supergraph.edge_count,
-            fragments_considered=len(supergraph.fragment_ids),
-        )
-        filtered_out = [
-            name
-            for name in sorted(workflow.task_names)
-            if task_filter is not None and not task_filter(workflow.task(name))
-        ]
-        fits = (
-            not filtered_out
-            and workflow.inset <= specification.triggers
-            and specification.goals <= workflow.outset
-        )
-        if fits:
-            result = ConstructionResult(
-                specification, workflow, ColoringState(), stats
-            )
-        elif filtered_out:
-            result = ConstructionResult(
-                specification,
-                None,
-                ColoringState(),
-                stats,
-                reason=(
-                    "static workflow uses excluded/unsupported tasks: "
-                    f"{filtered_out}"
-                ),
-            )
-        else:
-            result = ConstructionResult(
-                specification,
-                None,
-                ColoringState(),
-                stats,
-                reason=(
-                    "statically specified workflow does not satisfy the "
-                    f"specification (inset={sorted(workflow.inset)}, "
-                    f"outset={sorted(workflow.outset)})"
-                ),
-            )
-        return self._record(result)

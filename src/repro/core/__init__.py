@@ -60,15 +60,7 @@ from .incremental import (
     construct_incrementally,
 )
 from .labels import Label, LabelSet, as_label, as_label_names
-from .solver import (
-    DEFAULT_SOLVER,
-    SOLVER_REGISTRY,
-    ColoringSolver,
-    MemoizedColoringSolver,
-    Solver,
-    make_solver,
-    results_equivalent,
-)
+from .solver import Solver, results_equivalent
 from .specification import PredicateSpecification, Specification, specification
 from .supergraph import Supergraph, supergraph_from_knowledge
 from .tasks import Task, TaskMode, conjunctive, disjunctive
@@ -79,14 +71,9 @@ __all__ = [
     "BipartiteGraph",
     "Color",
     "ColoringState",
-    "ColoringSolver",
     "CommunicationError",
     "CompositionError",
     "ConfigurationError",
-    "DEFAULT_SOLVER",
-    "MemoizedColoringSolver",
-    "SOLVER_REGISTRY",
-    "Solver",
     "ConstrainedConstructionResult",
     "ConstrainedSpecification",
     "ConstructionError",
@@ -114,6 +101,7 @@ __all__ = [
     "ScheduleConflictError",
     "SchedulingError",
     "ServiceNotFoundError",
+    "Solver",
     "Specification",
     "SpecificationError",
     "Supergraph",
@@ -138,7 +126,6 @@ __all__ = [
     "fragments_from_tasks",
     "is_feasible",
     "knowledge_from_fragments",
-    "make_solver",
     "results_equivalent",
     "specification",
     "supergraph_from_knowledge",

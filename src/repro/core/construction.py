@@ -75,68 +75,54 @@ class ColoringState:
     The :class:`NodeRef` reads (:meth:`color_of`, :meth:`distance_of`,
     :attr:`colors`, :attr:`distances`, :attr:`blue_edges`) resolve the ids
     through the supergraph the state colours, for traces, renderers and
-    tests.  A state made without a graph (a baseline's) stays empty.
+    tests.
     """
 
     __slots__ = ("graph", "color_ids", "distance_ids", "blue_edge_ids")
 
-    def __init__(self, graph: Supergraph | None = None) -> None:
+    def __init__(self, graph: Supergraph) -> None:
         self.graph = graph
         self.color_ids: dict[int, Color] = {}
         self.distance_ids: dict[int, float] = {}
         self.blue_edge_ids: set[tuple[int, int]] = set()
 
-    def exploration_copy(self) -> "ColoringState":
-        """A copy of the colours and distances, without blue edges."""
-
-        copy = ColoringState(self.graph)
-        copy.color_ids = dict(self.color_ids)
-        copy.distance_ids = dict(self.distance_ids)
-        return copy
-
-    def _id(self, node: NodeRef) -> int | None:
-        return None if self.graph is None else self.graph.node_id(node)
-
     def color_of(self, node: NodeRef) -> Color:
-        node_id = self._id(node)
+        node_id = self.graph.node_id(node)
         if node_id is None:
             return Color.UNCOLORED
         return self.color_ids.get(node_id, Color.UNCOLORED)
 
     def distance_of(self, node: NodeRef) -> float:
-        node_id = self._id(node)
+        node_id = self.graph.node_id(node)
         if node_id is None:
             return INFINITE_DISTANCE
         return self.distance_ids.get(node_id, INFINITE_DISTANCE)
 
     @property
     def colors(self) -> dict[NodeRef, Color]:
-        return {self._ref(node): color for node, color in self.color_ids.items()}
+        ref = self.graph.node_ref
+        return {ref(node): color for node, color in self.color_ids.items()}
 
     @property
     def distances(self) -> dict[NodeRef, float]:
-        return {self._ref(node): d for node, d in self.distance_ids.items()}
+        ref = self.graph.node_ref
+        return {ref(node): d for node, d in self.distance_ids.items()}
 
     @property
     def blue_edges(self) -> set[tuple[NodeRef, NodeRef]]:
-        return {(self._ref(p), self._ref(c)) for p, c in self.blue_edge_ids}
-
-    def _ref(self, node: int) -> NodeRef:
-        assert self.graph is not None  # only a graph's state holds ids
-        return self.graph.node_ref(node)
+        ref = self.graph.node_ref
+        return {(ref(p), ref(c)) for p, c in self.blue_edge_ids}
 
 
 @dataclass
 class ConstructionStatistics:
     """Counters describing the work done by one construction run.
 
-    ``nodes_recolored`` counts the nodes whose colour or distance actually
-    changed during the run: for a from-scratch solve it equals the size of
-    the coloured region, for an incremental re-solve (see
-    :class:`repro.core.solver.MemoizedColoringSolver`) it measures only the
-    dirty frontier that had to be revisited.  ``cache_hits`` /
-    ``cache_misses`` are filled in by memoizing solvers; ``solver`` names
-    the strategy that produced the result.
+    ``nodes_recolored`` counts the colourings the exploration phase made:
+    the size of the coloured region, plus one for each node whose distance
+    a later visit improved.  ``cache_hits`` and ``cache_misses`` are always
+    0, since every solve colours from scratch; they are kept only because
+    the repository benchmark's tracer still reads them.
     """
 
     supergraph_tasks: int = 0
@@ -151,10 +137,9 @@ class ConstructionStatistics:
     nodes_recolored: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    solver: str = ""
     elapsed_seconds: float = 0.0
 
-    def as_dict(self) -> dict[str, float | str]:
+    def as_dict(self) -> dict[str, float]:
         return {
             "supergraph_tasks": self.supergraph_tasks,
             "supergraph_labels": self.supergraph_labels,
@@ -168,7 +153,6 @@ class ConstructionStatistics:
             "nodes_recolored": self.nodes_recolored,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "solver": self.solver,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -243,7 +227,12 @@ class WorkflowConstructor:
 
         started = time.perf_counter()
         state = ColoringState(supergraph)
-        stats = self.begin_statistics(supergraph)
+        stats = ConstructionStatistics(
+            supergraph_tasks=supergraph.task_count,
+            supergraph_labels=supergraph.label_count,
+            supergraph_edges=supergraph.edge_count,
+            fragments_considered=supergraph.fragment_count,
+        )
         for label in specification.triggers:
             supergraph.add_label(label)
 
@@ -256,16 +245,6 @@ class WorkflowConstructor:
         )
         return self.finalize(supergraph, specification, state, stats, reached, started)
 
-    def begin_statistics(self, supergraph: Supergraph) -> ConstructionStatistics:
-        """Fresh statistics pre-filled with the supergraph's current size."""
-
-        return ConstructionStatistics(
-            supergraph_tasks=supergraph.task_count,
-            supergraph_labels=supergraph.label_count,
-            supergraph_edges=supergraph.edge_count,
-            fragments_considered=supergraph.fragment_count,
-        )
-
     def finalize(
         self,
         supergraph: Supergraph,
@@ -275,7 +254,7 @@ class WorkflowConstructor:
         reached: bool,
         started: float,
     ) -> ConstructionResult:
-        """Shared tail of a construction run: prune on success, explain failure."""
+        """Tail of a construction run: prune on success, explain failure."""
 
         if not reached:
             stats.elapsed_seconds = time.perf_counter() - started
@@ -328,58 +307,17 @@ class WorkflowConstructor:
         """Colour the graph green from scratch, starting at the triggers."""
 
         self._task_filter = task_filter
-        seeds = self._seed_triggers(graph, specification, state, stats)
-        return self._propagate(graph, specification, state, stats, seeds)
-
-    def resume_coloring(
-        self,
-        graph: Supergraph,
-        specification: Specification,
-        state: ColoringState,
-        stats: ConstructionStatistics,
-        dirty: Iterable[int],
-        task_filter: Callable[[Task], bool] | None = None,
-    ) -> bool:
-        """Extend an existing green colouring after graph mutations.
-
-        ``state`` must be the exploration state of an earlier
-        :meth:`explore` / :meth:`resume_coloring` call for the *same*
-        specification and task filter against the same (since grown) graph;
-        ``dirty`` holds the ids of the nodes added or whose adjacency
-        changed since (as reported by :meth:`Supergraph.dirty_ids_since`).
-        Because fragment addition is monotone — tasks are immutable once
-        merged and labels only ever gain producers/consumers — every
-        previously green node remains validly green, so only the dirty
-        region and whatever it newly unlocks needs to be (re)visited.
-        """
-
-        self._task_filter = task_filter
-        seeds = self._seed_triggers(graph, specification, state, stats)
-        seeds.extend(sorted(dirty, key=graph.node_ref))
-        return self._propagate(graph, specification, state, stats, seeds)
-
-    def _seed_triggers(
-        self,
-        graph: Supergraph,
-        specification: Specification,
-        state: ColoringState,
-        stats: ConstructionStatistics,
-    ) -> list[int]:
-        """Colour trigger labels green at distance 0; return nodes to enqueue."""
-
         colors, distances = state.color_ids, state.distance_ids
         seeds: list[int] = []
         for label in sorted(specification.triggers):
             node = graph.label_id(label)
             if node is None:
                 continue
-            if colors.get(node) is Color.GREEN and distances[node] == 0.0:
-                continue
             colors[node] = Color.GREEN
             distances[node] = 0.0
             stats.nodes_recolored += 1
             seeds.extend(graph.child_ids[node])
-        return seeds
+        return self._propagate(graph, specification, state, stats, seeds)
 
     def _propagate(
         self,

@@ -24,7 +24,7 @@ from typing import Iterable, Protocol
 
 from .construction import ConstructionResult
 from .fragments import KnowledgeSet, WorkflowFragment
-from .solver import Solver, make_solver
+from .solver import Solver
 from .specification import Specification
 from .supergraph import Supergraph
 
@@ -176,12 +176,9 @@ class IncrementalConstructor:
     max_rounds:
         Safety bound on the number of frontier-expansion rounds; the
         default is generous enough for any realistic community.
-    solver:
-        Construction strategy used for the per-round colouring (a
-        :class:`~repro.core.solver.Solver`, a registry name, or ``None``
-        for the default memoized solver).  With the memoized solver each
-        round after the first recolors only the fragments pulled in that
-        round instead of the whole accumulated graph.
+
+    Each round colours the whole accumulated graph from scratch with one
+    :class:`~repro.core.solver.Solver`.
     """
 
     def __init__(
@@ -189,12 +186,11 @@ class IncrementalConstructor:
         source: FragmentSource,
         seed_with_goal_producers: bool = True,
         max_rounds: int = 10_000,
-        solver: Solver | str | None = None,
     ) -> None:
         self._source = source
         self._seed_with_goal_producers = seed_with_goal_producers
         self._max_rounds = max_rounds
-        self._solver = make_solver(solver)
+        self._solver = Solver()
 
     def construct(
         self,

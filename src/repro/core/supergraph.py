@@ -23,19 +23,14 @@ ties by, so graph navigation during colouring never sorts, hashes a
 (:meth:`producers_of`, :meth:`consumers_of`, :meth:`parents`,
 :meth:`children`, :meth:`in_degree`, ...) are views over the same table.
 
-To make repeated construction over a growing graph cheap, the supergraph is
-*versioned*: every mutation that actually changes the graph bumps a
-monotonically increasing :attr:`version` and records the ids of the
-affected nodes in a journal.  A solver that cached a coloring at version
-``v`` can ask :meth:`dirty_ids_since` for the nodes touched after ``v`` and
-recolor only that dirty region instead of the whole graph (see
-:mod:`repro.core.solver`).
+The supergraph keeps no version or mutation journal: every solve colours
+it from scratch (:mod:`repro.core.solver`), so a merge leaves nothing
+behind but the grown node table.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidWorkflowError
@@ -43,17 +38,9 @@ from .fragments import KnowledgeSet, WorkflowFragment
 from .graph import Edge, NodeRef
 from .tasks import Task
 
-_graph_counter = itertools.count(1)
-
-#: Journal entries older than this are compacted (merged pairwise) to bound
-#: memory on long-lived graphs.  Compaction over-approximates the dirty set
-#: for very old versions, which is safe: recoloring extra nodes is wasted
-#: work, never wrong answers.
-_JOURNAL_COMPACTION_THRESHOLD = 4096
-
 
 class Supergraph:
-    """A mutable, versioned union of workflow fragments.
+    """A mutable union of workflow fragments.
 
     The supergraph keeps track of which fragments contributed each task so
     that, after construction, the selected sub-workflow can be attributed
@@ -65,9 +52,6 @@ class Supergraph:
     """
 
     def __init__(self, fragments: Iterable[WorkflowFragment] = ()) -> None:
-        self._graph_id = f"supergraph-{next(_graph_counter)}"
-        self._version = 0
-        self._journal: list[tuple[int, frozenset[int]]] = []
         self._label_ids: dict[str, int] = {}
         self._task_ids: dict[str, int] = {}
         self._names: list[str] = []
@@ -80,122 +64,30 @@ class Supergraph:
         for fragment in fragments:
             self.add_fragment(fragment)
 
-    # -- versioning --------------------------------------------------------
-    @property
-    def graph_id(self) -> str:
-        """Process-unique identity of this graph (used in solver cache keys)."""
-
-        return self._graph_id
-
-    @property
-    def version(self) -> int:
-        """Monotonically increasing mutation counter."""
-
-        return self._version
-
-    def _record_mutation(self, nodes: Iterable[int]) -> None:
-        affected = frozenset(nodes)
-        if not affected:
-            return
-        self._version += 1
-        self._journal.append((self._version, affected))
-        if len(self._journal) > _JOURNAL_COMPACTION_THRESHOLD:
-            self._compact_journal()
-
-    def _compact_journal(self) -> None:
-        """Merge the oldest half of the journal pairwise.
-
-        A merged entry keeps the *newest* version of the pair while unioning
-        the node sets, so ``dirty_since`` can only over-report for versions
-        that fall inside a merged range.
-        """
-
-        half = len(self._journal) // 2
-        old, recent = self._journal[:half], self._journal[half:]
-        merged: list[tuple[int, frozenset[int]]] = []
-        for i in range(0, len(old), 2):
-            pair = old[i : i + 2]
-            merged.append((pair[-1][0], frozenset().union(*(s for _, s in pair))))
-        self._journal = merged + recent
-
-    def dirty_ids_since(self, version: int) -> frozenset[int]:
-        """Ids of the nodes added or whose parents changed after ``version``.
-
-        ``dirty_ids_since(self.version)`` is always empty.  For versions
-        that predate journal compaction the result may be a superset of the
-        true dirty region (never a subset), which keeps incremental
-        recoloring conservative but correct.
-        """
-
-        if version >= self._version:
-            return frozenset()
-        dirty: set[int] = set()
-        for entry_version, nodes in reversed(self._journal):
-            if entry_version <= version:
-                break
-            dirty |= nodes
-        return frozenset(dirty)
-
-    def dirty_since(self, version: int) -> frozenset[NodeRef]:
-        """:meth:`dirty_ids_since` as node references."""
-
-        return frozenset(self.node_ref(node) for node in self.dirty_ids_since(version))
-
     # -- mutation ----------------------------------------------------------
     def add_fragment(self, fragment: WorkflowFragment) -> bool:
         """Merge a fragment into the supergraph.
 
-        Returns ``True`` when the fragment added at least one new node or
-        edge, ``False`` when it was already fully represented (including
-        when the same fragment id was added before).
+        Returns ``True`` when the fragment added at least one task (and so
+        new nodes and edges), ``False`` when it was already fully
+        represented (including when the same fragment id was added before).
+        A conflicting task definition raises after the fragment's earlier
+        tasks are merged; the fragment id is registered only on success, so
+        a corrected resubmission is not ignored.
         """
 
         if fragment.fragment_id in self._fragment_ids:
             return False
-        affected: set[int] = set()
-        try:
-            for task in fragment.tasks:
-                self._add_task(task, fragment.fragment_id, affected)
-        finally:
-            # Journal even when a later task of the fragment conflicts and
-            # raises: the earlier tasks are already merged, and dirty_since
-            # must never under-report.  The fragment id is only registered
-            # on success so a corrected resubmission is not ignored.
-            self._record_mutation(affected)
+        tasks_before = len(self._task_ids)
+        for task in fragment.tasks:
+            self._add_task(task, fragment.fragment_id)
         self._fragment_ids.add(fragment.fragment_id)
-        return bool(affected)
+        return len(self._task_ids) > tasks_before
 
     def add_fragments_batch(self, fragments: Iterable[WorkflowFragment]) -> int:
-        """Merge a batch of fragments under a *single* journal entry.
+        """Merge every fragment of ``fragments``; returns how many added a task."""
 
-        Ingesting a discovery response fragment-by-fragment would bump
-        :attr:`version` once per fragment and leave one journal entry each;
-        a solver re-solving after the response would still recolor the same
-        dirty region, but the journal would grow (and compact) needlessly.
-        The batch merge unions every affected node into one journal entry
-        and bumps the version once, so one discovery round costs one dirty
-        frontier regardless of how many fragments it delivered.
-
-        Returns how many fragments added at least one new node or edge.
-        Like :meth:`add_fragment`, a conflicting task definition raises
-        *after* journaling the nodes merged so far.
-        """
-
-        affected: set[int] = set()
-        changed = 0
-        try:
-            for fragment in fragments:
-                if fragment.fragment_id in self._fragment_ids:
-                    continue
-                before = len(affected)
-                for task in fragment.tasks:
-                    self._add_task(task, fragment.fragment_id, affected)
-                self._fragment_ids.add(fragment.fragment_id)
-                if len(affected) > before:
-                    changed += 1
-        finally:
-            self._record_mutation(affected)
-        return changed
+        return sum(map(self.add_fragment, fragments))
 
     def add_knowledge(self, knowledge: KnowledgeSet | Iterable[WorkflowFragment]) -> int:
         """Merge every fragment of ``knowledge``; returns how many changed the graph."""
@@ -205,9 +97,7 @@ class Supergraph:
     def add_label(self, label: str) -> None:
         """Ensure a free-standing label node exists (used for trigger labels)."""
 
-        affected: set[int] = set()
-        self._label_node(label, affected)
-        self._record_mutation(affected)
+        self._label_node(label)
 
     def _new_node(
         self, name: str, task: Task | None, parents: list[int], children: list[int]
@@ -219,14 +109,13 @@ class Supergraph:
         self._children.append(children)
         return node
 
-    def _label_node(self, label: str, affected: set[int]) -> int:
+    def _label_node(self, label: str) -> int:
         node = self._label_ids.get(label)
         if node is None:
             node = self._label_ids[label] = self._new_node(label, None, [], [])
-            affected.add(node)
         return node
 
-    def _add_task(self, task: Task, fragment_id: str, affected: set[int]) -> None:
+    def _add_task(self, task: Task, fragment_id: str) -> None:
         existing = self._task_ids.get(task.name)
         if existing is not None:
             if self._tasks[existing] != task:
@@ -236,19 +125,16 @@ class Supergraph:
                 )
             self._task_fragments[task.name].add(fragment_id)
             return
-        inputs = [self._label_node(label, affected) for label in sorted(task.inputs)]
-        outputs = [self._label_node(label, affected) for label in sorted(task.outputs)]
+        inputs = [self._label_node(label) for label in sorted(task.inputs)]
+        outputs = [self._label_node(label) for label in sorted(task.outputs)]
         node = self._new_node(task.name, task, inputs, outputs)
         self._task_ids[task.name] = node
         self._task_fragments[task.name] = {fragment_id}
-        affected.add(node)
         by_name = self._names.__getitem__
         for label in inputs:
             bisect.insort(self._children[label], node, key=by_name)
         for label in outputs:
             bisect.insort(self._parents[label], node, key=by_name)
-            # The label gained a producer: its parent list changed.
-            affected.add(label)
         self._edge_count += len(inputs) + len(outputs)
 
     # -- integer node table ---------------------------------------------------
@@ -414,7 +300,6 @@ class Supergraph:
             "labels": len(self._label_ids),
             "edges": self._edge_count,
             "fragments": len(self._fragment_ids),
-            "version": self._version,
             "multi_producer_labels": sum(
                 1 for node in self._label_ids.values() if len(self._parents[node]) > 1
             ),

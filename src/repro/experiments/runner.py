@@ -7,7 +7,7 @@ ablation drivers run on:
 
 * :class:`TrialTask` — a *picklable, declarative* description of one trial:
   workload size and seed, host count, path length, repetition index,
-  network kind, placement, solver, and auction policy.  Everything a worker
+  network kind, placement, and auction policy.  Everything a worker
   needs to reconstruct the trial from scratch, so no live objects ever
   cross a process boundary.
 * :func:`execute_trial` — turns a task into a
@@ -95,7 +95,6 @@ class TrialTask:
     workload_seed: int | None = None
     network: str = "simulated"
     mobility: str = "line"
-    solver: str | None = None
     policy: str = ""
     initiator_index: int = 0
     cohort: str = ""
@@ -240,7 +239,6 @@ def execute_trial(task: TrialTask, timing: str = "wall") -> TrialOutcome:
         seed=trial_seed,
         network_factory=_network_factory_for(task),
         mobility_factory=_mobility_factory_for(task, trial_seed),
-        solver=task.solver,
     )
     if task.policy:
         policy = _policy_for(task.policy, trial_seed)
@@ -502,7 +500,6 @@ def sweep_tasks(
     max_path_length: int | None = None,
     network: str = "simulated",
     mobility: str = "line",
-    solver: str | None = None,
     policy: str = "",
     workload_seed: int | None = None,
     x_values: Sequence[int] | None = None,
@@ -531,7 +528,6 @@ def sweep_tasks(
                     workload_seed=workload_seed,
                     network=network,
                     mobility=mobility,
-                    solver=solver,
                     policy=policy,
                     initiator_index=repetition,
                 )

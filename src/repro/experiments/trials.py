@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..core.solver import Solver
 from ..core.specification import Specification
 from ..host.community import Community
 from ..host.config import HostConfig
@@ -42,16 +41,17 @@ from ..workloads.supergraph_gen import GeneratedWorkload
 class TrialResult:
     """Outcome and timings of one construction+allocation trial.
 
-    ``nodes_recolored`` / ``cache_hits`` / ``solver`` expose the
-    construction engine's effort counters (see
-    :class:`~repro.core.construction.ConstructionStatistics`) so the
-    incremental-vs-scratch benchmarks can compare colouring work, not just
-    wall-clock time.  ``fragments_reused`` / ``remotes_skipped`` expose the
-    shared knowledge plane's reuse, and ``fragment_messages`` /
-    ``fragment_bytes`` the discovery traffic (fragment queries plus
-    responses) the trial actually put on the wire.  ``unexpected_labels``
-    sums, over every host of the community, the label deliveries that
-    matched no pending invocation (late or duplicate execution data).
+    ``nodes_recolored`` exposes the colouring work of the measured
+    revision's construction (see
+    :class:`~repro.core.construction.ConstructionStatistics`); every
+    construction colours the knowledge plane from scratch, so a repair
+    revision reports a whole colouring too.  ``fragments_reused`` /
+    ``remotes_skipped`` expose the shared knowledge plane's reuse, and
+    ``fragment_messages`` / ``fragment_bytes`` the discovery traffic
+    (fragment queries plus responses) the trial actually put on the wire.
+    ``unexpected_labels`` sums, over every host of the community, the label
+    deliveries that matched no pending invocation (late or duplicate
+    execution data).
 
     The churn counters are populated by :func:`run_churn_trial`:
     ``hosts_crashed`` hosts fail-stopped on schedule, ``messages_faulted``
@@ -81,9 +81,7 @@ class TrialResult:
     bytes_sent: int
     fragments_collected: int
     failure_reason: str = ""
-    solver: str = ""
     nodes_recolored: int = 0
-    cache_hits: int = 0
     distinct_winners: int = 0
     fragments_reused: int = 0
     remotes_skipped: int = 0
@@ -165,7 +163,7 @@ def build_trial_community(
 
     Every host runs ``config`` with ``options`` overriding its fields (see
     :class:`~repro.host.config.HostConfig`), so ablations can sweep a
-    solver or a protocol with no other change to the procedure.
+    host option with no other change to the procedure.
     ``mobility_factory`` maps a host index to its placement (a fixed
     :class:`~repro.mobility.geometry.Point` or a mobility model); the
     default is the paper-style line of hosts 20 m apart.  The scaled ad hoc
@@ -203,7 +201,6 @@ def run_allocation_trial(
     seed: int,
     network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
     initiator_index: int = 0,
-    solver: Solver | str | None = None,
     mobility_factory: Callable[[int], "MobilityModel | Point"] | None = None,
 ) -> TrialResult:
     """Run one construction+allocation trial and return its measurements."""
@@ -213,7 +210,6 @@ def run_allocation_trial(
         num_hosts,
         seed,
         network_factory=network_factory,
-        solver=solver,
         mobility_factory=mobility_factory,
     )
     initiator = f"host-{initiator_index % num_hosts}"
@@ -464,9 +460,7 @@ def trial_result_from_workspace(
         bytes_sent=stats.bytes_sent,
         fragments_collected=workspace.fragments_collected,
         failure_reason=workspace.failure_reason,
-        solver=construction.solver if construction else "",
         nodes_recolored=construction.nodes_recolored if construction else 0,
-        cache_hits=construction.cache_hits if construction else 0,
         distinct_winners=winners,
         fragments_reused=workspace.fragments_reused,
         remotes_skipped=workspace.remotes_skipped,

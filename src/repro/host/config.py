@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from ..core.solver import Solver
     from ..durability.backend import DurabilityBackend
 
 
@@ -26,21 +25,20 @@ if TYPE_CHECKING:
 class HostConfig:
     """How one host's middleware behaves; the defaults are the fast paths.
 
-    Construction (the host as initiator) follows Section 3.1's batch
-    algorithm: gather the community's know-how, then colour.  Each remote
-    is asked once, for every fragment the host's knowledge plane does not
-    hold; a remote that answered is trusted for the community's lifetime,
-    so a departed host id reused by a new device is not asked again.
+    Six options.  Construction (the host as initiator) follows Section
+    3.1's batch algorithm: gather the community's know-how, then colour the
+    whole knowledge plane from scratch.  Each remote is asked once, for
+    every fragment the host's knowledge plane does not hold.  A remote that
+    answered is trusted until a revision that skipped it fails construction
+    with every remote synced; then the host forgets that revision's syncs,
+    and the repair (or, without ``enable_recovery``, the next submission)
+    asks those remotes again.  So a departed host id reused by a new
+    device, or a remote that learned know-how since it answered, is asked
+    only after a construction fails.
 
     capability_aware:
         Learn which services the community offers before construction,
         so tasks nobody can perform are filtered out of the supergraph.
-    solver:
-        Construction strategy of the workflow manager: a
-        :class:`~repro.core.solver.Solver` (one instance may be shared by
-        many hosts; cache keys include the graph's identity), a registry
-        name such as ``"coloring"`` or ``"memoized"``, or ``None`` for the
-        default memoized solver.
 
     Robustness:
 
@@ -58,8 +56,9 @@ class HostConfig:
         Repair a failed revision by constructing and auctioning a new
         one: a task failed during execution, an auction left a task
         unallocated, or construction failed while some remote's know-how
-        was missing from the plane (discovery wrote the remote off as
-        silent, or this host restarted since the remote answered).
+        may be missing from the plane (discovery wrote the remote off as
+        silent, this host restarted since the remote answered, or the
+        revision skipped remotes it trusted from earlier syncs).
     max_repair_attempts:
         Repair revisions tried before a workflow is declared failed.
     durability:
@@ -76,7 +75,6 @@ class HostConfig:
     """
 
     capability_aware: bool = False
-    solver: Solver | str | None = None
     fault_injection: bool = False
     enable_recovery: bool = False
     max_repair_attempts: int = 3

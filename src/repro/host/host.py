@@ -163,7 +163,6 @@ class Host:
             local_services=self.service_manager,
             enable_recovery=config.enable_recovery,
             max_repair_attempts=config.max_repair_attempts,
-            solver=config.solver,
             robust=config.fault_injection,
             durability=durability,
         )

@@ -15,28 +15,32 @@ the coloured region, is a library algorithm
 (:class:`~repro.core.incremental.IncrementalConstructor`) that the
 discovery ablation measures.
 
-**The shared knowledge plane.**  By default every workspace of a manager
-shares one long-lived :class:`~repro.core.supergraph.Supergraph` (and hence
-the solver's memoized colouring cache, which is keyed by graph identity).
-Workspace-local state — phase, exclusions, statistics, timing — stays
-per-workspace; only the accumulated community knowledge is shared.  The
-manager keeps two marks against that plane:
+**The shared knowledge plane.**  Every workspace of a manager shares one
+long-lived :class:`~repro.core.supergraph.Supergraph`.  Workspace-local
+state — phase, exclusions, statistics, timing — stays per-workspace; only
+the accumulated community knowledge is shared.  There is no colouring
+cache: every revision's construction colours the whole plane from scratch.
+The manager keeps two marks against that plane:
 
 * its own fragment manager's ingestion version, so ``submit()`` seeds only
   local know-how added since the previous submission;
 * the set of *synced* remotes.  A know-how query asks a remote for
   everything the plane does not hold (its exclusion list is the plane's
   fragment ids); once the remote has answered, the plane holds all it
-  knew, and it is not queried again for the lifetime of the community.
-  Repeat workflows on a host therefore cost traffic and recolouring
-  proportional to *new* knowledge, not community size.
+  knew, and it is not queried again.  Repeat workflows on a host therefore
+  cost discovery traffic proportional to *new* knowledge, not community
+  size.  The trust ends when a revision that skipped synced remotes fails
+  construction with no remote unsynced: the remote may have learned
+  know-how since it answered, so the manager forgets that revision's
+  remotes, and the repair (or, without recovery, the next submission)
+  asks them again.
 
 One semantic difference from a graph per workspace is that knowledge, once
 learned, persists: fragments collected for an earlier workflow remain
 available even if the contributing host has since left the community, and
-a new device that reuses a departed host's id is not asked again.  The
-equivalence property suite compares every workspace with a fresh
-supergraph of the same fragments.
+a new device that reuses a departed host's id is not asked until a
+construction fails.  The equivalence property suite compares every
+workspace with a fresh supergraph of the same fragments.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from contextlib import nullcontext
 from typing import Callable, Iterable
 
 from ..allocation.auction import AllocationOutcome, AuctionManager
-from ..core.solver import Solver, make_solver
+from ..core.solver import Solver
 from ..core.specification import Specification
 from ..core.supergraph import Supergraph
 from ..discovery.capability import CapabilityDirectory
@@ -99,13 +103,6 @@ class WorkflowManager:
         network.
     auction:
         The host's auction manager, used for the allocation phase.
-    solver:
-        Construction strategy (a :class:`~repro.core.solver.Solver`
-        instance, a registry name like ``"coloring"`` or ``"memoized"``, or
-        ``None`` for the default memoized solver).  With the memoized
-        solver, later solves on the shared plane — a repair, a repeat
-        workflow — reuse the cached green region and recolor only the
-        fragments that arrived in between.
     """
 
     def __init__(
@@ -119,7 +116,6 @@ class WorkflowManager:
         local_services: ServiceManager | None = None,
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
-        solver: Solver | str | None = None,
         robust: bool = False,
         durability=None,
     ) -> None:
@@ -134,12 +130,13 @@ class WorkflowManager:
         self.max_repair_attempts = max_repair_attempts
         self.durability = durability
         self.capabilities = CapabilityDirectory()
-        self.solver = make_solver(solver)
+        self.solver = Solver()
         #: The host's knowledge plane: one supergraph for every workspace.
         self.supergraph = Supergraph()
         self._seeded_local_version = 0
         #: Remotes that answered a discovery round: the plane holds all
-        #: they knew, so they are not queried again.
+        #: they knew, so they are not queried again until a construction
+        #: that skipped them fails (see :meth:`_run_construction`).
         self._synced_remotes: set[str] = set()
         #: Fault hardening (``fault_injection``): discovery queries are
         #: retried with backoff and silent remotes eventually written off,
@@ -187,8 +184,8 @@ class WorkflowManager:
         workspace.  ``excluded_tasks`` forbids specific tasks during
         construction — used by workflow repair to route around tasks whose
         execution has already failed.  Every workspace builds on the
-        manager's one supergraph, so a repair reuses the solver's cached
-        colouring and the community knowledge instead of rediscovering them.
+        manager's one supergraph, so a repair reuses the community
+        knowledge instead of rediscovering it.
         """
 
         participant_set = frozenset(participants) | {self.host_id}
@@ -221,7 +218,7 @@ class WorkflowManager:
 
         # The initiator's own know-how seeds the supergraph without any
         # network traffic: only fragments added since the previous
-        # submission are merged (one journaled batch).
+        # submission are merged.
         workspace.fragments_reused = self.supergraph.fragment_count
         new_local = self.fragments.fragments_since(self._seeded_local_version)
         workspace.fragments_collected += self.supergraph.add_fragments_batch(new_local)
@@ -337,12 +334,7 @@ class WorkflowManager:
             self._run_construction(workspace)
 
     def handle_fragment_response(self, response: FragmentResponse) -> None:
-        """Integrate a participant's know-how into the right workspace.
-
-        The whole response is merged as one journaled batch: the graph
-        version advances once and a later re-solve recolors one dirty
-        frontier, however many fragments the participant returned.
-        """
+        """Integrate a participant's know-how into the right workspace."""
 
         workspace = self._workspaces.get(response.workflow_id)
         if workspace is None or workspace.phase is not WorkflowPhase.DISCOVERY:
@@ -447,25 +439,6 @@ class WorkflowManager:
 
         return allowed
 
-    def _filter_token(self, workspace: Workspace):
-        """Hashable fingerprint of the workspace's task filter behaviour.
-
-        The filter is a pure function of the excluded-task set and (when
-        capability-aware) the set of service types some participant offers,
-        so those two ingredients key the solver's memoization safely: any
-        capability response or repair exclusion that would change filter
-        decisions also changes the token.
-        """
-
-        if not self.capability_aware and not workspace.excluded_tasks:
-            return None
-        available: frozenset[str] = frozenset()
-        if self.capability_aware:
-            available = self.capabilities.available_service_types()
-            if self.local_services is not None:
-                available |= self.local_services.service_types
-        return (frozenset(workspace.excluded_tasks), available)
-
     def _run_construction(self, workspace: Workspace) -> None:
         self._cancel_discovery_timer(workspace.workflow_id)
         workspace.enter_phase(WorkflowPhase.CONSTRUCTION, self.scheduler.clock.now())
@@ -473,7 +446,6 @@ class WorkflowManager:
             workspace.supergraph,
             workspace.specification,
             task_filter=self._workspace_task_filter(workspace),
-            filter_token=self._filter_token(workspace),
         )
         workspace.construction_result = result
         workspace.mark("constructed", self.scheduler.clock.now())
@@ -482,13 +454,21 @@ class WorkflowManager:
                 f"construction failed: {result.reason}", self.scheduler.clock.now()
             )
             self._notify_allocated(workspace)
-            # A remote that never answered (written off as silent, or not
-            # asked since this host restarted) never put its know-how into
-            # the plane; the repair's discovery asks it, and only it, again.
-            if any(
-                remote not in self._synced_remotes
-                for remote in self._remote_participants(workspace)
-            ):
+            remotes = self._remote_participants(workspace)
+            unsynced = [r for r in remotes if r not in self._synced_remotes]
+            if not unsynced and workspace.remotes_skipped:
+                # The revision trusted syncs made before it: a skipped
+                # remote may have learned know-how since it answered.
+                # Forget the revision's syncs, so the repair (or, without
+                # recovery, the next submission) asks those remotes again.
+                self._synced_remotes.difference_update(remotes)
+                unsynced = remotes
+            # A remote that never answered (written off as silent, not
+            # asked since this host restarted, or forgotten just above)
+            # may hold know-how the plane lacks; the repair's discovery
+            # asks it, and only it, again.  A revision whose own discovery
+            # heard from every remote is not repaired, so the ladder ends.
+            if unsynced:
                 self._submit_repair(workspace, set(workspace.excluded_tasks))
             return
         workflow = result.workflow

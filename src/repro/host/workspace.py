@@ -176,7 +176,7 @@ class Workspace:
 
         return self.elapsed("submitted", "completed")
 
-    # -- construction effort (cache/recolor counters of the solver engine) ---------
+    # -- construction effort ---------------------------------------------------------
     @property
     def construction_statistics(self):
         """The :class:`ConstructionStatistics` of the last solve, if any."""
@@ -206,9 +206,7 @@ class Workspace:
             "allocation_wall_seconds": allocation[1] if allocation else None,
             "completion_sim_seconds": completion[0] if completion else None,
             "completion_wall_seconds": completion[1] if completion else None,
-            "solver": stats.solver if stats else "",
             "nodes_recolored": stats.nodes_recolored if stats else 0,
-            "construction_cache_hits": stats.cache_hits if stats else 0,
             "failure_reason": self.failure_reason,
         }
 

@@ -62,7 +62,7 @@ class RouteNotFound(Exception):
     """No path currently exists between the two hosts."""
 
 
-class _CacheEntry:
+class _CachedRoute:
     """A cached route plus the topology generation it was last validated in."""
 
     __slots__ = ("route", "generation")
@@ -96,7 +96,7 @@ class AodvRouter:
     ) -> None:
         self._neighbours_of = neighbours_of
         self._generation_of = generation_of
-        self._cache: dict[tuple[str, str], _CacheEntry] = {}
+        self._cache: dict[tuple[str, str], _CachedRoute] = {}
         # source -> (generation, BFS parent map); the source maps to itself.
         self._trees: dict[str, tuple[int, dict[str, str]]] = {}
         self.discoveries = 0
@@ -131,14 +131,14 @@ class AodvRouter:
             return entry.route, True
         route = self._discover(source, destination)
         generation = self._generation_of(route.hops)
-        self._cache[(source, destination)] = _CacheEntry(route, generation)
+        self._cache[(source, destination)] = _CachedRoute(route, generation)
         # AODV installs the reverse path for free as the RREP travels back.
         reverse = Route(destination, source, tuple(reversed(route.hops)))
-        self._cache[(destination, source)] = _CacheEntry(reverse, generation)
+        self._cache[(destination, source)] = _CachedRoute(reverse, generation)
         return route, False
 
     # -- internals ----------------------------------------------------------------
-    def _entry_valid(self, entry: _CacheEntry) -> bool:
+    def _entry_valid(self, entry: _CachedRoute) -> bool:
         generation = self._generation_of(entry.route.hops)
         if generation is not None and generation == entry.generation:
             return True

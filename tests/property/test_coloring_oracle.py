@@ -15,18 +15,15 @@ from the task table.  The two must agree exactly, not just on feasibility:
   provisional distance and improved later counts twice), and trial results
   report them.
 
-They are checked three ways: a from-scratch solve without a task filter,
-one with a task filter, and the memoized solver across a fragment-arrival
-sequence, where every re-solve recolours only the dirty region.
+They are checked two ways: a solve without a task filter and one with a
+task filter.  Every solve colours the supergraph from scratch, so these
+cover every construction the middleware runs.
 """
-
-import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.construction import WorkflowConstructor
-from repro.core.solver import MemoizedColoringSolver
 from repro.core.supergraph import Supergraph
 
 from ..reference import coloring as reference
@@ -91,53 +88,3 @@ def test_scratch_solve_matches_oracle(fragments, spec, stop_early):
 )
 def test_filtered_solve_matches_oracle(fragments, spec, excluded, stop_early):
     check_scratch_solve(fragments, spec, excluding(excluded), stop_early)
-
-
-def in_batches(fragments, sizes):
-    """Split ``fragments`` into consecutive batches, cycling through ``sizes``."""
-
-    batches, start = [], 0
-    for size in itertools.cycle(sizes):
-        if start >= len(fragments):
-            return batches
-        batches.append(fragments[start : start + size])
-        start += size
-
-
-@SETTINGS
-@given(
-    fragments=shuffled_knowledge,
-    spec=specifications(),
-    excluded=st.none() | exclusions,
-    sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
-)
-def test_memoized_arrivals_match_oracle(fragments, spec, excluded, sizes):
-    """Each re-solve after a batch arrives resumes the oracle from the same dirty set."""
-
-    task_filter = None if excluded is None else excluding(excluded)
-    graph = Supergraph()
-    solver = MemoizedColoringSolver()
-    state = None
-    version = 0
-    for batch in in_batches(fragments, sizes):
-        graph.add_fragments_batch(batch)
-        result = solver.solve(
-            graph, spec, task_filter=task_filter, filter_token=excluded
-        )
-
-        model = reference.ReferenceGraph(graph)
-        effort = reference.Effort()
-        if state is None:
-            state = reference.ReferenceState()
-            reached = reference.explore(model, spec, state, effort, task_filter)
-        else:
-            dirty = graph.dirty_since(version)
-            if dirty:
-                reached = reference.resume(
-                    model, spec, state, effort, dirty, task_filter
-                )
-        version = graph.version
-        pruned = state.exploration_copy()
-        workflow = reference.prune(model, spec, pruned, effort) if reached else None
-        assert result.succeeded == reached
-        assert_matches_oracle(result, pruned, effort, workflow)

@@ -8,8 +8,7 @@ integer node table cannot hide here), and each visit sorts a node's
 children by ``NodeRef``.  The colouring, the distances, the blue edges, the
 workflow and the effort counters (``nodes_recolored``,
 ``exploration_iterations``, ``pruning_iterations``) of the two must be
-equal, including across a memoized fragment-arrival sequence
-(``tests/property/test_coloring_oracle.py``).
+equal (``tests/property/test_coloring_oracle.py``).
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class ReferenceState:
         if distance is not None:
             self.distances[node] = distance
 
-    def exploration_copy(self) -> "ReferenceState":
-        return ReferenceState(dict(self.colors), dict(self.distances))
-
 
 @dataclass
 class Effort:
@@ -74,9 +70,6 @@ class ReferenceGraph:
                 self._producers[out].add(task.name)
             for inp in task.inputs:
                 self._consumers[inp].add(task.name)
-
-    def has_node(self, node: NodeRef) -> bool:
-        return node.name in (self.tasks if node.is_task else self.labels)
 
     def parents(self, node: NodeRef) -> frozenset[NodeRef]:
         if node.is_task:
@@ -109,24 +102,6 @@ def explore(
     )
 
 
-def resume(
-    graph: ReferenceGraph,
-    specification: Specification,
-    state: ReferenceState,
-    effort: Effort,
-    dirty: Iterable[NodeRef],
-    task_filter: TaskFilter | None = None,
-    stop_early: bool = True,
-) -> bool:
-    """Extend an earlier colouring after the graph grew by ``dirty``."""
-
-    seeds = _seed_triggers(graph, specification, state, effort)
-    seeds.extend(sorted(n for n in dirty if graph.has_node(n)))
-    return _propagate(
-        graph, specification, state, effort, seeds, task_filter, stop_early
-    )
-
-
 def _seed_triggers(
     graph: ReferenceGraph,
     specification: Specification,
@@ -137,8 +112,6 @@ def _seed_triggers(
     for label in sorted(specification.triggers):
         node = NodeRef.label(label)
         if label not in graph.labels:
-            continue
-        if state.color_of(node) is Color.GREEN and state.distance_of(node) == 0.0:
             continue
         state.set(node, Color.GREEN, 0.0)
         effort.nodes_recolored += 1

@@ -29,6 +29,15 @@ class TestWorkflowFragment:
         with pytest.raises(InvalidFragmentError):
             WorkflowFragment([Task("t1", ["a"], ["x"]), Task("t2", ["b"], ["x"])])
 
+    def test_zero_input_tasks_cannot_reach_a_supergraph(self):
+        # A zero-input task is applicable to naive forward chaining but can
+        # never be coloured green.  The workflow model already forbids such
+        # tasks at the fragment boundary (a non-label source), so a
+        # supergraph never contains one, and the forward-chaining planner's
+        # and the colouring's feasibility verdicts agree by construction.
+        with pytest.raises(InvalidFragmentError):
+            WorkflowFragment([Task("spring", [], ["water"])], fragment_id="source")
+
     def test_empty_fragment_rejected(self):
         with pytest.raises(InvalidFragmentError):
             WorkflowFragment([])

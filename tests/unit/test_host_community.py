@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import Task, WorkflowFragment
 from repro.core.errors import OpenWorkflowError
-from repro.core.solver import ColoringSolver
 from repro.execution import ServiceDescription
 from repro.experiments.trials import build_trial_community
 from repro.host import Community, HostConfig, WorkflowPhase
@@ -52,7 +51,6 @@ class TestHostConfig:
     def test_every_manager_is_built_from_the_config(self):
         config = HostConfig(
             capability_aware=True,
-            solver="coloring",
             fault_injection=True,
             enable_recovery=True,
             max_repair_attempts=5,
@@ -63,7 +61,6 @@ class TestHostConfig:
         assert host.config is config
         workflow = host.workflow_manager
         assert workflow.capability_aware
-        assert type(workflow.solver) is ColoringSolver
         assert workflow.robust and workflow.enable_recovery
         assert workflow.max_repair_attempts == 5
         assert host.auction_manager.robust

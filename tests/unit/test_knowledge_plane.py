@@ -2,9 +2,9 @@
 
 Covers the pieces individually: the versioned fragment index and the
 exclusion list that keeps a query to what the asker lacks, the batched
-supergraph merge, the workflow manager's supergraph reuse and
-synced-remote skipping, the memoized message sizes, the per-kind byte
-counters, and the traffic report.
+supergraph merge, the workflow manager's supergraph reuse (by repeat
+workflows and by repairs) and synced-remote skipping, the memoized message
+sizes, the per-kind byte counters, and the traffic report.
 """
 
 from repro.analysis.reporting import traffic_table
@@ -15,7 +15,12 @@ from repro.core.tasks import Task
 from repro.discovery.knowhow import FragmentManager
 from repro.execution import ServiceDescription
 from repro.host import Community, WorkflowPhase
-from repro.net.messages import FragmentQuery, FragmentResponse
+from repro.net.messages import (
+    FragmentQuery,
+    FragmentResponse,
+    TaskFailureRecord,
+    WorkflowProgressReport,
+)
 
 
 def fragment(name: str, inputs, outputs, fragment_id=None) -> WorkflowFragment:
@@ -64,7 +69,7 @@ class TestDeltaQueries:
 
 
 class TestBatchedIngestion:
-    def test_batch_merge_bumps_version_once(self):
+    def test_batch_merge_counts_new_fragments(self):
         graph = Supergraph()
         fragments = [
             fragment("t1", ["a"], ["b"], "f1"),
@@ -73,22 +78,10 @@ class TestBatchedIngestion:
         ]
         changed = graph.add_fragments_batch(fragments)
         assert changed == 3
-        assert graph.version == 1
         assert graph.fragment_ids == {"f1", "f2", "f3"}
         # A second batch of already-known fragments is a no-op.
         assert graph.add_fragments_batch(fragments) == 0
-        assert graph.version == 1
-
-    def test_batch_merge_journals_one_dirty_region(self):
-        graph = Supergraph([fragment("t0", ["z"], ["a"], "f0")])
-        base = graph.version
-        graph.add_fragments_batch(
-            [fragment("t1", ["a"], ["b"], "f1"), fragment("t2", ["b"], ["c"], "f2")]
-        )
-        dirty = graph.dirty_since(base)
-        names = {node.name for node in dirty}
-        assert {"t1", "t2", "b", "c"} <= names
-        assert graph.dirty_since(graph.version) == frozenset()
+        assert graph.node_count == 7
 
 
 class TestSharedSupergraphReuse:
@@ -165,8 +158,10 @@ class TestSharedSupergraphReuse:
         assert summary["remotes_skipped"] == 1
 
     def test_a_reused_host_id_is_not_asked_again(self):
-        # A synced remote is trusted for the community's lifetime, so a new
-        # device that takes a departed host's id is not asked.
+        # A synced remote is trusted until a construction that skipped it
+        # fails, so a new device that takes a departed host's id is not
+        # asked by the next workflow.  That workflow's failure ends the
+        # trust, but without recovery only a later submission would ask.
         community = chain_community()
         first = community.submit_problem("one", ["a"], ["c"])
         community.run_until_allocated(first)
@@ -219,6 +214,33 @@ class TestSharedSupergraphReuse:
         assert second.phase is WorkflowPhase.EXECUTING
         assert second.remotes_skipped == 1
         assert community.network.statistics.kind_count("FragmentQuery") == queries
+
+    def test_repair_reuses_the_failed_workspace_supergraph(self):
+        community = Community()
+        community.add_host(
+            "h",
+            fragments=[
+                fragment("t0", ["L0"], ["L1"], "f0"),
+                fragment("t1", ["L1"], ["L2"], "f1"),
+            ],
+            services=[ServiceDescription("t0"), ServiceDescription("t1")],
+            enable_recovery=True,
+        )
+        manager = community.host("h").workflow_manager
+        workspace = community.submit_problem("h", ["L0"], ["L2"])
+        community.run_until_allocated(workspace)
+        manager.handle_progress_report(
+            WorkflowProgressReport(
+                sender="h",
+                recipient="h",
+                workflow_id=workspace.workflow_id,
+                failures=(TaskFailureRecord(task_name="t0", reason="boom"),),
+            )
+        )
+        assert workspace.repaired_by is not None
+        repaired = manager.workspace(workspace.repaired_by)
+        assert repaired is not None
+        assert repaired.supergraph is workspace.supergraph is manager.supergraph
 
 
 class TestMemoizedMessageSizes:

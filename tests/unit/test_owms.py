@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.fragments import WorkflowFragment
+from repro.core.tasks import Task
+from repro.execution import ServiceDescription
 from repro.owms.config import (
     parse_community_xml,
     parse_fragment,
@@ -175,3 +178,21 @@ class TestOpenWorkflowSystem:
         assert hardened.workflow_manager.robust
         assert hardened.workflow_manager.max_repair_attempts == 5
         assert hardened.durability is not None
+
+    def test_solve_many_returns_reports_in_order(self):
+        system = OpenWorkflowSystem()
+        system.add_device(
+            "dev",
+            fragments=[
+                WorkflowFragment(
+                    [Task(f"t{i}", [f"L{i}"], [f"L{i + 1}"], service_type=f"s{i}")],
+                    fragment_id=f"chain-{i}",
+                )
+                for i in range(3)
+            ],
+            services=[ServiceDescription(f"s{i}") for i in range(3)],
+        )
+        reports = system.solve_many(
+            "dev", [(["L0"], ["L1"]), (["L0"], ["L3"]), (["L0"], ["absent"])]
+        )
+        assert [r.succeeded for r in reports] == [True, True, False]

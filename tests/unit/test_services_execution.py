@@ -817,7 +817,9 @@ class TestConstructionRepair:
     """A revision that fails construction while some remote never answered
     (written off as silent, or not asked since the initiator restarted) is
     repaired: that remote's know-how never reached the plane, and the
-    repair asks it again."""
+    repair asks it again.  So is one that skipped remotes synced by earlier
+    revisions: they may have learned know-how since they answered, so the
+    initiator forgets their syncs and the repair asks them again."""
 
     def test_know_how_of_a_written_off_remote_is_asked_for_again(self):
         community = know_how_community()
@@ -876,3 +878,49 @@ class TestConstructionRepair:
         assert final is not restored and final.phase is WorkflowPhase.COMPLETED
         assert final.completed_tasks == {"t"}
         assert community.network.statistics.kind_count("FragmentQuery") == queries + 2
+
+    @pytest.mark.parametrize(
+        "recovery", [True, False], ids=["repair", "next-submission"]
+    )
+    def test_know_how_a_synced_remote_learned_later_is_asked_for(self, recovery):
+        community = Community()
+        options = dict(fault_injection=True, enable_recovery=recovery)
+        community.add_host(
+            "one",
+            fragments=[WorkflowFragment([Task("t1", ["a"], ["b"], duration=1.0)])],
+            services=[ServiceDescription("t1", duration=1.0)],
+            **options,
+        )
+        community.add_host(
+            "two",
+            fragments=[WorkflowFragment([Task("t2", ["b"], ["c"], duration=1.0)])],
+            services=[
+                ServiceDescription("t2", duration=1.0),
+                ServiceDescription("t3", duration=1.0),
+            ],
+            **options,
+        )
+        first = community.submit_problem("one", ["a"], ["c"])
+        community.run_idle()
+        assert first.phase is WorkflowPhase.COMPLETED
+        # two answered the first workflow's query; what it learns afterwards
+        # is not in one's plane, so the next construction fails.
+        community.host("two").add_fragment(
+            WorkflowFragment([Task("t3", ["c"], ["d"], duration=1.0)])
+        )
+        second = community.submit_problem("one", ["a"], ["d"])
+        community.run_idle()
+        assert second.remotes_skipped == 1
+        assert second.failure_reason == (
+            "construction failed: goal labels unknown to the community: ['d']"
+        )
+        manager = community.host("one").workflow_manager
+        final = manager.final_workspace(second.workflow_id)
+        if not recovery:
+            # The failure still ended the trust: the next submission asks.
+            assert final is second
+            final = community.submit_problem("one", ["a"], ["d"])
+            community.run_idle()
+        assert final.phase is WorkflowPhase.COMPLETED
+        assert final.completed_tasks == {"t1", "t2", "t3"}
+        assert community.network.statistics.kind_count("FragmentQuery") == 2

@@ -40,6 +40,30 @@ class TestSupergraphConstruction:
                 WorkflowFragment([Task("t", ["a"], ["c"])], fragment_id="f2")
             )
 
+    def test_conflicting_fragment_is_not_registered(self):
+        graph = Supergraph(
+            [WorkflowFragment([Task("t0", ["L0"], ["L1"])], fragment_id="f0")]
+        )
+        conflicting = WorkflowFragment(
+            [
+                Task("new-task", ["a"], ["b"]),
+                Task("t0", ["different"], ["inputs"]),  # conflicts with t0
+            ],
+            fragment_id="bad",
+        )
+        with pytest.raises(InvalidWorkflowError):
+            graph.add_fragment(conflicting)
+        # The tasks before the conflict are merged, but the fragment id is
+        # not registered: a corrected version of the fragment is not
+        # silently ignored.
+        assert graph.has_task("new-task")
+        corrected = WorkflowFragment(
+            [Task("new-task", ["a"], ["b"]), Task("t9", ["b"], ["c"])],
+            fragment_id="bad",
+        )
+        assert graph.add_fragment(corrected) is True
+        assert graph.has_task("t9")
+
     def test_add_knowledge(self):
         graph = Supergraph()
         added = graph.add_knowledge(KnowledgeSet(fragments()))
@@ -79,6 +103,21 @@ class TestNavigation:
         shared = WorkflowFragment([Task("t1", ["a"], ["x"])], fragment_id="f1-copy")
         graph.add_fragment(shared)
         assert graph.fragments_for_task("t1") == {"f1", "f1-copy"}
+
+    def test_degree_indexes(self):
+        graph = Supergraph(
+            [
+                WorkflowFragment(
+                    [Task(f"t{i}", [f"L{i}"], [f"L{i + 1}"])], fragment_id=f"f{i}"
+                )
+                for i in range(2)
+            ]
+        )
+        assert graph.in_degree(NodeRef.task("t0")) == 1
+        assert graph.out_degree(NodeRef.task("t0")) == 1
+        assert graph.in_degree(NodeRef.label("L1")) == 1  # produced by t0
+        assert graph.out_degree(NodeRef.label("L1")) == 1  # consumed by t1
+        assert graph.in_degree(NodeRef.label("L0")) == 0
 
     def test_edges_and_nodes_iteration(self):
         graph = Supergraph(fragments())
